@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable
 
 from .errors import CapabilityError, InputError
 from .families import (
@@ -24,7 +25,6 @@ from .families import (
 )
 from .measures import dependence_matrix
 from .metrics import (
-    MetricValue,
     alpha_coefficient,
     beta_partition,
     bl_to_product,
@@ -39,16 +39,67 @@ VERDICT_CONVERGES = "CONVERGES"
 VERDICT_STALLS = "STALLS"
 VERDICT_INCONCLUSIVE = "INCONCLUSIVE"
 
-# metric name -> AI condition it operationalizes (priority order per condition)
-AI_CONDITION_METRICS = {
-    "AI-4": ("variation", "beta"),
-    "AI-3": ("alpha",),
-    "AI-2": ("rectangle",),
-    "AI-1": ("prokhorov", "bl"),
-    "AI-0": ("cov_sup", "cf"),
+
+def _rectangle(inst: FamilyInstance, kind: ProductMetricKind) -> Fraction:
+    rect = inst.params.get("rectangle")
+    if rect is None:
+        raise CapabilityError(f"family {inst.family!r} declares no AI-2 rectangle")
+    return rectangle_gap(inst.joint, *rect)
+
+
+@dataclass(frozen=True)
+class Metric:
+    """One registry entry: how a sweep cell or a CLI row gets its value.
+
+    compute(inst, product_metric) returns the value; mode is "exact"
+    (rational), "numeric" (float from max-flow or LP) or "lattice" (float
+    maximum over the fixed cf test points).
+    """
+
+    name: str
+    compute: Callable[[FamilyInstance, ProductMetricKind], Fraction | float]
+    condition: str
+    mode: str
+
+    @property
+    def exact(self) -> bool:
+        return self.mode == "exact"
+
+
+# Ordered by AI condition, strongest first; within a condition, the first
+# metric with a full series gives the verdict. The lambdas look the metric
+# functions up when called, so a patched module-level name takes effect.
+METRICS = {
+    m.name: m
+    for m in (
+        Metric(
+            "variation",
+            lambda inst, kind: variation_norm(dependence_matrix(inst.joint)).value,
+            "AI-4",
+            "exact",
+        ),
+        Metric("beta", lambda inst, kind: beta_partition(inst.joint).value, "AI-4", "exact"),
+        Metric("alpha", lambda inst, kind: alpha_coefficient(inst.joint).value, "AI-3", "exact"),
+        Metric("cov_sup", lambda inst, kind: cov_sup_pm1(inst.joint).value, "AI-3", "exact"),
+        Metric("rectangle", _rectangle, "AI-2", "exact"),
+        Metric(
+            "prokhorov",
+            lambda inst, kind: prokhorov_to_product_upper(inst.joint, kind).value,
+            "AI-1",
+            "numeric",
+        ),
+        Metric("bl", lambda inst, kind: bl_to_product(inst.joint, kind).value, "AI-1", "numeric"),
+        Metric("cf", lambda inst, kind: cf_gap_lattice(inst.joint)[0], "AI-0", "lattice"),
+    )
 }
 
-KNOWN_METRICS = ("variation", "alpha", "beta", "rectangle", "cov_sup", "prokhorov", "bl", "cf")
+KNOWN_METRICS = tuple(METRICS)
+
+# AI condition -> the metrics that operationalize it, in priority order
+AI_CONDITION_METRICS = {
+    c: tuple(m.name for m in METRICS.values() if m.condition == c)
+    for c in dict.fromkeys(m.condition for m in METRICS.values())
+}
 
 FAMILY_NAMES = ("binary_coding", "bernoulli_perturbation", "markov_shift")
 
@@ -67,7 +118,6 @@ class SweepSpec:
     n_values: tuple[int, ...]
     metrics: tuple[str, ...]
     product_metric: ProductMetricKind = ProductMetricKind.SUM
-    modes: dict = field(default_factory=dict)  # metric -> "exact" | "heuristic"
     family_params: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -180,32 +230,13 @@ def build_family(name: str, n: int, params: dict | None = None) -> FamilyInstanc
     raise InputError(f"unknown family {name!r}")
 
 
-def _compute_metric(inst: FamilyInstance, metric: str, kind: ProductMetricKind, mode: str):
-    """Returns (value, exact, mode) for one sweep cell."""
-    j = inst.joint
-    if metric == "variation":
-        mv = variation_norm(dependence_matrix(j))
-    elif metric == "alpha":
-        mv = alpha_coefficient(j, mode=mode)
-    elif metric == "beta":
-        mv = beta_partition(j)
-    elif metric == "cov_sup":
-        mv = cov_sup_pm1(j, mode=mode)
-    elif metric == "prokhorov":
-        mv = prokhorov_to_product_upper(j, kind)
-    elif metric == "bl":
-        mv = bl_to_product(j, kind)
-    elif metric == "rectangle":
-        rect = inst.params.get("rectangle")
-        if rect is None:
-            raise CapabilityError(f"family {inst.family!r} declares no AI-2 rectangle")
-        return rectangle_gap(j, *rect), True, "exact"
-    elif metric == "cf":
-        gap, _, _ = cf_gap_lattice(j)
-        return gap, False, "lattice"
-    else:
+def metric_row(inst: FamilyInstance, metric: str, kind: ProductMetricKind) -> SweepRow:
+    """The registry cell for one metric on one family instance."""
+    entry = METRICS.get(metric)
+    if entry is None:
         raise InputError(f"unknown metric {metric!r}")
-    return mv.value, mv.exact, mode
+    value = entry.compute(inst, kind)
+    return SweepRow(inst.family, inst.n, metric, value, entry.exact, entry.mode)
 
 
 def sweep(spec: SweepSpec) -> DecayReport:
@@ -214,11 +245,10 @@ def sweep(spec: SweepSpec) -> DecayReport:
     for n in spec.n_values:
         inst = build_family(spec.family, n, spec.family_params)
         for metric in spec.metrics:
-            mode = spec.modes.get(metric, "exact")
             try:
-                value, exact, used_mode = _compute_metric(inst, metric, spec.product_metric, mode)
-                rows.append(SweepRow(spec.family, n, metric, value, exact, used_mode))
+                rows.append(metric_row(inst, metric, spec.product_metric))
             except CapabilityError as exc:
+                mode = METRICS[metric].mode
                 rows.append(SweepRow(spec.family, n, metric, None, False, mode, note=str(exc)))
     rows.sort(key=lambda r: (r.n, r.metric))
     report_rows = tuple(rows)

@@ -7,7 +7,8 @@ Subcommands:
   verify    run the full verification suite
   classify  classify a (n, value) series from CSV
 
-Exit codes: 0 success, 1 input error, 2 capability error, 3 verification failure.
+Exit codes: 0 success, 1 input error, 2 capability error, 3 verification failure,
+4 solver error.
 """
 from __future__ import annotations
 
@@ -18,16 +19,9 @@ from fractions import Fraction
 from . import analysis, io, verify
 from .analysis import SweepSpec, classify_decay, report_markdown, sweep
 from .analysis import FAMILY_NAMES
-from .errors import CapabilityError, InputError
-from .measures import JointMeasure, dependence_matrix
-from .metrics import (
-    alpha_coefficient,
-    beta_partition,
-    bl_to_product,
-    cov_sup_pm1,
-    prokhorov_to_product_upper,
-    variation_norm,
-)
+from .errors import CapabilityError, InputError, SolverError
+from .families import FamilyInstance
+from .measures import JointMeasure
 from .spaces import ProductMetricKind
 
 
@@ -51,29 +45,6 @@ def _product_kind(name: str) -> ProductMetricKind:
         raise InputError(f"product metric must be 'sum' or 'max', got {name!r}") from None
 
 
-def _metric_rows(j: JointMeasure, selected: list[str], kind: ProductMetricKind):
-    rows = []
-    for metric in selected:
-        if metric == "variation":
-            mv = variation_norm(dependence_matrix(j))
-        elif metric == "alpha":
-            mv = alpha_coefficient(j)
-        elif metric == "beta":
-            mv = beta_partition(j)
-        elif metric == "cov_sup":
-            mv = cov_sup_pm1(j)
-        elif metric == "prokhorov":
-            mv = prokhorov_to_product_upper(j, kind)
-        elif metric == "bl":
-            mv = bl_to_product(j, kind)
-        else:
-            raise InputError(f"unknown metric {metric!r}")
-        rows.append(
-            analysis.SweepRow("file", 0, metric, mv.value, mv.exact, "exact" if mv.exact else "numeric")
-        )
-    return rows
-
-
 def cmd_gen(args) -> int:
     params = _parse_params(args.param)
     inst = analysis.build_family(args.family, args.n, params)
@@ -88,7 +59,8 @@ def cmd_metrics(args) -> int:
         raise InputError("metrics requires a joint-measure JSON file (two spaces)")
     selected = [m.strip() for m in args.select.split(",") if m.strip()]
     kind = _product_kind(args.product_metric)
-    rows = _metric_rows(j, selected, kind)
+    inst = FamilyInstance("file", 0, j)
+    rows = [analysis.metric_row(inst, metric, kind) for metric in selected]
     for r in rows:
         print(f"{r.metric}: {io.value_to_str(r.value, r.exact)} (exact={r.exact})")
     if args.out:
@@ -192,6 +164,9 @@ def main(argv=None) -> int:
     except CapabilityError as exc:
         print(f"capability error: {exc}", file=sys.stderr)
         return 2
+    except SolverError as exc:
+        print(f"solver error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -18,6 +18,7 @@ from scipy.optimize import linprog
 
 from .errors import CapabilityError, InputError, SolverError
 
+# largest smaller side that exact enumeration accepts (alpha and cov_sup too)
 BILINEAR_EXACT_CUTOFF = 22
 HEURISTIC_RESTARTS = 32
 
@@ -90,6 +91,8 @@ def max_flow(net: FlowNetwork) -> tuple[object, list[object]]:
             it[u] += 1
         return pushed * 0
 
+    # sentinel "infinite" capacity: total source capacity + 1
+    inf = sum(c for a, _, c in net.edges if a == net.source) + 1
     total = None
     while True:
         level = bfs()
@@ -97,8 +100,6 @@ def max_flow(net: FlowNetwork) -> tuple[object, list[object]]:
             break
         it = [0] * n
         while True:
-            # sentinel "infinite" capacity: total source capacity + 1
-            inf = sum(c for a, _, c in net.edges if a == net.source) + 1
             pushed = dfs(net.source, inf, level, it)
             if pushed == 0:
                 break
@@ -181,34 +182,49 @@ def solve_lp(lp: LinearProgram) -> LPResult:
 
 @dataclass(frozen=True)
 class BilinearInstance:
+    """Matrix of a bilinear form on the hypercube.
+
+    Integer matrices (any integer dtype, or Python ints of any size) are kept
+    exactly, as Python ints in an object array; anything else becomes float64.
+    """
+
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=float)
+        m = np.asarray(self.matrix)
         if m.ndim != 2:
             raise InputError("bilinear instance needs a 2-D matrix")
-        if not np.all(np.isfinite(m)):
-            raise InputError("matrix entries must be finite")
+        if m.dtype.kind in "iu" or (
+            m.dtype == object and all(isinstance(x, int) for x in m.flat)
+        ):
+            m = m.astype(object)
+        else:
+            m = m.astype(float)
+            if not np.all(np.isfinite(m)):
+                raise InputError("matrix entries must be finite")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
-
-def _sign_rows(m: int) -> np.ndarray:
-    """All 2^m sign vectors in {-1,1}^m, one per row, bitmask order."""
-    masks = np.arange(2 ** m, dtype=np.int64)[:, None]
-    bits = (masks >> np.arange(m)) & 1
-    return (2 * bits - 1).astype(float)
+    @property
+    def is_integer(self) -> bool:
+        return self.matrix.dtype == object
 
 
 def hypercube_bilinear_max(
     inst: BilinearInstance, mode: str = "exact"
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """max over a in {-1,1}^m, b in {-1,1}^k of |a^T M b|.
+) -> tuple[int | float, np.ndarray, np.ndarray]:
+    """max over a in {-1,1}^m, b in {-1,1}^k of |a^T M b|; returns (value, a, b).
 
     The maximum of the convex function |a^T M b| over the cube is attained at
-    sign vectors; for fixed a the optimal b is sign(a^T M), so exact mode only
-    enumerates the smaller side. Heuristic mode runs alternating ascent from
-    seeded random starts and reports a lower bound.
+    sign vectors; for fixed a the optimal b is sign(a^T M), and a and -a give
+    the same value, so exact mode enumerates the smaller side with its last
+    sign fixed. Heuristic mode runs alternating ascent from seeded random
+    starts and reports a lower bound.
+
+    Integer instances are exact in both modes: the enumeration runs in
+    float64 while sum |M| < 2^53, which keeps every partial sum an exactly
+    represented integer, and in Python ints above that; the value is a
+    Python int re-derived from the sign vectors. a and b are float arrays.
     """
     M = inst.matrix
     m, k = M.shape
@@ -216,22 +232,26 @@ def hypercube_bilinear_max(
     if transposed:
         M = M.T
         m, k = k, m
+    fm = M.astype(float)
     if mode == "exact":
         if m > BILINEAR_EXACT_CUTOFF:
             raise CapabilityError(
-                f"exact bilinear max needs min(m,k) <= {BILINEAR_EXACT_CUTOFF}, got {m}"
+                f"exact hypercube enumeration needs the smaller side "
+                f"<= {BILINEAR_EXACT_CUTOFF}, got {m}"
             )
-        best_val, best_a = -1.0, None
+        work = fm
+        if inst.is_integer and sum(abs(x) for x in M.flat) >= 2 ** 53:
+            work = M
+        best_val, a = -1, None
+        total = 1 << max(m - 1, 0)
         chunk = 1 << 14
-        for start in range(0, 2 ** m, chunk):
-            stop = min(start + chunk, 2 ** m)
-            masks = np.arange(start, stop, dtype=np.int64)[:, None]
-            A = (2 * ((masks >> np.arange(m)) & 1) - 1).astype(float)
-            vals = np.abs(A @ M).sum(axis=1)
+        for start in range(0, total, chunk):
+            masks = np.arange(start, min(start + chunk, total), dtype=np.int64)[:, None]
+            A = (2 * ((masks >> np.arange(m)) & 1) - 1).astype(work.dtype)
+            vals = np.abs(A @ work).sum(axis=1)
             i = int(np.argmax(vals))
             if vals[i] > best_val:
-                best_val, best_a = float(vals[i]), A[i]
-        a = best_a
+                best_val, a = vals[i], A[i].astype(float)
     elif mode == "heuristic":
         rngs = [np.random.default_rng(seed) for seed in range(HEURISTIC_RESTARTS)]
         best_val, a = -1.0, None
@@ -239,19 +259,24 @@ def hypercube_bilinear_max(
             cur = rng.choice([-1.0, 1.0], size=m)
             prev = -1.0
             for _ in range(200):
-                b = np.where(cur @ M >= 0, 1.0, -1.0)
-                cur = np.where(M @ b >= 0, 1.0, -1.0)
-                val = float(np.abs(cur @ M).sum())
+                b = np.where(cur @ fm >= 0, 1.0, -1.0)
+                cur = np.where(fm @ b >= 0, 1.0, -1.0)
+                val = float(np.abs(cur @ fm).sum())
                 if val <= prev:
                     break
                 prev = val
-            val = float(np.abs(cur @ M).sum())
+            val = float(np.abs(cur @ fm).sum())
             if val > best_val:
                 best_val, a = val, cur
     else:
         raise InputError(f"unknown mode {mode!r}")
-    b = np.where(a @ M >= 0, 1.0, -1.0)
-    value = float(abs(a @ M @ b))
+    if inst.is_integer:
+        row = a.astype(int).astype(object) @ M
+        b = np.array([1.0 if x >= 0 else -1.0 for x in row])
+        value = int(sum(abs(x) for x in row))
+    else:
+        b = np.where(a @ M >= 0, 1.0, -1.0)
+        value = float(abs(a @ M @ b))
     if transposed:
         a, b = b, a
     return value, a, b

@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the package.
 
 Exit-code mapping for the CLI: InputError -> 1, CapabilityError -> 2,
-verification failure -> 3.
+verification failure -> 3, SolverError -> 4.
 """
 
 

@@ -19,20 +19,21 @@ import cmath
 import enum
 import itertools
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .engines import (
+    BilinearInstance,
     FlowNetwork,
     LinearProgram,
     LPStatus,
+    hypercube_bilinear_max,
     max_flow,
     solve_lp,
 )
-from .errors import CapabilityError, InputError
+from .errors import CapabilityError, InputError, SolverError
 from .measures import (
     DependenceMatrix,
     DiscreteMeasure,
@@ -43,10 +44,7 @@ from .measures import (
 )
 from .spaces import ProductMetricKind
 
-ALPHA_EXACT_CUTOFF = 22
-BETA_EXACT_CUTOFF = 5
 BL_SUPPORT_CUTOFF = 600
-HEURISTIC_RESTARTS = 32
 LP_TOL = 1e-9
 
 ZERO = Fraction(0)
@@ -90,152 +88,53 @@ def variation_norm(d: DependenceMatrix) -> MetricValue:
     return MetricValue(MetricName.VARIATION, total, True, {"signs": signs})
 
 
-def _oriented_entries(d: DependenceMatrix) -> tuple[list[list[Fraction]], bool]:
-    """Entries with the smaller side as rows; returns (matrix, swapped)."""
-    rows = [list(r) for r in d.entries]
-    if len(rows) <= len(rows[0]):
-        return rows, False
-    ncols = len(rows[0])
-    return [[rows[i][j] for i in range(len(rows))] for j in range(ncols)], True
+def _best_signs(j: JointMeasure, mode: str):
+    """The hypercube kernel's best row signs f for the dependence matrix D.
 
-
-def _best_subset_scan(mat: list[list[Fraction]]):
-    """Max over row subsets A of max(pos-part, neg-part) of the aggregated row.
-
-    Gray-code iteration toggles one row per step so the aggregate stays
-    incremental. Returns (value, A, B) with deterministic lexicographic
-    tie-breaking on A.
+    D is scaled by the lcm L of its denominators to the integer matrix N, so
+    the kernel runs exactly. Returns (f, f^T N, L).
     """
-    m, k = len(mat), len(mat[0])
-    agg = [ZERO] * k
-    in_set = [False] * m
-    best = (ZERO, (), ())
-    for step in range(1, 2 ** m):
-        bit = (step & -step).bit_length() - 1
-        row = mat[bit]
-        if in_set[bit]:
-            for j in range(k):
-                agg[j] -= row[j]
-        else:
-            for j in range(k):
-                agg[j] += row[j]
-        in_set[bit] = not in_set[bit]
-        pos = sum(x for x in agg if x > 0)
-        neg = -sum(x for x in agg if x < 0)
-        a = tuple(i for i in range(m) if in_set[i])
-        for val, sel in ((pos, 1), (neg, -1)):
-            if val > best[0] or (val == best[0] and a < best[1]):
-                b = tuple(j for j in range(k) if (agg[j] > 0 if sel == 1 else agg[j] < 0))
-                best = (val, a, b)
-    return best
+    d = dependence_matrix(j).entries
+    scale = math.lcm(*(x.denominator for row in d for x in row))
+    n = np.array([[x.numerator * (scale // x.denominator) for x in row] for row in d],
+                 dtype=object)
+    _, a, _ = hypercube_bilinear_max(BilinearInstance(n), mode=mode)
+    f = tuple(int(x) for x in a)
+    return f, [sum(s * x for s, x in zip(f, col)) for col in zip(*n)], scale
 
 
 def alpha_coefficient(j: JointMeasure, mode: str = "exact") -> MetricValue:
-    """sup over rectangles A x B of |mu(A x B)| for mu the dependence matrix.
+    """sup over rectangles A x B of |mu(A x B)| for mu the dependence matrix D.
 
-    Exact mode enumerates subsets of the smaller side; for a fixed A the
-    optimal B collects the columns where the A-aggregated signed row is
-    positive (and, separately, negative). Heuristic mode is alternating
-    sign-selection ascent with seeded restarts and reports a lower bound.
+    With f = 2 1_A - 1, the zero column sums of D give f^T D = 2 1_A^T D, and
+    the zero row sums make its entries sum to 0, so the best B (the positive
+    columns) carries mass ||f^T D||_1 / 4: alpha = max_f ||f^T D||_1 / 4,
+    solved by the hypercube kernel. The value is re-derived exactly from the
+    certificate. Heuristic mode uses the kernel's ascent and reports a lower
+    bound.
     """
-    d = dependence_matrix(j)
-    mat, swapped = _oriented_entries(d)
-    m = len(mat)
-    if mode == "exact":
-        if m > ALPHA_EXACT_CUTOFF:
-            raise CapabilityError(
-                f"alpha exact mode needs the smaller side <= {ALPHA_EXACT_CUTOFF} points"
-            )
-        value, a, b = _best_subset_scan(mat)
-        if swapped:
-            a, b = b, a
-        return MetricValue(MetricName.ALPHA, value, True, {"A": a, "B": b})
+    f, agg, scale = _best_signs(j, mode)
+    a = tuple(i for i, s in enumerate(f) if s > 0)
+    b = tuple(k for k, x in enumerate(agg) if x > 0)
+    value = Fraction(sum(x for x in agg if x > 0), 2 * scale)
+    cert = {"A": a, "B": b}
     if mode == "heuristic":
-        value, a, b = _rectangle_ascent(mat)
-        if swapped:
-            a, b = b, a
-        return MetricValue(
-            MetricName.ALPHA, value, False, {"A": a, "B": b, "lower_bound": True}
-        )
-    raise InputError(f"unknown mode {mode!r}")
+        cert["lower_bound"] = True
+    return MetricValue(MetricName.ALPHA, value, mode == "exact", cert)
 
 
-def _rectangle_ascent(mat: list[list[Fraction]]):
-    m, k = len(mat), len(mat[0])
-    best = (ZERO, (), ())
-    for seed in range(HEURISTIC_RESTARTS):
-        rng = random.Random(seed)
-        a = [rng.random() < 0.5 for _ in range(m)]
-        for sel in (1, -1):
-            cur_a = list(a)
-            prev = None
-            for _ in range(100):
-                agg = [sum(mat[i][jj] for i in range(m) if cur_a[i]) for jj in range(k)]
-                b = [(x > 0 if sel == 1 else x < 0) for x in agg]
-                col = [sum(mat[i][jj] for jj in range(k) if b[jj]) for i in range(m)]
-                cur_a = [(x > 0 if sel == 1 else x < 0) for x in col]
-                val = abs(sum(col[i] for i in range(m) if cur_a[i]))
-                if prev is not None and val <= prev:
-                    break
-                prev = val
-            val = prev if prev is not None else ZERO
-            if val > best[0]:
-                best = (
-                    val,
-                    tuple(i for i in range(m) if cur_a[i]),
-                    tuple(jj for jj in range(k) if b[jj]),
-                )
-    return best
-
-
-def _partitions(n: int, max_parts: int):
-    """All set partitions of range(n) with at most max_parts blocks."""
-    def rec(i: int, blocks: list[list[int]]):
-        if i == n:
-            yield tuple(tuple(b) for b in blocks)
-            return
-        for b in blocks:
-            b.append(i)
-            yield from rec(i + 1, blocks)
-            b.pop()
-        if len(blocks) < max_parts:
-            blocks.append([i])
-            yield from rec(i + 1, blocks)
-            blocks.pop()
-    yield from rec(0, [])
-
-
-def beta_partition(j: JointMeasure, max_parts: int | None = None) -> MetricValue:
+def beta_partition(j: JointMeasure) -> MetricValue:
     """sup over partition pairs of half the summed absolute rectangle masses.
 
-    Exact enumeration; feasible only for small supports (Bell-number growth).
+    Refining a partition never lowers the sum (triangle inequality), so the
+    singleton partitions attain the supremum: beta = variation / 2.
     """
-    n1, n2 = len(j.space1), len(j.space2)
-    if n1 > BETA_EXACT_CUTOFF or n2 > BETA_EXACT_CUTOFF:
-        raise CapabilityError(
-            f"beta_partition enumerates partitions; needs both sides <= {BETA_EXACT_CUTOFF}"
-        )
-    if max_parts is None:
-        max_parts = max(n1, n2)
-    d = dependence_matrix(j).entries
-    best = (Fraction(-1), None, None)
-    for p1 in _partitions(n1, max_parts):
-        # aggregate rows per block once per row-partition
-        rows = [
-            [sum(d[i][c] for i in block) for c in range(n2)] for block in p1
-        ]
-        for p2 in _partitions(n2, max_parts):
-            total = ZERO
-            for r in rows:
-                for block in p2:
-                    total += abs(sum(r[c] for c in block))
-            val = total / 2
-            if val > best[0]:
-                best = (val, p1, p2)
-    value, p1, p2 = best
-    return MetricValue(
-        MetricName.BETA_PARTITION, value, True, {"partition1": p1, "partition2": p2}
-    )
+    value = variation_norm(dependence_matrix(j)).value / 2
+    cert = {
+        "partition1": tuple((i,) for i in range(len(j.space1))),
+        "partition2": tuple((k,) for k in range(len(j.space2))),
+    }
+    return MetricValue(MetricName.BETA_PARTITION, value, True, cert)
 
 
 def cov_sup_pm1(j: JointMeasure, mode: str = "exact") -> MetricValue:
@@ -243,57 +142,16 @@ def cov_sup_pm1(j: JointMeasure, mode: str = "exact") -> MetricValue:
 
     |psi| is convex in each coordinate, so the maximum over [-1,1]-valued
     functions is attained at sign vectors; for a fixed f the optimal g is the
-    sign of the f-aggregated column vector, hence exact mode enumerates f on
-    the smaller side only.
+    sign of f^T D, so cov_sup = max_f ||f^T D||_1 = 4 alpha, with the same
+    kernel and sign vector as alpha_coefficient.
     """
-    d = dependence_matrix(j)
-    mat, swapped = _oriented_entries(d)
-    m, k = len(mat), len(mat[0])
-    if mode == "exact":
-        if m > ALPHA_EXACT_CUTOFF:
-            raise CapabilityError(
-                f"cov_sup exact mode needs the smaller side <= {ALPHA_EXACT_CUTOFF} points"
-            )
-        # start from f = all -1: the aggregate is minus the column sums = 0
-        agg = [ZERO] * k
-        signs = [-1] * m
-        best = (ZERO, tuple(signs))
-        for step in range(1, 2 ** m):
-            bit = (step & -step).bit_length() - 1
-            row = mat[bit]
-            delta = 2 * signs[bit] * -1  # flipping -1->1 adds 2, 1->-1 subtracts 2
-            for jj in range(k):
-                agg[jj] += delta * row[jj]
-            signs[bit] = -signs[bit]
-            val = sum(abs(x) for x in agg)
-            if val > best[0]:
-                best = (val, tuple(signs))
-        value, f = best
-        # recompute the aggregate for the stored f to build g
-        agg = [sum(f[i] * mat[i][jj] for i in range(m)) for jj in range(k)]
-        g = tuple(1 if x >= 0 else -1 for x in agg)
-        exact = True
-        cert_extra = {}
-    elif mode == "heuristic":
-        fm = np.array([[float(x) for x in row] for row in mat])
-        from .engines import BilinearInstance, hypercube_bilinear_max
-
-        val, a, b = hypercube_bilinear_max(BilinearInstance(fm), mode="heuristic")
-        # re-derive exact rational value from the sign vectors
-        f = tuple(int(x) for x in a)
-        g = tuple(int(x) for x in b)
-        value = abs(
-            sum(f[i] * g[jj] * mat[i][jj] for i in range(m) for jj in range(k))
-        )
-        exact = False
-        cert_extra = {"lower_bound": True}
-    else:
-        raise InputError(f"unknown mode {mode!r}")
-    if swapped:
-        f, g = g, f
-    return MetricValue(
-        MetricName.COV_SUP, value, exact, {"f": f, "g": g, **cert_extra}
-    )
+    f, agg, scale = _best_signs(j, mode)
+    g = tuple(1 if x >= 0 else -1 for x in agg)
+    value = Fraction(sum(abs(x) for x in agg), scale)
+    cert = {"f": f, "g": g}
+    if mode == "heuristic":
+        cert["lower_bound"] = True
+    return MetricValue(MetricName.COV_SUP, value, mode == "exact", cert)
 
 
 def cov_gap(j: JointMeasure, f, g):
@@ -425,8 +283,9 @@ def bl_distance(m1: DiscreteMeasure, m2: DiscreteMeasure) -> MetricValue:
         variable_bounds=tuple((-1.0, 1.0) for _ in range(n)),
     )
     res = solve_lp(lp)
+    # h = 0 is feasible and the box bounds the objective: only the solver can fail
     if res.status is not LPStatus.OPTIMAL:
-        raise InputError(f"BL linear program was {res.status.value}")
+        raise SolverError(f"BL linear program was {res.status.value}")
     value = max(res.value, 0.0)
     cert = {"support": tuple(support), "h": res.solution}
     return MetricValue(MetricName.BL, value, False, cert)

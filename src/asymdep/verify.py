@@ -5,7 +5,8 @@ value, tolerance, and status; run_all() executes the whole battery. Exact
 criteria compare rationals for equality (tolerance 0); geometric criteria
 carry their stated float tolerances. Oracles used here (brute-force LP for
 flows, vertex enumeration for LPs, full sign enumeration for the bilinear
-engine) are independent of the code paths they check.
+engine, row-subset enumeration for alpha and cov_sup, partition enumeration
+for beta) are independent of the code paths they check.
 """
 from __future__ import annotations
 
@@ -145,6 +146,63 @@ def criterion_04_variation() -> CriterionResult:
     )
 
 
+def _rectangle_oracle(d):
+    """(alpha, cov_sup) of the dependence entries d by plain Fraction enumeration.
+
+    Every row subset A is tried, with the best column set for it: the
+    columns where the A-aggregated row is positive (or negative) for alpha,
+    and the signs of the f-aggregated row, f = 2 1_A - 1, for cov_sup.
+    """
+    rows, ncols = range(len(d)), range(len(d[0]))
+    alpha = cov = F(0)
+    for r in range(len(d) + 1):
+        for subset in itertools.combinations(rows, r):
+            agg = [sum((d[i][k] for i in subset), F(0)) for k in ncols]
+            alpha = max(alpha, sum(x for x in agg if x > 0), -sum(x for x in agg if x < 0))
+            signed = [sum(d[i][k] if i in subset else -d[i][k] for i in rows) for k in ncols]
+            cov = max(cov, sum(abs(x) for x in signed))
+    return alpha, cov
+
+
+def _partitions(n: int):
+    """All set partitions of range(n)."""
+    def rec(i: int, blocks: list[list[int]]):
+        if i == n:
+            yield tuple(tuple(b) for b in blocks)
+            return
+        for b in blocks:
+            b.append(i)
+            yield from rec(i + 1, blocks)
+            b.pop()
+        blocks.append([i])
+        yield from rec(i + 1, blocks)
+        blocks.pop()
+    yield from rec(0, [])
+
+
+def _beta_oracle(d):
+    """beta of the dependence entries d by enumerating every partition pair."""
+    best = F(0)
+    for p1 in _partitions(len(d)):
+        rows = [[sum(d[i][k] for i in block) for k in range(len(d[0]))] for block in p1]
+        for p2 in _partitions(len(d[0])):
+            total = sum(abs(sum(r[k] for k in block)) for r in rows for block in p2)
+            best = max(best, total / 2)
+    return best
+
+
+def _rectangle_failures(j, tag) -> list:
+    alpha_oracle, cov_oracle = _rectangle_oracle(dependence_matrix(j).entries)
+    bad = []
+    if alpha_coefficient(j).value != alpha_oracle:
+        bad.append((tag, "alpha = enumeration"))
+    if cov_sup_pm1(j).value != cov_oracle:
+        bad.append((tag, "cov_sup = enumeration"))
+    if cov_oracle != 4 * alpha_oracle:
+        bad.append((tag, "cov_sup = 4 alpha"))
+    return bad
+
+
 def criterion_05_alpha_bound() -> CriterionResult:
     bad = []
     for n in range(1, 5):
@@ -152,12 +210,12 @@ def criterion_05_alpha_bound() -> CriterionResult:
         alpha = alpha_coefficient(j).value
         if alpha * alpha > F(1, n):  # alpha <= 1/sqrt(n), compared exactly
             bad.append((n, "alpha bound"))
-        if cov_sup_pm1(j).value != 4 * alpha:
-            bad.append((n, "cov_sup identity"))
+        bad.extend(_rectangle_failures(j, n))
     return _result(
-        "5 AI-3 success: alpha <= 1/sqrt(n) and cov_sup = 4 alpha (n=1..4)",
-        "both hold for all n",
-        "both hold for all n" if not bad else f"failures: {bad}",
+        "5 AI-3 success: alpha <= 1/sqrt(n), and alpha, cov_sup = 4 alpha match "
+        "enumeration (n=1..4)",
+        "all hold for all n",
+        "all hold for all n" if not bad else f"failures: {bad}",
         "exact",
         not bad,
     )
@@ -247,17 +305,16 @@ def criterion_09_identity_suite() -> CriterionResult:
         j = random_joint(1000 + t, n1, n2)
         dep = dependence_matrix(j)
         var = variation_norm(dep).value
-        alpha = alpha_coefficient(j).value
-        if alpha > var / 2:
+        if alpha_coefficient(j).value > var / 2:
             bad.append((t, "alpha <= var/2"))
-        if cov_sup_pm1(j).value != 4 * alpha:
-            bad.append((t, "cov_sup = 4 alpha"))
-    # beta identity on 200 random joints within the partition-enumeration cutoff
+        bad.extend(_rectangle_failures(j, t))
+    # beta = var/2 against partition enumeration on 200 random joints
     for t in range(200):
         n1, n2 = rng.randint(2, 4), rng.randint(2, 4)
         j = random_joint(3000 + t, n1, n2)
-        var = variation_norm(dependence_matrix(j)).value
-        if beta_partition(j).value != var / 2:
+        dep = dependence_matrix(j)
+        oracle = _beta_oracle(dep.entries)
+        if beta_partition(j).value != oracle or oracle != variation_norm(dep).value / 2:
             bad.append((t, "beta = var/2"))
     # metric-space axioms and cross-metric inequalities for prokhorov / bl
     for t in range(60):

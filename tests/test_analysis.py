@@ -120,16 +120,30 @@ def test_markov_sweep_converges_in_every_condition():
     assert report.verdicts["AI-3"].rate == pytest.approx(math.log(0.5), abs=1e-6)
 
 
+def test_bernoulli_sweep_takes_ai0_from_fixed_test_functions():
+    # the family satisfies AI-1, hence AI-0, but not AI-2: cov_sup = 4 alpha is
+    # a rectangle functional (AI-3) and stalls, the fixed cf lattice converges
+    spec = SweepSpec(
+        family="bernoulli_perturbation",
+        n_values=(2, 4, 8, 16),
+        metrics=("alpha", "cov_sup", "cf"),
+    )
+    report = sweep(spec)
+    assert report.verdicts["AI-3"].verdict == "STALLS"
+    assert report.verdicts["AI-0"].verdict == "CONVERGES"
+
+
 def test_sweep_reports_capability_gaps_without_aborting():
+    # binary_coding declares no fixed AI-2 rectangle
     spec = SweepSpec(
         family="binary_coding",
         n_values=(1, 2, 3, 4),
-        metrics=("alpha", "beta"),
+        metrics=("alpha", "rectangle"),
     )
     report = sweep(spec)
-    beta_rows = [r for r in report.rows if r.metric == "beta"]
-    assert len(beta_rows) == 4
-    capped = [r for r in beta_rows if r.value is None]
+    rect_rows = [r for r in report.rows if r.metric == "rectangle"]
+    assert len(rect_rows) == 4
+    capped = [r for r in rect_rows if r.value is None]
     assert capped and all(r.note for r in capped)
     # alpha still produced a full series and a verdict
     assert len(report.series("alpha")) == 4

@@ -7,11 +7,13 @@ from asymdep import (
     DiscreteMeasure,
     InputError,
     JointMeasure,
+    LPResult,
+    LPStatus,
     SweepSpec,
     line_space,
     sweep,
 )
-from asymdep import io
+from asymdep import io, metrics
 from asymdep.cli import main
 from asymdep.families import bernoulli_perturbation_family, random_joint
 
@@ -132,10 +134,19 @@ def test_cli_malformed_json_is_input_error(tmp_path, capsys):
 
 
 def test_cli_capability_cutoff_is_exit_code_two(tmp_path, capsys):
+    # the 12 x 64 product support has 768 points, above BL_SUPPORT_CUTOFF
     joint_path = tmp_path / "joint.json"
-    main(["gen", "--family", "binary_coding", "--n", "3", "--out", str(joint_path)])
-    assert main(["metrics", "--joint", str(joint_path), "--select", "beta"]) == 2
+    main(["gen", "--family", "binary_coding", "--n", "6", "--out", str(joint_path)])
+    assert main(["metrics", "--joint", str(joint_path), "--select", "bl"]) == 2
     assert "capability error" in capsys.readouterr().err
+
+
+def test_cli_solver_failure_is_exit_code_four(tmp_path, capsys, monkeypatch):
+    joint_path = tmp_path / "joint.json"
+    main(["gen", "--family", "bernoulli_perturbation", "--n", "2", "--out", str(joint_path)])
+    monkeypatch.setattr(metrics, "solve_lp", lambda lp: LPResult(LPStatus.INFEASIBLE, None, None))
+    assert main(["metrics", "--joint", str(joint_path), "--select", "bl"]) == 4
+    assert "solver error" in capsys.readouterr().err
 
 
 def test_cli_sweep_and_classify(tmp_path, capsys):

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from asymdep import (
-    CapabilityError,
     DiscreteMeasure,
     InputError,
+    JointMeasure,
     MetricName,
     ProductMetricKind,
     alpha_coefficient,
@@ -36,7 +36,7 @@ from asymdep import (
     variation_norm,
 )
 from asymdep.families import random_joint
-from asymdep.verify import _random_measure_pair
+from asymdep.verify import _beta_oracle, _random_measure_pair
 
 F = Fraction
 
@@ -68,6 +68,27 @@ def brute_force_cov_sup(j):
     return best
 
 
+def kernel_case_joint(case, seed_offset=0):
+    """An integer case is the 4 x 3 random joint of that seed; named cases
+    cover the other paths of the hypercube kernel."""
+    if case == "wide":  # fewer rows than columns: no transpose
+        return random_joint(7 + seed_offset, 2, 5)
+    if case == "tall":  # more rows than columns: the kernel transposes
+        return random_joint(8 + seed_offset, 6, 2)
+    if case == "large-denominator":
+        # raw weights up to 2^40 put the common denominator above 2^53, so the
+        # scaled integer matrix takes the Python-int path
+        rng = np.random.default_rng(40 + seed_offset)
+        raw = [[int(x) for x in rng.integers(1, 2 ** 40, size=3)] for _ in range(4)]
+        total = sum(map(sum, raw))
+        weights = tuple(tuple(F(x, total) for x in row) for row in raw)
+        return JointMeasure(line_space(range(4)), line_space(range(3)), weights)
+    return random_joint(case + seed_offset, 4, 3)
+
+
+KERNEL_CASES = ("wide", "tall", "large-denominator")
+
+
 # ---------------------------------------------------------------------------
 # Dependence functionals
 # ---------------------------------------------------------------------------
@@ -88,12 +109,13 @@ def test_variation_norm_zero_for_product_measures():
     assert mv.value == 0 and mv.exact
 
 
-@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("seed", (*range(6), *KERNEL_CASES))
 def test_alpha_matches_brute_force_on_random_joints(seed):
-    j = random_joint(seed, 4, 3)
+    j = kernel_case_joint(seed)
     mv = alpha_coefficient(j)
     assert mv.exact
     assert mv.value == brute_force_alpha(j)
+    assert evaluate_certificate(mv, dep=dependence_matrix(j)) == mv.value
 
 
 def test_alpha_of_bernoulli_perturbation():
@@ -125,7 +147,9 @@ def test_alpha_heuristic_is_an_exact_rational_lower_bound():
 @pytest.mark.parametrize("seed", range(5))
 def test_beta_is_half_variation(seed):
     j = random_joint(seed, 4, 3)
-    assert beta_partition(j).value == variation_norm(dependence_matrix(j)).value / 2
+    dep = dependence_matrix(j)
+    assert beta_partition(j).value == variation_norm(dep).value / 2
+    assert beta_partition(j).value == _beta_oracle(dep.entries)
 
 
 def test_beta_certificate_reevaluates():
@@ -134,15 +158,9 @@ def test_beta_certificate_reevaluates():
     assert evaluate_certificate(mv, dep=dependence_matrix(j)) == mv.value
 
 
-def test_beta_cutoff_raises_capability_error():
-    j = binary_coding_family(3).joint  # 6 x 8 support
-    with pytest.raises(CapabilityError):
-        beta_partition(j)
-
-
-@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("seed", (*range(5), *KERNEL_CASES))
 def test_cov_sup_is_four_alpha_and_matches_enumeration(seed):
-    j = random_joint(seed + 20, 4, 3)
+    j = kernel_case_joint(seed, seed_offset=20)
     mv = cov_sup_pm1(j)
     assert mv.value == brute_force_cov_sup(j)
     assert mv.value == 4 * alpha_coefficient(j).value
