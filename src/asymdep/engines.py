@@ -1,20 +1,20 @@
-"""Reusable optimization kernels: max-flow, small dense LP, hypercube bilinear max.
+"""Reusable optimization kernels: max-flow, sparse LP, hypercube bilinear max.
 
 The max-flow solver is a Dinic-style layered augmenting-path implementation
 that works over any exact numeric type (Fraction capacities stay exact).
 Linear programs are delegated to scipy's HiGHS backend behind a small
-maximize-form wrapper.
+maximize-form wrapper that hands it one sparse constraint matrix; scipy is
+imported on the first solve, so importing the package does not load it.
 """
 from __future__ import annotations
 
 import enum
 from collections import deque
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import CapabilityError, InputError, SolverError
 
@@ -118,16 +118,23 @@ class LPStatus(enum.Enum):
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """Maximize objective . x subject to relational constraints and box bounds."""
+    """Maximize objective . x subject to relational constraints and box bounds.
+
+    A constraint's coefficients are either a dense sequence with one entry
+    per variable or a sparse {column: coefficient} mapping.
+    """
 
     objective: tuple[float, ...]
-    constraints: tuple[tuple[tuple[float, ...], str, float], ...] = ()
+    constraints: tuple[tuple[Sequence[float] | Mapping[int, float], str, float], ...] = ()
     variable_bounds: tuple[tuple[float | None, float | None], ...] | None = None
 
     def __post_init__(self) -> None:
         nvar = len(self.objective)
         for coeffs, rel, _ in self.constraints:
-            if len(coeffs) != nvar:
+            if isinstance(coeffs, Mapping):
+                if not all(isinstance(j, int) and 0 <= j < nvar for j in coeffs):
+                    raise InputError(f"constraint columns must be ints in range({nvar})")
+            elif len(coeffs) != nvar:
                 raise InputError("constraint dimension mismatch")
             if rel not in ("<=", "=", ">="):
                 raise InputError(f"unknown relation {rel!r}")
@@ -147,27 +154,48 @@ class LPResult:
 
 
 def solve_lp(lp: LinearProgram) -> LPResult:
-    """Solve the (maximization) LP with HiGHS; 1e-9 feasibility/optimality target."""
-    c = -np.asarray(lp.objective, dtype=float)
-    a_ub, b_ub, a_eq, b_eq = [], [], [], []
+    """Solve the (maximization) LP with HiGHS; 1e-9 feasibility/optimality target.
+
+    Dense and mapping rows alike become COO triplets of one sparse A_ub
+    (">=" rows negated) and one sparse A_eq; zero coefficients are dropped.
+    """
+    from scipy.optimize import linprog
+    from scipy.sparse import csr_matrix
+
+    nvar = len(lp.objective)
+    # column ids, values, entries per row, row signs, right-hand sides
+    ub = ([], [], [], [], [])
+    eq = ([], [], [], [], [])
     for coeffs, rel, bound in lp.constraints:
-        row = np.asarray(coeffs, dtype=float)
-        if rel == "<=":
-            a_ub.append(row)
-            b_ub.append(bound)
-        elif rel == ">=":
-            a_ub.append(-row)
-            b_ub.append(-bound)
+        cols, vals, counts, signs, rhs = eq if rel == "=" else ub
+        if isinstance(coeffs, Mapping):
+            cols.extend(coeffs)
+            vals.extend(coeffs.values())
         else:
-            a_eq.append(row)
-            b_eq.append(bound)
-    bounds = lp.variable_bounds if lp.variable_bounds is not None else [(None, None)] * len(c)
+            cols.extend(range(nvar))
+            vals.extend(coeffs)
+        counts.append(len(coeffs))
+        signs.append(-1.0 if rel == ">=" else 1.0)
+        rhs.append(bound)
+
+    def matrix(cols, vals, counts, signs, rhs):
+        if not rhs:
+            return None, None
+        rows = np.repeat(np.arange(len(rhs)), counts)
+        vals = np.array(vals, float) * np.repeat(signs, counts)
+        keep = vals != 0
+        a = csr_matrix((vals[keep], (rows[keep], np.array(cols, int)[keep])), shape=(len(rhs), nvar))
+        return a, np.array(rhs, float) * signs
+
+    a_ub, b_ub = matrix(*ub)
+    a_eq, b_eq = matrix(*eq)
+    bounds = lp.variable_bounds if lp.variable_bounds is not None else [(None, None)] * nvar
     res = linprog(
-        c,
-        A_ub=np.array(a_ub) if a_ub else None,
-        b_ub=np.array(b_ub) if b_ub else None,
-        A_eq=np.array(a_eq) if a_eq else None,
-        b_eq=np.array(b_eq) if b_eq else None,
+        -np.asarray(lp.objective, dtype=float),
+        A_ub=a_ub,
+        b_ub=b_ub,
+        A_eq=a_eq,
+        b_eq=b_eq,
         bounds=bounds,
         method="highs",
     )

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .engines import BilinearInstance, FlowNetwork, hypercube_bilinear_max, max_flow
 from .engines import LinearProgram, LPStatus, solve_lp
@@ -425,6 +424,8 @@ def criterion_13_pushforward_stability() -> CriterionResult:
 
 def _bipartite_flow_oracle(supplies, demands, edges, caps) -> float:
     """Brute-force LP value of the bipartite max-flow instance."""
+    from scipy.optimize import linprog
+
     ne = len(edges)
     c = -np.ones(ne)
     rows, rhs = [], []

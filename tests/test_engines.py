@@ -1,13 +1,19 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import asymdep
 from asymdep import (
     BilinearInstance,
     FlowNetwork,
+    InputError,
     LinearProgram,
     LPStatus,
     hypercube_bilinear_max,
@@ -127,6 +133,86 @@ def test_solve_lp_equality_constraint():
     res = solve_lp(lp)
     assert res.status is LPStatus.OPTIMAL
     assert res.value == pytest.approx(1.0, abs=1e-9)
+
+
+# the LPs above, plus one that is unbounded despite a constraint and one that
+# mixes relations and has zero coefficients
+DENSE_LPS = {
+    "known-optimum": LinearProgram(
+        objective=(1.0, 1.0),
+        constraints=(((1.0, 2.0), "<=", 4.0), ((3.0, 1.0), "<=", 6.0)),
+        variable_bounds=((0.0, None), (0.0, None)),
+    ),
+    "infeasible": LinearProgram(
+        objective=(1.0,),
+        constraints=(((1.0,), "<=", -1.0),),
+        variable_bounds=((0.0, None),),
+    ),
+    "unbounded": LinearProgram(
+        objective=(1.0, 1.0),
+        constraints=(((1.0, -1.0), "<=", 1.0),),
+        variable_bounds=((0.0, None), (0.0, None)),
+    ),
+    "equality": LinearProgram(
+        objective=(1.0, 0.0),
+        constraints=(((1.0, 1.0), "=", 1.0),),
+        variable_bounds=((0.0, 1.0), (0.0, 1.0)),
+    ),
+    "mixed-relations": LinearProgram(
+        objective=(1.0, 2.0, -1.0),
+        constraints=(
+            ((1.0, 1.0, 1.0), "<=", 3.0),
+            ((-1.0, 0.0, 1.0), ">=", -1.0),
+            ((0.0, 1.0, 0.0), "=", 1.0),
+        ),
+        variable_bounds=((0.0, 2.0), (0.0, 2.0), (0.0, 2.0)),
+    ),
+}
+
+
+def _mapping_rows(lp):
+    """The same LP with every constraint given as a {column: coefficient} mapping."""
+    rows = tuple(
+        ({j: v for j, v in enumerate(coeffs) if v != 0}, rel, bound)
+        for coeffs, rel, bound in lp.constraints
+    )
+    return LinearProgram(lp.objective, rows, lp.variable_bounds)
+
+
+@pytest.mark.parametrize("name", sorted(DENSE_LPS))
+def test_solve_lp_mapping_rows_match_dense_rows(name):
+    lp = DENSE_LPS[name]
+    assert solve_lp(_mapping_rows(lp)) == solve_lp(lp)
+
+
+def test_solve_lp_mixed_relations_optimum():
+    # y = 1 and z - x >= -1, so x - z <= 1: the optimum is 1 + 2
+    res = solve_lp(_mapping_rows(DENSE_LPS["mixed-relations"]))
+    assert res.status is LPStatus.OPTIMAL
+    assert res.value == pytest.approx(3.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("key", [2, -1, 1.0])
+def test_mapping_row_column_outside_range_raises(key):
+    with pytest.raises(InputError):
+        LinearProgram(objective=(1.0, 1.0), constraints=(({key: 1.0}, "<=", 1.0),))
+
+
+def test_import_does_not_load_scipy_solvers():
+    # scipy.optimize and scipy.sparse load on the first solve_lp call
+    src = str(Path(asymdep.__file__).resolve().parents[1])
+    code = (
+        "import sys, asymdep; "
+        "print([m for m in ('scipy.optimize', 'scipy.sparse') if m in sys.modules])"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------

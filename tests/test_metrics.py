@@ -36,6 +36,7 @@ from asymdep import (
     variation_norm,
 )
 from asymdep.families import random_joint
+from asymdep.measures import joint_and_product_on_product
 from asymdep.verify import _beta_oracle, _random_measure_pair
 
 F = Fraction
@@ -259,6 +260,52 @@ def test_bl_certificate_reevaluates():
     m2 = DiscreteMeasure(s, (F(1, 2), F(0), F(1, 2)))
     mv = bl_distance(m1, m2)
     assert evaluate_certificate(mv, m1=m1, m2=m2) == pytest.approx(mv.value, abs=1e-9)
+
+
+def transport_bl(m1, m2):
+    """BL as min-cost transport under the cost min(d, 2) (Kantorovich-Rubinstein).
+
+    For probability measures, sup over |h| <= 1, Lip(h) <= 1 of the integral
+    gap equals W1 for the truncated metric min(d, 2): the plan pi >= 0 has
+    row sums m1 and column sums m2.
+    """
+    from scipy.optimize import linprog
+
+    n = len(m1.space)
+    cost = np.minimum(m1.space.dist, 2.0).ravel()
+    rows = np.kron(np.eye(n), np.ones(n))  # sum over k of pi[i, k]
+    cols = np.kron(np.ones(n), np.eye(n))  # sum over i of pi[i, k]
+    res = linprog(
+        cost,
+        A_eq=np.vstack([rows, cols]),
+        b_eq=np.array([float(w) for w in m1.weights + m2.weights]),
+        bounds=(0.0, None),
+        method="highs",
+    )
+    assert res.status == 0
+    return float(res.fun)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_bl_matches_transport_oracle_on_random_pairs(seed):
+    import random
+
+    # distances up to 5: the pairs at distance >= 2 are pruned from the LP
+    s = line_space([0.0, 0.4, 1.1, 2.5, 3.3, 5.0])
+    m1, m2 = _random_measure_pair(random.Random(seed), s)
+    assert bl_distance(m1, m2).value == pytest.approx(transport_bl(m1, m2), abs=1e-9)
+
+
+@pytest.mark.parametrize("kind", list(ProductMetricKind))
+def test_bl_matches_transport_oracle_on_dense_grid(kind):
+    g = 5
+    s = line_space([F(i, g) for i in range(g)])
+    raw = [[(7 * i + 3 * k) % 11 + 1 for k in range(g)] for i in range(g)]
+    total = sum(map(sum, raw))
+    j = JointMeasure(s, s, tuple(tuple(F(x, total) for x in row) for row in raw))
+    mu, nu = joint_and_product_on_product(j, kind)
+    assert np.all(mu.space.dist < 2.0)  # no Lipschitz row is pruned
+    assert bl_to_product(j, kind).value == pytest.approx(transport_bl(mu, nu), abs=1e-9)
 
 
 def test_product_form_distances_vanish_for_independent_joints():
