@@ -253,6 +253,11 @@ def prokhorov_distance(m1: DiscreteMeasure, m2: DiscreteMeasure) -> MetricValue:
     return MetricValue(MetricName.PROKHOROV, value, False, cert)
 
 
+def _require_bl_support(n: int) -> None:
+    if n > BL_SUPPORT_CUTOFF:
+        raise CapabilityError(f"bl_distance LP cutoff is {BL_SUPPORT_CUTOFF} support points")
+
+
 def bl_distance(m1: DiscreteMeasure, m2: DiscreteMeasure) -> MetricValue:
     """Bounded-Lipschitz distance: max of integral gaps over |h|<=1, Lip(h)<=1.
 
@@ -264,8 +269,7 @@ def bl_distance(m1: DiscreteMeasure, m2: DiscreteMeasure) -> MetricValue:
     _require_same_space(m1, m2)
     support = sorted(set(m1.support()) | set(m2.support()))
     n = len(support)
-    if n > BL_SUPPORT_CUTOFF:
-        raise CapabilityError(f"bl_distance LP cutoff is {BL_SUPPORT_CUTOFF} support points")
+    _require_bl_support(n)
     if n == 0:
         raise InputError("empty support")
     c = [float(m1.weights[i] - m2.weights[i]) for i in support]
@@ -308,7 +312,13 @@ def prokhorov_to_product_upper(
 def bl_to_product(
     j: JointMeasure, kind: ProductMetricKind = ProductMetricKind.SUM
 ) -> MetricValue:
-    """Bounded-Lipschitz distance between the joint law and its product of marginals."""
+    """Bounded-Lipschitz distance between the joint law and its product of marginals.
+
+    The union support of the two is supp(row marginal) x supp(column
+    marginal), so the LP cutoff is checked before the product space is built.
+    """
+    m1, m2 = marginals(j)
+    _require_bl_support(len(m1.support()) * len(m2.support()))
     mu, nu = joint_and_product_on_product(j, kind)
     return bl_distance(mu, nu)
 

@@ -69,11 +69,22 @@ class FiniteMetricSpace:
             raise InputError("distance matrix must have zero diagonal")
         if not np.array_equal(dist, dist.T):
             raise InputError("distance matrix must be symmetric")
-        off = dist + np.eye(n)  # mask the diagonal for the positivity check
-        if np.any(off <= 0.0):
+        # the n diagonal zeros are the only entries allowed to be <= 0
+        if np.count_nonzero(dist <= 0.0) != n:
             raise InputError("off-diagonal distances must be strictly positive")
-        for k in range(n):
-            if np.any(dist > dist[:, [k]] + dist[[k], :] + 1e-12):
+        # Triangle inequality d[i,j] <= d[i,k] + d[k,j] + 1e-12 for all k, in
+        # blocks of 64 rows. dist is exactly symmetric and float addition
+        # commutes, so pairs i <= j suffice; fl(x + 1e-12) is monotone in x,
+        # so comparing against the tightest path min_k fl(d[i,k] + d[k,j])
+        # gives the same verdict as testing every k.
+        for s in range(0, n, 64):
+            rows = dist[s:s + 64]
+            tight = np.full((len(rows), n - s), np.inf)
+            buf = np.empty_like(tight)
+            for k in range(n):
+                np.add(rows[:, k, None], dist[k, s:], out=buf)
+                np.minimum(tight, buf, out=tight)
+            if np.any(rows[:, s:] > tight + 1e-12):
                 raise InputError("distance matrix violates the triangle inequality")
         if coords is not None and self.coords_euclidean:
             diffs = coords[:, None, :] - coords[None, :, :]

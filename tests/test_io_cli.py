@@ -44,6 +44,32 @@ def test_joint_json_round_trip_is_exact(tmp_path):
     assert back.weights == j.weights
 
 
+def _float_distance_joint():
+    s1, s2 = line_space([0.1, 0.7, 2 / 3]), line_space([-1.25, 0.3])
+    raw = [[1, 2], [3, 0], [5, 1]]
+    return JointMeasure(s1, s2, tuple(tuple(F(x, 12) for x in row) for row in raw))
+
+
+@pytest.mark.parametrize("joint", [True, False])
+def test_saved_json_is_compact_and_parses_to_the_dict(tmp_path, joint):
+    j = _float_distance_joint()
+    obj = j if joint else DiscreteMeasure(j.space1, (F(1, 2), F(0), F(1, 2)))
+    d = io.joint_to_dict(obj) if joint else io.measure_to_dict(obj)
+    path = tmp_path / "j.json"
+    io.save_measure(obj, str(path))
+    text = path.read_text(encoding="utf-8")
+    assert text == json.dumps(d) + "\n"
+    assert json.loads(text) == d
+
+
+def test_indented_json_from_earlier_versions_loads(tmp_path):
+    j = _float_distance_joint()
+    path = tmp_path / "j.json"
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(io.joint_to_dict(j), fh, indent=2)
+    assert io.joint_to_dict(io.load_measure(str(path))) == io.joint_to_dict(j)
+
+
 def test_float_weights_renormalize_within_tolerance(tmp_path):
     s = line_space([0.0, 1.0, 2.0])
     d = io.measure_to_dict(DiscreteMeasure(s, (F(1, 3),) * 3))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from asymdep import (
+    CapabilityError,
     DiscreteMeasure,
     InputError,
     JointMeasure,
@@ -35,6 +36,7 @@ from asymdep import (
     uniform,
     variation_norm,
 )
+from asymdep import metrics
 from asymdep.families import random_joint
 from asymdep.measures import joint_and_product_on_product
 from asymdep.verify import _beta_oracle, _random_measure_pair
@@ -306,6 +308,16 @@ def test_bl_matches_transport_oracle_on_dense_grid(kind):
     mu, nu = joint_and_product_on_product(j, kind)
     assert np.all(mu.space.dist < 2.0)  # no Lipschitz row is pruned
     assert bl_to_product(j, kind).value == pytest.approx(transport_bl(mu, nu), abs=1e-9)
+
+
+def test_bl_to_product_cutoff_fires_before_the_product_space_is_built(monkeypatch):
+    def unreachable(j, kind):
+        raise AssertionError("product space built above the BL cutoff")
+
+    monkeypatch.setattr(metrics, "joint_and_product_on_product", unreachable)
+    # 12 x 64 = 768 points in the product of the marginal supports
+    with pytest.raises(CapabilityError):
+        bl_to_product(binary_coding_family(6).joint)
 
 
 def test_product_form_distances_vanish_for_independent_joints():

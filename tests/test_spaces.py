@@ -86,3 +86,79 @@ def test_coords_must_match_distances_when_euclidean():
         FiniteMetricSpace(("a", "b"), dist, coords=np.array([0.0, 1.0]))
     ok = FiniteMetricSpace(("a", "b"), dist, coords=np.array([0.0, 2.0]))
     assert ok.dim == 1
+
+
+# ---------------------------------------------------------------------------
+# Triangle check against the per-k loop
+# ---------------------------------------------------------------------------
+
+TRIANGLE_MESSAGE = "distance matrix violates the triangle inequality"
+ORACLE_SIZES = [1, 2, 63, 64, 65, 130]
+
+
+def _triangle_witnesses(d):
+    """Every k with d[i,j] > d[i,k] + d[k,j] + 1e-12 for some (i, j)."""
+    return [k for k in range(len(d)) if np.any(d > d[:, [k]] + d[[k], :] + 1e-12)]
+
+
+def _agrees_with_oracle(d):
+    """Whether FiniteMetricSpace accepts d; asserts it agrees with the oracle."""
+    try:
+        FiniteMetricSpace(tuple(str(i) for i in range(len(d))), d.copy())
+        accepted = True
+    except InputError as exc:
+        assert str(exc) == TRIANGLE_MESSAGE
+        accepted = False
+    assert accepted == (not _triangle_witnesses(d))
+    return accepted
+
+
+def _valid_metric(kind, n, rng):
+    if kind == "line":
+        x = rng.permutation(n) + rng.uniform(0.0, 0.5, n)
+        return np.abs(x[:, None] - x[None, :])
+    if kind == "euclidean":
+        x = rng.normal(size=(n, 3))
+        return np.sqrt(((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=-1))
+    # shortest-path closure of random symmetric edge lengths
+    w = rng.uniform(0.1, 3.0, (n, n))
+    d = np.triu(w, 1) + np.triu(w, 1).T
+    for k in range(n):
+        d = np.minimum(d, d[:, [k]] + d[[k], :])
+    return d
+
+
+@pytest.mark.parametrize("kind", ["line", "euclidean", "closure"])
+@pytest.mark.parametrize("n", ORACLE_SIZES)
+def test_triangle_check_matches_per_k_oracle(kind, n):
+    rng = np.random.default_rng(n)
+    d = _valid_metric(kind, n, rng)
+    assert _agrees_with_oracle(d)
+    if n < 3:
+        return
+    # tolerance edge across the block boundary: d[i,j] = fl(min_k d[i,k] + d[k,j]) + 1e-12
+    i, j = 0, n - 1
+    others = np.arange(1, n - 1)
+    edge = (d[i, others] + d[others, j]).min() + 1e-12
+    d[i, j] = d[j, i] = edge
+    assert _agrees_with_oracle(d)
+    d[i, j] = d[j, i] = np.nextafter(edge, np.inf)
+    assert not _agrees_with_oracle(d)
+    # a planted violation inside the last block
+    d = _valid_metric(kind, n, rng)
+    i, j = n - 2, n - 1
+    d[i, j] = d[j, i] = (d[i, :i] + d[:i, j]).min() + 1e-6
+    assert not _agrees_with_oracle(d)
+
+
+@pytest.mark.parametrize("n", [n for n in ORACLE_SIZES if n >= 3])
+def test_triangle_violation_with_witness_in_an_earlier_block(n):
+    # all distances 2 but a path of length 2 from i through k to j, with
+    # d[i,j] just above it: k is the only witness, in block 0 when n > 64
+    i, j, k = n - 2, n - 1, 0
+    d = np.full((n, n), 2.0) - 2.0 * np.eye(n)
+    d[i, k] = d[k, i] = d[k, j] = d[j, k] = 1.0
+    assert _agrees_with_oracle(d)
+    d[i, j] = d[j, i] = 2.0 + 1e-9
+    assert _triangle_witnesses(d) == [k]
+    assert not _agrees_with_oracle(d)
