@@ -2,10 +2,10 @@
 
 A sweep computes a set of dependence metrics for each n in a family, then
 classifies each metric series as CONVERGES / STALLS / INCONCLUSIVE. The
-thresholds are artifact policy: limits in the source definitions are
-asymptotic, so a finite-sample decision rule is required; the defaults are
-chosen so the packaged families classify according to their known behavior
-with as few as 4 sweep points.
+thresholds below are artifact policy: limits in the source definitions are
+asymptotic, so a finite-sample decision rule is required; they are chosen so
+the packaged families classify according to their known behavior with as few
+as 4 sweep points.
 """
 from __future__ import annotations
 
@@ -38,6 +38,11 @@ from .spaces import ProductMetricKind
 VERDICT_CONVERGES = "CONVERGES"
 VERDICT_STALLS = "STALLS"
 VERDICT_INCONCLUSIVE = "INCONCLUSIVE"
+
+# classify_decay thresholds, as fractions of the series' peak value
+CONVERGE_FRAC = 0.5  # the last value must fall below this
+STALL_FRAC = 0.75  # the whole second half holding at this stalls
+MIN_FIT_QUALITY = 0.8  # r^2 a decreasing fit needs for CONVERGES
 
 
 def _rectangle(inst: FamilyInstance, kind: ProductMetricKind) -> Fraction:
@@ -168,22 +173,15 @@ def _fit_loglog(xs, ys):
     return slope, r2
 
 
-def classify_decay(
-    series,
-    *,
-    converge_frac: float = 0.5,
-    stall_frac: float = 0.75,
-    min_fit_quality: float = 0.8,
-) -> DecayVerdict:
+def classify_decay(series) -> DecayVerdict:
     """Classify a (n, value) series as CONVERGES / STALLS / INCONCLUSIVE.
 
-    CONVERGES: the last value dropped below converge_frac of the peak and a
-    power-law or exponential fit shows a decreasing trend of sufficient
-    quality (or the tail is exactly zero). STALLS: the whole second half of
-    the series holds at stall_frac of the peak. Otherwise INCONCLUSIVE.
-    Thresholds are configurable; the defaults classify slow 1/sqrt(n)-type
-    decay as convergent from as few as 4 points while keeping flat series
-    stalled.
+    CONVERGES: the last value dropped below CONVERGE_FRAC of the peak and a
+    power-law or exponential fit shows a decreasing trend with r^2 at least
+    MIN_FIT_QUALITY (or the tail is exactly zero). STALLS: the whole second
+    half of the series holds at STALL_FRAC of the peak. Otherwise
+    INCONCLUSIVE. The thresholds classify slow 1/sqrt(n)-type decay as
+    convergent from as few as 4 points while keeping flat series stalled.
     """
     pts = [(int(n), max(float(v), 0.0)) for n, v in series]
     if len(pts) < 4:
@@ -194,7 +192,7 @@ def classify_decay(
         return DecayVerdict(VERDICT_CONVERGES, rate=None, fit_quality=1.0, model="zero-tail")
     peak = max(values)
     tail = values[len(values) // 2 :]
-    if min(tail) >= stall_frac * peak:
+    if min(tail) >= STALL_FRAC * peak:
         return DecayVerdict(VERDICT_STALLS)
     positive = [(n, v) for n, v in pts if v > 0]
     best = None
@@ -209,9 +207,9 @@ def classify_decay(
                 best = (model, slope, r2)
     if (
         best is not None
-        and values[-1] < converge_frac * peak
+        and values[-1] < CONVERGE_FRAC * peak
         and best[1] < 0
-        and best[2] >= min_fit_quality
+        and best[2] >= MIN_FIT_QUALITY
     ):
         return DecayVerdict(VERDICT_CONVERGES, rate=best[1], fit_quality=best[2], model=best[0])
     return DecayVerdict(VERDICT_INCONCLUSIVE)
@@ -251,19 +249,14 @@ def sweep(spec: SweepSpec) -> DecayReport:
                 mode = METRICS[metric].mode
                 rows.append(SweepRow(spec.family, n, metric, None, False, mode, note=str(exc)))
     rows.sort(key=lambda r: (r.n, r.metric))
-    report_rows = tuple(rows)
-    verdicts = {}
+    report = DecayReport(tuple(rows), {})
     for condition, candidates in AI_CONDITION_METRICS.items():
         for metric in candidates:
-            series = [
-                (r.n, float(r.value))
-                for r in report_rows
-                if r.metric == metric and r.value is not None
-            ]
+            series = report.series(metric)
             if len(series) >= 4:
-                verdicts[condition] = classify_decay(series)
+                report.verdicts[condition] = classify_decay(series)
                 break
-    return DecayReport(report_rows, verdicts)
+    return report
 
 
 def report_markdown(report: DecayReport) -> str:

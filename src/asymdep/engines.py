@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
-from fractions import Fraction
+from collections.abc import Mapping
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -118,26 +117,25 @@ class LPStatus(enum.Enum):
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """Maximize objective . x subject to relational constraints and box bounds.
+    """Maximize objective . x subject to rows coeffs . x <= bound and box bounds.
 
-    A constraint's coefficients are either a dense sequence with one entry
-    per variable or a sparse {column: coefficient} mapping.
+    Each constraint is a pair (coeffs, bound) with coeffs a sparse
+    {column: coefficient} mapping.
     """
 
     objective: tuple[float, ...]
-    constraints: tuple[tuple[Sequence[float] | Mapping[int, float], str, float], ...] = ()
+    constraints: tuple[tuple[Mapping[int, float], float], ...] = ()
     variable_bounds: tuple[tuple[float | None, float | None], ...] | None = None
 
     def __post_init__(self) -> None:
         nvar = len(self.objective)
-        for coeffs, rel, _ in self.constraints:
-            if isinstance(coeffs, Mapping):
-                if not all(isinstance(j, int) and 0 <= j < nvar for j in coeffs):
-                    raise InputError(f"constraint columns must be ints in range({nvar})")
-            elif len(coeffs) != nvar:
-                raise InputError("constraint dimension mismatch")
-            if rel not in ("<=", "=", ">="):
-                raise InputError(f"unknown relation {rel!r}")
+        for row in self.constraints:
+            if not (isinstance(row, tuple) and len(row) == 2):
+                raise InputError("a constraint is a (coefficients, bound) pair")
+            if not isinstance(row[0], Mapping):
+                raise InputError("constraint coefficients must be a {column: coefficient} mapping")
+            if not all(isinstance(j, int) and 0 <= j < nvar for j in row[0]):
+                raise InputError(f"constraint columns must be ints in range({nvar})")
         if self.variable_bounds is not None:
             if len(self.variable_bounds) != nvar:
                 raise InputError("bounds dimension mismatch")
@@ -156,46 +154,31 @@ class LPResult:
 def solve_lp(lp: LinearProgram) -> LPResult:
     """Solve the (maximization) LP with HiGHS; 1e-9 feasibility/optimality target.
 
-    Dense and mapping rows alike become COO triplets of one sparse A_ub
-    (">=" rows negated) and one sparse A_eq; zero coefficients are dropped.
+    The rows become one sparse A_ub; zero coefficients are dropped.
     """
     from scipy.optimize import linprog
     from scipy.sparse import csr_matrix
 
     nvar = len(lp.objective)
-    # column ids, values, entries per row, row signs, right-hand sides
-    ub = ([], [], [], [], [])
-    eq = ([], [], [], [], [])
-    for coeffs, rel, bound in lp.constraints:
-        cols, vals, counts, signs, rhs = eq if rel == "=" else ub
-        if isinstance(coeffs, Mapping):
+    a_ub = b_ub = None
+    if lp.constraints:
+        cols, vals, counts, b_ub = [], [], [], []
+        for coeffs, bound in lp.constraints:
             cols.extend(coeffs)
             vals.extend(coeffs.values())
-        else:
-            cols.extend(range(nvar))
-            vals.extend(coeffs)
-        counts.append(len(coeffs))
-        signs.append(-1.0 if rel == ">=" else 1.0)
-        rhs.append(bound)
-
-    def matrix(cols, vals, counts, signs, rhs):
-        if not rhs:
-            return None, None
-        rows = np.repeat(np.arange(len(rhs)), counts)
-        vals = np.array(vals, float) * np.repeat(signs, counts)
+            counts.append(len(coeffs))
+            b_ub.append(bound)
+        rows = np.repeat(np.arange(len(b_ub)), counts)
+        vals = np.array(vals, float)
         keep = vals != 0
-        a = csr_matrix((vals[keep], (rows[keep], np.array(cols, int)[keep])), shape=(len(rhs), nvar))
-        return a, np.array(rhs, float) * signs
-
-    a_ub, b_ub = matrix(*ub)
-    a_eq, b_eq = matrix(*eq)
+        a_ub = csr_matrix((vals[keep], (rows[keep], np.array(cols, int)[keep])),
+                          shape=(len(b_ub), nvar))
+        b_ub = np.array(b_ub, float)
     bounds = lp.variable_bounds if lp.variable_bounds is not None else [(None, None)] * nvar
     res = linprog(
         -np.asarray(lp.objective, dtype=float),
         A_ub=a_ub,
         b_ub=b_ub,
-        A_eq=a_eq,
-        b_eq=b_eq,
         bounds=bounds,
         method="highs",
     )

@@ -457,20 +457,19 @@ def random_joint(seed: int, n1: int, n2: int, denom: int = 48) -> JointMeasure:
 # Gaussian family check
 # ---------------------------------------------------------------------------
 
-def gaussian_family_check(
-    means1,
-    means2,
-    covs,
-    *,
-    moment_cap: float = 100.0,
-    cross_tol: float = 0.05,
-    lattice=DEFAULT_CF_LATTICE,
-):
+# gaussian_family_check: a term is bounded while its second moments and mean
+# entries stay at most GAUSSIAN_MOMENT_CAP; the cross-covariance vanishes when
+# its largest entry over the last quarter of the terms is below GAUSSIAN_CROSS_TOL
+GAUSSIAN_MOMENT_CAP = 100.0
+GAUSSIAN_CROSS_TOL = 0.05
+
+
+def gaussian_family_check(means1, means2, covs):
     """Check boundedness and vanishing cross-covariance along a Gaussian sequence.
 
     covs is a sequence of (cov11, cov22, cov12) blocks. Returns
     (bounded, cross_vanishes, traces) where traces holds per-term max cf gaps
-    on the default lattice.
+    on DEFAULT_CF_LATTICE.
     """
     terms = len(covs)
     if terms == 0 or len(means1) != terms or len(means2) != terms:
@@ -487,13 +486,14 @@ def gaussian_family_check(
         b = np.atleast_1d(np.asarray(b, dtype=float))
         second_x = float(np.trace(cov11) + a @ a)
         second_y = float(np.trace(cov22) + b @ b)
-        if max(second_x, second_y, np.abs(a).max(initial=0), np.abs(b).max(initial=0)) > moment_cap:
+        largest = max(second_x, second_y, np.abs(a).max(initial=0), np.abs(b).max(initial=0))
+        if largest > GAUSSIAN_MOMENT_CAP:
             bounded = False
         if idx >= tail_start:
             max_cross_tail = max(max_cross_tail, float(np.abs(cov12).max()))
         best = 0.0
-        for t in itertools.product(lattice, repeat=cov11.shape[0]):
-            for s in itertools.product(lattice, repeat=cov22.shape[0]):
+        for t in itertools.product(DEFAULT_CF_LATTICE, repeat=cov11.shape[0]):
+            for s in itertools.product(DEFAULT_CF_LATTICE, repeat=cov22.shape[0]):
                 best = max(best, gaussian_cf_gap(a, b, cov11, cov22, cov12, t, s))
         traces.append(best)
-    return bounded, max_cross_tail < cross_tol, traces
+    return bounded, max_cross_tail < GAUSSIAN_CROSS_TOL, traces

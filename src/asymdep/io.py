@@ -22,10 +22,6 @@ from .spaces import FiniteMetricSpace
 WEIGHT_SUM_TOL = Fraction(1, 10 ** 9)
 
 
-def rational_to_str(x: Fraction) -> str:
-    return str(x)
-
-
 def value_to_str(value, exact: bool) -> str:
     if value is None:
         return "-"
@@ -52,13 +48,13 @@ def space_to_dict(space: FiniteMetricSpace) -> dict:
     return out
 
 
-def space_from_dict(d: dict, validate: bool = True) -> FiniteMetricSpace:
+def space_from_dict(d: dict) -> FiniteMetricSpace:
+    """The space of a dictionary, checked to be a metric (with matching coords)."""
     try:
         return FiniteMetricSpace(
             tuple(d["labels"]),
             np.array(d["dist"], dtype=float),
             coords=None if d.get("coords") is None else np.array(d["coords"], dtype=float),
-            validate=validate,
         )
     except KeyError as exc:
         raise InputError(f"space dictionary is missing key {exc}") from exc
@@ -101,13 +97,13 @@ def joint_to_dict(j: JointMeasure) -> dict:
     }
 
 
-def measure_from_dict(d: dict, validate_spaces: bool = True):
+def measure_from_dict(d: dict):
     """Load a JointMeasure (space1 + space2) or a DiscreteMeasure (space1 only)."""
     if "space1" not in d or "weights" not in d:
         raise InputError("measure JSON needs 'space1' and 'weights'")
-    s1 = space_from_dict(d["space1"], validate=validate_spaces)
+    s1 = space_from_dict(d["space1"])
     if "space2" in d:
-        s2 = space_from_dict(d["space2"], validate=validate_spaces)
+        s2 = space_from_dict(d["space2"])
         rows = d["weights"]
         if not rows or not isinstance(rows[0], list):
             raise InputError("joint measure weights must be a matrix")
@@ -121,13 +117,13 @@ def measure_from_dict(d: dict, validate_spaces: bool = True):
     return DiscreteMeasure(s1, tuple(flat))
 
 
-def load_measure(path: str, validate_spaces: bool = True):
+def load_measure(path: str):
     with open(path, encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
         except json.JSONDecodeError as exc:
             raise InputError(f"{path} is not valid JSON: {exc}") from exc
-    return measure_from_dict(payload, validate_spaces=validate_spaces)
+    return measure_from_dict(payload)
 
 
 def _write_json(obj, fh) -> None:

@@ -47,6 +47,10 @@ from .spaces import ProductMetricKind
 # one bl_distance at 600 support points, all pairwise distances < 2
 # (359,400 Lipschitz rows): ~4.8 s and ~610 MB peak RSS, Python 3.11, 2 vCPUs
 BL_SUPPORT_CUTOFF = 600
+# one prokhorov_to_product_upper on binary_coding n=8 (4096 product points):
+# ~5.4 s and 164 MB peak RSS; n=9 (9216 points): ~23 s and ~690 MB; n=10
+# would build a 3.3 GB distance matrix. Python 3.11, 2 vCPUs
+PROKHOROV_SUPPORT_CUTOFF = 4096
 LP_TOL = 1e-9
 
 ZERO = Fraction(0)
@@ -59,7 +63,6 @@ class MetricName(enum.Enum):
     COV_SUP = "cov_sup"
     PROKHOROV = "prokhorov"
     BL = "bl"
-    CF_GAP = "cf_gap"
 
 
 @dataclass(frozen=True)
@@ -230,10 +233,13 @@ def prokhorov_distance(m1: DiscreteMeasure, m2: DiscreteMeasure) -> MetricValue:
     pi <= eps iff some coupling puts mass <= eps on pairs farther than eps
     apart (closed condition dist <= eps). The overlap F(eps) is piecewise
     constant with breakpoints at the observed distances, so the distance is
-    min over breakpoints of max(eps, 1 - F(eps)).
+    min over breakpoints of max(eps, 1 - F(eps)). A union support above
+    PROKHOROV_SUPPORT_CUTOFF is refused before any flow is solved.
     """
     _require_same_space(m1, m2)
     s1, s2 = m1.support(), m2.support()
+    union = len(set(s1) | set(s2))
+    _require_support(union, PROKHOROV_SUPPORT_CUTOFF, "prokhorov_distance max-flow")
     dist = m1.space.dist
     breakpoints = sorted({0.0} | {float(dist[i, k]) for i in s1 for k in s2})
     best = None
@@ -253,9 +259,16 @@ def prokhorov_distance(m1: DiscreteMeasure, m2: DiscreteMeasure) -> MetricValue:
     return MetricValue(MetricName.PROKHOROV, value, False, cert)
 
 
-def _require_bl_support(n: int) -> None:
-    if n > BL_SUPPORT_CUTOFF:
-        raise CapabilityError(f"bl_distance LP cutoff is {BL_SUPPORT_CUTOFF} support points")
+def _require_support(n: int, cutoff: int, what: str) -> None:
+    if n > cutoff:
+        raise CapabilityError(f"{what} cutoff is {cutoff} support points")
+
+
+def _product_support(j: JointMeasure) -> int:
+    """|supp(row marginal)| x |supp(column marginal)|, the union support of
+    the joint law and its product of marginals on the product space."""
+    m1, m2 = marginals(j)
+    return len(m1.support()) * len(m2.support())
 
 
 def bl_distance(m1: DiscreteMeasure, m2: DiscreteMeasure) -> MetricValue:
@@ -269,7 +282,7 @@ def bl_distance(m1: DiscreteMeasure, m2: DiscreteMeasure) -> MetricValue:
     _require_same_space(m1, m2)
     support = sorted(set(m1.support()) | set(m2.support()))
     n = len(support)
-    _require_bl_support(n)
+    _require_support(n, BL_SUPPORT_CUTOFF, "bl_distance LP")
     if n == 0:
         raise InputError("empty support")
     c = [float(m1.weights[i] - m2.weights[i]) for i in support]
@@ -278,8 +291,8 @@ def bl_distance(m1: DiscreteMeasure, m2: DiscreteMeasure) -> MetricValue:
     near = d_ab < 2.0
     constraints = []
     for a, b, d in zip(a_idx[near].tolist(), b_idx[near].tolist(), d_ab[near].tolist()):
-        constraints.append(({a: 1.0, b: -1.0}, "<=", d))
-        constraints.append(({a: -1.0, b: 1.0}, "<=", d))
+        constraints.append(({a: 1.0, b: -1.0}, d))
+        constraints.append(({a: -1.0, b: 1.0}, d))
     lp = LinearProgram(
         objective=tuple(c),
         constraints=tuple(constraints),
@@ -300,8 +313,11 @@ def prokhorov_to_product_upper(
     """pi(joint, product of marginals) on the metric product space.
 
     Upper bound for the Prokhorov distance from the joint law to the whole
-    set of product measures.
+    set of product measures. The union support of the two is supp(row
+    marginal) x supp(column marginal), so the max-flow cutoff is checked
+    before the product space is built.
     """
+    _require_support(_product_support(j), PROKHOROV_SUPPORT_CUTOFF, "prokhorov_distance max-flow")
     mu, nu = joint_and_product_on_product(j, kind)
     mv = prokhorov_distance(mu, nu)
     cert = dict(mv.certificate or {})
@@ -317,8 +333,7 @@ def bl_to_product(
     The union support of the two is supp(row marginal) x supp(column
     marginal), so the LP cutoff is checked before the product space is built.
     """
-    m1, m2 = marginals(j)
-    _require_bl_support(len(m1.support()) * len(m2.support()))
+    _require_support(_product_support(j), BL_SUPPORT_CUTOFF, "bl_distance LP")
     mu, nu = joint_and_product_on_product(j, kind)
     return bl_distance(mu, nu)
 
@@ -360,14 +375,14 @@ def cf_gap(j: JointMeasure, t, s) -> float:
 DEFAULT_CF_LATTICE = (-3.0, -2.0, -1.0, 1.0, 2.0, 3.0)
 
 
-def cf_gap_lattice(j: JointMeasure, lattice=DEFAULT_CF_LATTICE):
-    """Max cf_gap over the default test-point lattice; returns (gap, t, s)."""
+def cf_gap_lattice(j: JointMeasure):
+    """Max cf_gap over the test points DEFAULT_CF_LATTICE; returns (gap, t, s)."""
     if j.space1.coords is None or j.space2.coords is None:
         raise CapabilityError("cf_gap needs coordinate-embedded spaces")
     d1, d2 = j.space1.dim, j.space2.dim
     best = (-1.0, None, None)
-    for t in itertools.product(lattice, repeat=d1):
-        for s in itertools.product(lattice, repeat=d2):
+    for t in itertools.product(DEFAULT_CF_LATTICE, repeat=d1):
+        for s in itertools.product(DEFAULT_CF_LATTICE, repeat=d2):
             g = cf_gap(j, t, s)
             if g > best[0]:
                 best = (g, t, s)

@@ -30,15 +30,12 @@ class ProductMetricKind(enum.Enum):
 class FiniteMetricSpace:
     """Labeled points with a full pairwise distance matrix.
 
-    ``coords_euclidean`` records whether ``dist`` is the Euclidean metric of
-    ``coords``; product spaces carry concatenated coordinates under a SUM/MAX
-    metric, where that identity does not hold.
+    When given, ``coords`` must reproduce ``dist`` as Euclidean distances.
     """
 
     labels: tuple[str, ...]
     dist: np.ndarray
     coords: np.ndarray | None = None
-    coords_euclidean: bool = True
     validate: InitVar[bool] = True
 
     def __post_init__(self, validate: bool) -> None:
@@ -86,11 +83,13 @@ class FiniteMetricSpace:
                 np.minimum(tight, buf, out=tight)
             if np.any(rows[:, s:] > tight + 1e-12):
                 raise InputError("distance matrix violates the triangle inequality")
-        if coords is not None and self.coords_euclidean:
-            diffs = coords[:, None, :] - coords[None, :, :]
-            euclid = np.sqrt((diffs ** 2).sum(axis=-1))
-            if np.max(np.abs(euclid - dist)) > COORD_DIST_TOL:
-                raise InputError("coords do not reproduce the distance matrix")
+        if coords is not None:
+            # per block of 64 rows, so no n x n temporary is built
+            for s in range(0, n, 64):
+                diffs = coords[s:s + 64, None, :] - coords[None, :, :]
+                euclid = np.sqrt((diffs ** 2).sum(axis=-1))
+                if np.max(np.abs(euclid - dist[s:s + 64])) > COORD_DIST_TOL:
+                    raise InputError("coords do not reproduce the distance matrix")
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -120,8 +119,9 @@ def product_space(
     """Product of two spaces, row-major point order ((x0,y0),(x0,y1),...).
 
     SUM gives the metric d1+d2, MAX gives max(d1,d2); both metrize the
-    product topology and satisfy r <= d <= 2r entrywise. Coordinates are
-    concatenated when both factors carry them.
+    product topology and satisfy r <= d <= 2r entrywise. The product carries
+    no coordinates: neither metric is the Euclidean one of the concatenated
+    coordinates, and the cf gap reads the factor spaces' coordinates.
     """
     n1, n2 = len(s1), len(s2)
     d1 = s1.dist[:, None, :, None]
@@ -133,13 +133,5 @@ def product_space(
     else:
         raise InputError(f"unknown product metric kind: {kind!r}")
     labels = tuple(f"({a},{b})" for a in s1.labels for b in s2.labels)
-    coords = None
-    if s1.coords is not None and s2.coords is not None:
-        coords = np.hstack(
-            [
-                np.repeat(s1.coords, n2, axis=0),
-                np.tile(s2.coords, (n1, 1)),
-            ]
-        )
     # triangle inequality is inherited from the factors; skip the O(N^3) check
-    return FiniteMetricSpace(labels, dist, coords=coords, coords_euclidean=False, validate=False)
+    return FiniteMetricSpace(labels, dist, validate=False)

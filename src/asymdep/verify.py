@@ -457,13 +457,12 @@ def _vertex_enumeration_oracle(lp: LinearProgram) -> float:
     """Max objective over the feasible vertices of a small bounded LP."""
     nvar = len(lp.objective)
     rows, rhs = [], []
-    for coeffs, rel, bound in lp.constraints:
-        if rel in ("<=", "="):
-            rows.append(np.asarray(coeffs, float))
-            rhs.append(bound)
-        if rel in (">=", "="):
-            rows.append(-np.asarray(coeffs, float))
-            rhs.append(-bound)
+    for coeffs, bound in lp.constraints:
+        row = np.zeros(nvar)
+        for j, v in coeffs.items():
+            row[j] = v
+        rows.append(row)
+        rhs.append(bound)
     for i, (lo, hi) in enumerate(lp.variable_bounds):
         e = np.zeros(nvar)
         e[i] = 1.0
@@ -516,7 +515,7 @@ def criterion_14_engine_oracles() -> CriterionResult:
         for _ in range(nvar + 2):
             row = np.array([rng.uniform(-1, 1) for _ in range(nvar)])
             bound = float(row @ x0 + rng.uniform(0.1, 1.0))
-            constraints.append((tuple(row), "<=", bound))
+            constraints.append((dict(enumerate(row.tolist())), bound))
         lp = LinearProgram(
             objective=tuple(rng.uniform(-1, 1) for _ in range(nvar)),
             constraints=tuple(constraints),

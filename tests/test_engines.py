@@ -93,8 +93,8 @@ def test_solve_lp_known_optimum():
     lp = LinearProgram(
         objective=(1.0, 1.0),
         constraints=(
-            ((1.0, 2.0), "<=", 4.0),
-            ((3.0, 1.0), "<=", 6.0),
+            ({0: 1.0, 1: 2.0}, 4.0),
+            ({0: 3.0, 1: 1.0}, 6.0),
         ),
         variable_bounds=((0.0, None), (0.0, None)),
     )
@@ -108,7 +108,7 @@ def test_solve_lp_known_optimum():
 def test_solve_lp_infeasible():
     lp = LinearProgram(
         objective=(1.0,),
-        constraints=(((1.0,), "<=", -1.0),),
+        constraints=(({0: 1.0}, -1.0),),
         variable_bounds=((0.0, None),),
     )
     assert solve_lp(lp).status is LPStatus.INFEASIBLE
@@ -123,79 +123,45 @@ def test_solve_lp_unbounded():
     assert solve_lp(lp).status is LPStatus.UNBOUNDED
 
 
-def test_solve_lp_equality_constraint():
-    # max x1 s.t. x1 + x2 = 1, 0 <= xi <= 1
+def test_solve_lp_unbounded_despite_a_constraint():
+    # x - y <= 1 leaves x = y -> infinity open
     lp = LinearProgram(
-        objective=(1.0, 0.0),
-        constraints=(((1.0, 1.0), "=", 1.0),),
-        variable_bounds=((0.0, 1.0), (0.0, 1.0)),
-    )
-    res = solve_lp(lp)
-    assert res.status is LPStatus.OPTIMAL
-    assert res.value == pytest.approx(1.0, abs=1e-9)
-
-
-# the LPs above, plus one that is unbounded despite a constraint and one that
-# mixes relations and has zero coefficients
-DENSE_LPS = {
-    "known-optimum": LinearProgram(
         objective=(1.0, 1.0),
-        constraints=(((1.0, 2.0), "<=", 4.0), ((3.0, 1.0), "<=", 6.0)),
+        constraints=(({0: 1.0, 1: -1.0}, 1.0),),
         variable_bounds=((0.0, None), (0.0, None)),
-    ),
-    "infeasible": LinearProgram(
-        objective=(1.0,),
-        constraints=(((1.0,), "<=", -1.0),),
-        variable_bounds=((0.0, None),),
-    ),
-    "unbounded": LinearProgram(
-        objective=(1.0, 1.0),
-        constraints=(((1.0, -1.0), "<=", 1.0),),
-        variable_bounds=((0.0, None), (0.0, None)),
-    ),
-    "equality": LinearProgram(
-        objective=(1.0, 0.0),
-        constraints=(((1.0, 1.0), "=", 1.0),),
-        variable_bounds=((0.0, 1.0), (0.0, 1.0)),
-    ),
-    "mixed-relations": LinearProgram(
-        objective=(1.0, 2.0, -1.0),
-        constraints=(
-            ((1.0, 1.0, 1.0), "<=", 3.0),
-            ((-1.0, 0.0, 1.0), ">=", -1.0),
-            ((0.0, 1.0, 0.0), "=", 1.0),
-        ),
-        variable_bounds=((0.0, 2.0), (0.0, 2.0), (0.0, 2.0)),
-    ),
-}
-
-
-def _mapping_rows(lp):
-    """The same LP with every constraint given as a {column: coefficient} mapping."""
-    rows = tuple(
-        ({j: v for j, v in enumerate(coeffs) if v != 0}, rel, bound)
-        for coeffs, rel, bound in lp.constraints
     )
-    return LinearProgram(lp.objective, rows, lp.variable_bounds)
+    assert solve_lp(lp).status is LPStatus.UNBOUNDED
 
 
-@pytest.mark.parametrize("name", sorted(DENSE_LPS))
-def test_solve_lp_mapping_rows_match_dense_rows(name):
-    lp = DENSE_LPS[name]
-    assert solve_lp(_mapping_rows(lp)) == solve_lp(lp)
-
-
-def test_solve_lp_mixed_relations_optimum():
-    # y = 1 and z - x >= -1, so x - z <= 1: the optimum is 1 + 2
-    res = solve_lp(_mapping_rows(DENSE_LPS["mixed-relations"]))
+def test_solve_lp_zero_coefficients_change_nothing():
+    # max x + 2y - z  s.t.  x + y + z <= 3, x - z <= 1, y <= 1: the optimum is 3
+    rows = (
+        ({0: 1.0, 1: 1.0, 2: 1.0}, 3.0),
+        ({0: 1.0, 1: 0.0, 2: -1.0}, 1.0),
+        ({0: 0.0, 1: 1.0}, 1.0),
+    )
+    bounds = ((0.0, 2.0),) * 3
+    res = solve_lp(LinearProgram((1.0, 2.0, -1.0), rows, bounds))
     assert res.status is LPStatus.OPTIMAL
     assert res.value == pytest.approx(3.0, abs=1e-9)
+    nonzero = tuple(({j: v for j, v in coeffs.items() if v}, bound) for coeffs, bound in rows)
+    assert solve_lp(LinearProgram((1.0, 2.0, -1.0), nonzero, bounds)) == res
 
 
 @pytest.mark.parametrize("key", [2, -1, 1.0])
 def test_mapping_row_column_outside_range_raises(key):
     with pytest.raises(InputError):
-        LinearProgram(objective=(1.0, 1.0), constraints=(({key: 1.0}, "<=", 1.0),))
+        LinearProgram(objective=(1.0, 1.0), constraints=(({key: 1.0}, 1.0),))
+
+
+@pytest.mark.parametrize(
+    "row",
+    [((1.0, 1.0), 1.0), ({0: 1.0}, "<=", 1.0), [{0: 1.0}, 1.0]],
+    ids=["dense-coefficients", "relation-triple", "list-pair"],
+)
+def test_lp_row_that_is_not_a_mapping_pair_raises(row):
+    with pytest.raises(InputError):
+        LinearProgram(objective=(1.0, 1.0), constraints=(row,))
 
 
 def test_import_does_not_load_scipy_solvers():

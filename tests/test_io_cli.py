@@ -167,6 +167,14 @@ def test_cli_capability_cutoff_is_exit_code_two(tmp_path, capsys):
     assert "capability error" in capsys.readouterr().err
 
 
+def test_cli_prokhorov_cutoff_is_exit_code_two(tmp_path, capsys):
+    # the 18 x 512 product support has 9216 points, above PROKHOROV_SUPPORT_CUTOFF
+    joint_path = tmp_path / "joint.json"
+    main(["gen", "--family", "binary_coding", "--n", "9", "--out", str(joint_path)])
+    assert main(["metrics", "--joint", str(joint_path), "--select", "prokhorov"]) == 2
+    assert "capability error" in capsys.readouterr().err
+
+
 def test_cli_solver_failure_is_exit_code_four(tmp_path, capsys, monkeypatch):
     joint_path = tmp_path / "joint.json"
     main(["gen", "--family", "bernoulli_perturbation", "--n", "2", "--out", str(joint_path)])

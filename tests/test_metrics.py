@@ -320,6 +320,25 @@ def test_bl_to_product_cutoff_fires_before_the_product_space_is_built(monkeypatc
         bl_to_product(binary_coding_family(6).joint)
 
 
+def test_prokhorov_to_product_cutoff_fires_before_the_product_space_is_built(monkeypatch):
+    def unreachable(j, kind):
+        raise AssertionError("product space built above the Prokhorov cutoff")
+
+    monkeypatch.setattr(metrics, "joint_and_product_on_product", unreachable)
+    # 18 x 512 = 9216 points in the product of the marginal supports
+    with pytest.raises(CapabilityError):
+        prokhorov_to_product_upper(binary_coding_family(9).joint)
+
+
+def test_prokhorov_distance_checks_its_union_support(monkeypatch):
+    monkeypatch.setattr(metrics, "PROKHOROV_SUPPORT_CUTOFF", 2)
+    s = line_space([0.0, 1.0, 2.0])
+    assert prokhorov_distance(delta(s, 0), delta(s, 2)).value == pytest.approx(1.0)
+    mixed = DiscreteMeasure(s, (F(1, 2), F(1, 2), F(0)))
+    with pytest.raises(CapabilityError):
+        prokhorov_distance(mixed, delta(s, 2))
+
+
 def test_product_form_distances_vanish_for_independent_joints():
     s1, s2 = line_space([0.0, 1.0]), line_space([0.0, 2.0])
     p = product_measure(uniform(s1), uniform(s2))

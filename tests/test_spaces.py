@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from asymdep import InputError, ProductMetricKind, FiniteMetricSpace, line_space, product_space
+from asymdep.spaces import COORD_DIST_TOL
 
 
 def test_line_space_distances_are_absolute_differences():
@@ -51,13 +52,9 @@ def test_product_space_satisfies_metric_axioms(kind):
                 assert d[i][j] <= d[i][k] + d[k][j] + 1e-12
 
 
-def test_product_space_coords_concatenate():
-    s1 = line_space([0.0, 1.0])
-    s2 = line_space([5.0, 7.0])
-    p = product_space(s1, s2, ProductMetricKind.SUM)
-    assert p.coords.shape == (4, 2)
-    assert list(p.coords[2]) == [1.0, 5.0]
-    assert not p.coords_euclidean
+def test_product_space_carries_no_coords():
+    p = product_space(line_space([0.0, 1.0]), line_space([5.0, 7.0]), ProductMetricKind.SUM)
+    assert p.coords is None and p.dim is None
 
 
 @pytest.mark.parametrize(
@@ -162,3 +159,67 @@ def test_triangle_violation_with_witness_in_an_earlier_block(n):
     d[i, j] = d[j, i] = 2.0 + 1e-9
     assert _triangle_witnesses(d) == [k]
     assert not _agrees_with_oracle(d)
+
+
+# ---------------------------------------------------------------------------
+# Coordinate check against the full-matrix formula
+# ---------------------------------------------------------------------------
+
+COORD_MESSAGE = "coords do not reproduce the distance matrix"
+
+
+def _coords_match(coords, d):
+    """The full-matrix formula: max |euclid - d| <= COORD_DIST_TOL."""
+    diffs = coords[:, None, :] - coords[None, :, :]
+    return np.max(np.abs(np.sqrt((diffs ** 2).sum(axis=-1)) - d)) <= COORD_DIST_TOL
+
+
+def _coords_agree_with_oracle(coords, d):
+    """Whether FiniteMetricSpace accepts coords for d; asserts it agrees with the oracle."""
+    labels = tuple(str(i) for i in range(len(d)))
+    FiniteMetricSpace(labels, d.copy())  # the planted entries keep d a metric
+    try:
+        FiniteMetricSpace(labels, d.copy(), coords=coords)
+        accepted = True
+    except InputError as exc:
+        assert str(exc) == COORD_MESSAGE
+        accepted = False
+    assert accepted == _coords_match(coords, d)
+    return accepted
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
+def test_coord_check_matches_full_matrix_formula(n):
+    rng = np.random.default_rng(n)
+    coords = rng.normal(size=(n, 2))
+    diffs = coords[:, None, :] - coords[None, :, :]
+    euclid = np.sqrt((diffs ** 2).sum(axis=-1))
+    assert _coords_agree_with_oracle(coords, euclid)
+    if n < 2:
+        return
+    # both entries of the pair lie in the last block of 64 rows when it has two rows
+    i, j = n - 1, n - 2
+    d = euclid.copy()
+    d[i, j] = d[j, i] = euclid[i, j] + 1e-9
+    assert not _coords_agree_with_oracle(coords, d)
+    # the tolerance edge: the largest entry with |euclid - d| <= COORD_DIST_TOL
+    x = euclid[i, j] + COORD_DIST_TOL
+    while x - euclid[i, j] > COORD_DIST_TOL:
+        x = np.nextafter(x, -np.inf)
+    while np.nextafter(x, np.inf) - euclid[i, j] <= COORD_DIST_TOL:
+        x = np.nextafter(x, np.inf)
+    d[i, j] = d[j, i] = x
+    assert _coords_agree_with_oracle(coords, d)
+    d[i, j] = d[j, i] = np.nextafter(x, np.inf)
+    assert not _coords_agree_with_oracle(coords, d)
+
+
+def test_coord_check_accepts_a_gap_of_exactly_the_tolerance():
+    # sqrt(fl(t * t)) == t, so the coords give the distance t exactly and the
+    # gap |t - 2t| is exactly COORD_DIST_TOL
+    t = COORD_DIST_TOL
+    coords = np.array([[0.0], [t]])
+    d = np.array([[0.0, 2 * t], [2 * t, 0.0]])
+    assert _coords_agree_with_oracle(coords, d)
+    d[0, 1] = d[1, 0] = np.nextafter(2 * t, np.inf)
+    assert not _coords_agree_with_oracle(coords, d)
