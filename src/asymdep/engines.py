@@ -160,25 +160,21 @@ def solve_lp(lp: LinearProgram) -> LPResult:
     from scipy.sparse import csr_matrix
 
     nvar = len(lp.objective)
-    a_ub = b_ub = None
-    if lp.constraints:
-        cols, vals, counts, b_ub = [], [], [], []
-        for coeffs, bound in lp.constraints:
-            cols.extend(coeffs)
-            vals.extend(coeffs.values())
-            counts.append(len(coeffs))
-            b_ub.append(bound)
-        rows = np.repeat(np.arange(len(b_ub)), counts)
-        vals = np.array(vals, float)
-        keep = vals != 0
-        a_ub = csr_matrix((vals[keep], (rows[keep], np.array(cols, int)[keep])),
-                          shape=(len(b_ub), nvar))
-        b_ub = np.array(b_ub, float)
+    cols, vals, counts, b_ub = [], [], [], []
+    for coeffs, bound in lp.constraints:
+        cols.extend(coeffs)
+        vals.extend(coeffs.values())
+        counts.append(len(coeffs))
+        b_ub.append(bound)
+    rows = np.repeat(np.arange(len(b_ub)), np.array(counts, int))
+    vals = np.array(vals, float)
+    keep = vals != 0
+    a_ub = csr_matrix((vals[keep], (rows[keep], np.array(cols, int)[keep])), shape=(len(b_ub), nvar))
     bounds = lp.variable_bounds if lp.variable_bounds is not None else [(None, None)] * nvar
     res = linprog(
         -np.asarray(lp.objective, dtype=float),
         A_ub=a_ub,
-        b_ub=b_ub,
+        b_ub=np.array(b_ub, float),
         bounds=bounds,
         method="highs",
     )
