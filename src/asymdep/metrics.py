@@ -44,13 +44,20 @@ from .measures import (
 )
 from .spaces import ProductMetricKind
 
-# one bl_distance at 600 support points, all pairwise distances < 2
-# (359,400 Lipschitz rows): ~4.8 s and ~610 MB peak RSS, Python 3.11, 2 vCPUs
+# one bl_distance at 600 support points, Python 3.11, 2 vCPUs: the worst case
+# is the uniform metric (every distance 1, no triangle tight, all 359,400
+# Lipschitz rows kept): ~4.3 s and ~610 MB peak RSS; a line space with every
+# distance < 2 keeps its 1,198 neighbour rows: ~0.55 s and ~108 MB
 BL_SUPPORT_CUTOFF = 600
 # one prokhorov_to_product_upper on binary_coding n=8 (4096 product points):
-# ~5.4 s and 164 MB peak RSS; n=9 (9216 points): ~23 s and ~690 MB; n=10
-# would build a 3.3 GB distance matrix. Python 3.11, 2 vCPUs
+# ~0.25 s (the flow scan ~0.12 s) and ~215 MB peak RSS, Python 3.11, 2 vCPUs.
+# The product space's distance matrix is what binds: 134 MB at n=8, ~690 MB
+# at n=9 (9216 points) and 3.3 GB at n=10
 PROKHOROV_SUPPORT_CUTOFF = 4096
+# rows of dist[np.ix_(s1, s2)] per block of Prokhorov's pair scan
+SUPPORT_BLOCK_ROWS = 64
+# elements of the distance matrix per chunk of the BL essential-pair test
+ESSENTIAL_CHUNK = 1 << 20
 LP_TOL = 1e-9
 
 ZERO = Fraction(0)
@@ -200,31 +207,38 @@ def _require_same_space(m1: DiscreteMeasure, m2: DiscreteMeasure) -> None:
     raise InputError("both measures must live on the same metric space")
 
 
-def _overlap_flow(m1: DiscreteMeasure, m2: DiscreteMeasure, eps: float):
-    """Max coupling mass on pairs with dist <= eps, via exact-capacity max flow."""
-    s1, s2 = m1.support(), m2.support()
-    dist = m1.space.dist
+def _overlap_flow(dist, s1, s2, cap1, cap2, scale: int, eps: float):
+    """Max coupling mass on pairs with dist <= eps, via exact max flow.
+
+    The capacities are the weights scaled to ints by `scale` (cap1 on s1,
+    cap2 on s2) and `scale` on every pair edge. Dinic's min, add, subtract
+    and compare steps commute with that scaling (its unscaled start bound,
+    total source capacity + 1, exceeds every source edge either way), so
+    the flows divided by `scale` are the ones Fraction capacities give, bit
+    for bit. The pairs come from blocks of SUPPORT_BLOCK_ROWS rows of
+    dist[np.ix_(s1, s2)], never the whole matrix; the same pass finds the
+    next breakpoint, the least distance above eps (inf if there is none).
+    """
     n1, n2 = len(s1), len(s2)
     source, sink = 0, 1 + n1 + n2
-    edges = []
-    for a, i in enumerate(s1):
-        edges.append((source, 1 + a, m1.weights[i]))
-    pair_edges = []
-    for a, i in enumerate(s1):
-        for b, k in enumerate(s2):
-            if dist[i, k] <= eps:
-                pair_edges.append((i, k))
-                edges.append((1 + a, 1 + n1 + b, Fraction(1)))
-    for b, k in enumerate(s2):
-        edges.append((1 + n1 + b, sink, m2.weights[k]))
-    net = FlowNetwork(2 + n1 + n2, tuple(edges), source, sink)
-    value, flows = max_flow(net)
+    rows, cols, next_eps = [], [], math.inf
+    for start in range(0, n1, SUPPORT_BLOCK_ROWS):
+        block = dist[np.ix_(s1[start:start + SUPPORT_BLOCK_ROWS], s2)]
+        near = block <= eps
+        a, b = np.nonzero(near)
+        rows.append(a + start)
+        cols.append(b)
+        next_eps = min(next_eps, float(np.min(block, where=~near, initial=math.inf)))
+    a, b = np.concatenate(rows), np.concatenate(cols)
+    edges = [(source, 1 + x, c) for x, c in enumerate(cap1)]
+    edges += zip((1 + a).tolist(), (1 + n1 + b).tolist(), itertools.repeat(scale))
+    edges += [(1 + n1 + y, sink, c) for y, c in enumerate(cap2)]
+    value, flows = max_flow(FlowNetwork(2 + n1 + n2, tuple(edges), source, sink))
+    pairs = zip(s1[a].tolist(), s2[b].tolist())
     coupling = {
-        pair: flows[n1 + idx]
-        for idx, pair in enumerate(pair_edges)
-        if flows[n1 + idx] > 0
+        pair: Fraction(flow, scale) for pair, flow in zip(pairs, flows[n1:]) if flow > 0
     }
-    return value, coupling
+    return Fraction(value, scale), coupling, next_eps
 
 
 def prokhorov_distance(m1: DiscreteMeasure, m2: DiscreteMeasure) -> MetricValue:
@@ -232,24 +246,32 @@ def prokhorov_distance(m1: DiscreteMeasure, m2: DiscreteMeasure) -> MetricValue:
 
     pi <= eps iff some coupling puts mass <= eps on pairs farther than eps
     apart (closed condition dist <= eps). The overlap F(eps) is piecewise
-    constant with breakpoints at the observed distances, so the distance is
-    min over breakpoints of max(eps, 1 - F(eps)). A union support above
-    PROKHOROV_SUPPORT_CUTOFF is refused before any flow is solved.
+    constant with breakpoints at 0 and the observed distances, so the
+    distance is min over breakpoints of max(eps, 1 - F(eps)); the scan runs
+    up the breakpoints and stops once eps reaches the best value. The flows
+    run on integer capacities: the weights times the lcm of their
+    denominators. A union support above PROKHOROV_SUPPORT_CUTOFF is refused
+    before any flow is solved.
     """
     _require_same_space(m1, m2)
     s1, s2 = m1.support(), m2.support()
     union = len(set(s1) | set(s2))
     _require_support(union, PROKHOROV_SUPPORT_CUTOFF, "prokhorov_distance max-flow")
-    dist = m1.space.dist
-    breakpoints = sorted({0.0} | {float(dist[i, k]) for i in s1 for k in s2})
-    best = None
-    for eps in breakpoints:
-        if best is not None and eps >= best[0]:
-            break
-        overlap, coupling = _overlap_flow(m1, m2, eps)
+    w1 = [m1.weights[i] for i in s1]
+    w2 = [m2.weights[k] for k in s2]
+    scale = math.lcm(*(w.denominator for w in w1 + w2))
+    cap1 = [w.numerator * (scale // w.denominator) for w in w1]
+    cap2 = [w.numerator * (scale // w.denominator) for w in w2]
+    s1, s2 = np.array(s1, dtype=np.intp), np.array(s2, dtype=np.intp)
+    best, eps = None, 0.0
+    while best is None or eps < best[0]:
+        overlap, coupling, next_eps = _overlap_flow(
+            m1.space.dist, s1, s2, cap1, cap2, scale, eps
+        )
         candidate = max(eps, float(1 - overlap))
         if best is None or candidate < best[0]:
             best = (candidate, eps, overlap, coupling)
+        eps = next_eps
     value, eps, overlap, coupling = best
     cert = {
         "epsilon": eps,
@@ -271,13 +293,61 @@ def _product_support(j: JointMeasure) -> int:
     return len(m1.support()) * len(m2.support())
 
 
+def _essential_pairs(d: np.ndarray):
+    """The pairs a < b of the distance matrix d that keep a Lipschitz row.
+
+    A pair is essential when d(a, b) < 2 and no witness c has
+    fl(d(a, c) + d(c, b)) <= d(a, b) with both legs d(a, c) and d(c, b)
+    strictly shorter than d(a, b); the legs condition rules out c = a and
+    c = b, where one leg is d(a, b) itself. Returns the essential a, b and
+    d(a, b) in np.triu_indices order. The witness test runs over about
+    ESSENTIAL_CHUNK elements of d at a time.
+    """
+    n = len(d)
+    a_idx, b_idx = np.triu_indices(n, k=1)
+    d_ab = d[a_idx, b_idx]
+    near = d_ab < 2.0
+    a_idx, b_idx, d_ab = a_idx[near], b_idx[near], d_ab[near]
+    keep = np.empty(len(d_ab), dtype=bool)
+    step = max(1, min(len(d_ab), ESSENTIAL_CHUNK // n))
+    leg_ac, leg_cb = np.empty((step, n)), np.empty((step, n))
+    witness, test = np.empty((step, n), dtype=bool), np.empty((step, n), dtype=bool)
+    for s in range(0, len(d_ab), step):
+        e = min(s + step, len(d_ab))
+        ac, cb, w, t = leg_ac[: e - s], leg_cb[: e - s], witness[: e - s], test[: e - s]
+        dab = d_ab[s:e, None]
+        # the indices are in range; mode="clip" avoids the buffered out= path
+        np.take(d, a_idx[s:e], axis=0, out=ac, mode="clip")
+        np.take(d, b_idx[s:e], axis=0, out=cb, mode="clip")  # d(c, b) = d(b, c)
+        np.less(ac, dab, out=w)
+        np.less(cb, dab, out=t)
+        w &= t
+        np.less_equal(np.add(ac, cb, out=ac), dab, out=t)
+        w &= t
+        keep[s:e] = ~w.any(axis=1)
+    return a_idx[keep], b_idx[keep], d_ab[keep]
+
+
 def bl_distance(m1: DiscreteMeasure, m2: DiscreteMeasure) -> MetricValue:
     """Bounded-Lipschitz distance: max of integral gaps over |h|<=1, Lip(h)<=1.
 
     Solved as an LP in the values h of the witness on the union support, with
     the box |h| <= 1 and two sparse rows h(a) - h(b) <= d(a, b) and
-    h(b) - h(a) <= d(a, b) per pair; pairs at distance >= 2 are pruned
-    because |h(a) - h(b)| <= 2 already holds from the box bounds.
+    h(b) - h(a) <= d(a, b) for each essential pair (see _essential_pairs).
+
+    The rows of the other pairs are implied, so the feasible set is the one
+    with a row pair for every pair. At d(a, b) >= 2 the box gives
+    |h(a) - h(b)| <= 2. Below 2, induct on d(a, b): a pair that is not
+    essential has a witness c with both legs strictly shorter, so
+    |h(a) - h(b)| <= |h(a) - h(c)| + |h(c) - h(b)| <= d(a, c) + d(c, b),
+    and d(a, c) + d(c, b) <= d(a, b) up to the one rounding of the witness
+    sum, a factor of at most 1 + u with u = 2^-53. Each level of the
+    induction loosens an implied bound by that factor, and the depth is
+    below the number of distinct distances under 2, at most n^2 / 2. So the
+    implied bounds are within n^2 u of d(a, b) relative: 4e-11 at n = 600,
+    and about 1e-13 on a line or grid, where the depth is below n. Bounds
+    loosened by a factor 1 + delta raise the value, at most 2, by at most
+    2 delta. evaluate_certificate still checks every pair.
     """
     _require_same_space(m1, m2)
     support = sorted(set(m1.support()) | set(m2.support()))
@@ -286,11 +356,9 @@ def bl_distance(m1: DiscreteMeasure, m2: DiscreteMeasure) -> MetricValue:
     if n == 0:
         raise InputError("empty support")
     c = [float(m1.weights[i] - m2.weights[i]) for i in support]
-    a_idx, b_idx = np.triu_indices(n, k=1)
-    d_ab = m1.space.dist[np.ix_(support, support)][a_idx, b_idx]
-    near = d_ab < 2.0
+    a_idx, b_idx, d_ab = _essential_pairs(m1.space.dist[np.ix_(support, support)])
     constraints = []
-    for a, b, d in zip(a_idx[near].tolist(), b_idx[near].tolist(), d_ab[near].tolist()):
+    for a, b, d in zip(a_idx.tolist(), b_idx.tolist(), d_ab.tolist()):
         constraints.append(({a: 1.0, b: -1.0}, d))
         constraints.append(({a: -1.0, b: 1.0}, d))
     lp = LinearProgram(
@@ -302,7 +370,8 @@ def bl_distance(m1: DiscreteMeasure, m2: DiscreteMeasure) -> MetricValue:
     # h = 0 is feasible and the box bounds the objective: only the solver can fail
     if res.status is not LPStatus.OPTIMAL:
         raise SolverError(f"BL linear program was {res.status.value}")
-    value = max(res.value, 0.0)
+    # 0.0 first: max returns the first of equal items, so -0.0 reads 0.0
+    value = max(0.0, res.value)
     cert = {"support": tuple(support), "h": res.solution}
     return MetricValue(MetricName.BL, value, False, cert)
 

@@ -175,6 +175,16 @@ def test_cli_prokhorov_cutoff_is_exit_code_two(tmp_path, capsys):
     assert "capability error" in capsys.readouterr().err
 
 
+def test_cli_bl_of_an_independent_joint_prints_zero(tmp_path, capsys):
+    # p = 1/2 makes X_0 and X_1 independent, and the LP optimum can be -0.0
+    joint_path = tmp_path / "joint.json"
+    main(["gen", "--family", "markov_shift", "--n", "1", "--param", "p=1/2",
+          "--out", str(joint_path)])
+    capsys.readouterr()
+    assert main(["metrics", "--joint", str(joint_path), "--select", "bl"]) == 0
+    assert capsys.readouterr().out.split() == ["bl:", "0.0", "(exact=False)"]
+
+
 def test_cli_solver_failure_is_exit_code_four(tmp_path, capsys, monkeypatch):
     joint_path = tmp_path / "joint.json"
     main(["gen", "--family", "bernoulli_perturbation", "--n", "2", "--out", str(joint_path)])

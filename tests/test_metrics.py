@@ -8,6 +8,7 @@ import pytest
 from asymdep import (
     CapabilityError,
     DiscreteMeasure,
+    FiniteMetricSpace,
     InputError,
     JointMeasure,
     MetricName,
@@ -31,12 +32,14 @@ from asymdep import (
     line_space,
     marginals,
     product_measure,
+    product_space,
     prokhorov_distance,
     prokhorov_to_product_upper,
     uniform,
     variation_norm,
 )
 from asymdep import metrics
+from asymdep.engines import FlowNetwork, max_flow
 from asymdep.families import random_joint
 from asymdep.measures import joint_and_product_on_product
 from asymdep.verify import _beta_oracle, _random_measure_pair
@@ -236,6 +239,85 @@ def test_prokhorov_certificate_reevaluates():
     assert evaluate_certificate(mv, m1=m1, m2=m2) == pytest.approx(mv.value, abs=1e-9)
 
 
+def fraction_scan_prokhorov(m1, m2):
+    """Reference Prokhorov scan: Python pair loops and Fraction capacities.
+
+    Scans every breakpoint (0 and the distances between the supports) in
+    ascending order until eps reaches the best max(eps, 1 - F(eps)), with
+    F(eps) the max flow over the pairs at distance <= eps. Returns the value
+    and the certificate prokhorov_distance should report, bit for bit.
+    """
+    s1, s2 = m1.support(), m2.support()
+    dist = m1.space.dist
+    n1, n2 = len(s1), len(s2)
+    source, sink = 0, 1 + n1 + n2
+    best = None
+    for eps in sorted({0.0} | {float(dist[i, k]) for i in s1 for k in s2}):
+        if best is not None and eps >= best[0]:
+            break
+        edges = [(source, 1 + a, m1.weights[i]) for a, i in enumerate(s1)]
+        pairs = []
+        for a, i in enumerate(s1):
+            for b, k in enumerate(s2):
+                if dist[i, k] <= eps:
+                    pairs.append((i, k))
+                    edges.append((1 + a, 1 + n1 + b, F(1)))
+        edges += [(1 + n1 + b, sink, m2.weights[k]) for b, k in enumerate(s2)]
+        overlap, flows = max_flow(FlowNetwork(2 + n1 + n2, tuple(edges), source, sink))
+        coupling = {p: f for p, f in zip(pairs, flows[n1:]) if f > 0}
+        candidate = max(eps, float(1 - overlap))
+        if best is None or candidate < best[0]:
+            best = (candidate, eps, overlap, coupling)
+    value, eps, overlap, coupling = best
+    return value, {
+        "epsilon": eps,
+        "outside_mass": 1 - overlap,
+        "coupling": tuple(coupling.items()),
+    }
+
+
+def assert_same_as_fraction_scan(m1, m2):
+    mv = prokhorov_distance(m1, m2)
+    value, cert = fraction_scan_prokhorov(m1, m2)
+    assert mv.value.hex() == value.hex()
+    assert mv.certificate["epsilon"].hex() == cert["epsilon"].hex()
+    assert mv.certificate["outside_mass"] == cert["outside_mass"]
+    assert mv.certificate["coupling"] == cert["coupling"]  # same pairs, same order
+    for (i, k), flow in mv.certificate["coupling"]:
+        assert type(i) is int and type(k) is int and type(flow) is F
+
+
+def random_weights(rng, n, max_raw):
+    raw = [rng.randint(0, max_raw) for _ in range(n)]
+    raw[rng.randrange(n)] += 1
+    total = sum(raw)
+    return tuple(F(x, total) for x in raw)
+
+
+@pytest.mark.parametrize("max_raw", [1, 9, 2 ** 70])
+@pytest.mark.parametrize("n", [2, 17, 66, 80])  # the pair scan takes 64 rows at a time
+def test_prokhorov_equals_the_fraction_capacity_scan(n, max_raw):
+    import random
+
+    rng = random.Random(n)
+    s = line_space([x / 100 for x in rng.sample(range(300), n)])
+    m1 = DiscreteMeasure(s, random_weights(rng, n, max_raw))
+    m2 = DiscreteMeasure(s, random_weights(rng, n, max_raw))
+    if max_raw > 2 ** 64:  # the lcm of the denominators takes the big-int path
+        assert max(w.denominator for w in m1.weights + m2.weights) > 2 ** 64
+    assert_same_as_fraction_scan(m1, m2)
+
+
+@pytest.mark.parametrize("kind", list(ProductMetricKind))
+def test_prokhorov_equals_the_fraction_capacity_scan_on_a_grid_joint(kind):
+    g = 5
+    s = line_space([F(i, g) for i in range(g)])
+    raw = [[(7 * i + 3 * k) % 11 + 1 for k in range(g)] for i in range(g)]
+    total = sum(map(sum, raw))
+    j = JointMeasure(s, s, tuple(tuple(F(x, total) for x in row) for row in raw))
+    assert_same_as_fraction_scan(*joint_and_product_on_product(j, kind))
+
+
 def test_bl_of_point_masses():
     s = line_space([0.0, 0.3, 5.0])
     assert bl_distance(delta(s, 0), delta(s, 1)).value == pytest.approx(0.3, abs=1e-9)
@@ -306,8 +388,99 @@ def test_bl_matches_transport_oracle_on_dense_grid(kind):
     total = sum(map(sum, raw))
     j = JointMeasure(s, s, tuple(tuple(F(x, total) for x in row) for row in raw))
     mu, nu = joint_and_product_on_product(j, kind)
-    assert np.all(mu.space.dist < 2.0)  # no Lipschitz row is pruned
+    assert np.all(mu.space.dist < 2.0)  # no pair reaches the d >= 2 box bound
     assert bl_to_product(j, kind).value == pytest.approx(transport_bl(mu, nu), abs=1e-9)
+
+
+def positive_pair(seed, space):
+    """Two measures on every point of the space, with random positive weights."""
+    rng = np.random.default_rng(seed)
+    n = len(space)
+    pair = []
+    for raw in rng.integers(1, 50, size=(2, n)).tolist():
+        total = sum(raw)
+        pair.append(DiscreteMeasure(space, tuple(F(x, total) for x in raw)))
+    return pair
+
+
+def bl_with_lp(monkeypatch, m1, m2):
+    """bl_distance and the LP it handed to solve_lp."""
+    seen = []
+    solve = metrics.solve_lp
+
+    def spy(lp):
+        seen.append(lp)
+        return solve(lp)
+
+    monkeypatch.setattr(metrics, "solve_lp", spy)
+    mv = bl_distance(m1, m2)
+    (lp,) = seen
+    return mv, lp
+
+
+def uniform_metric_space(n):
+    """n points, every distance 1: no triangle is tight, so no row is pruned."""
+    return FiniteMetricSpace(tuple(map(str, range(n))), np.ones((n, n)) - np.eye(n))
+
+
+def shortest_path_space(seed, n):
+    """Shortest-path closure of a random weighted complete graph.
+
+    Every closed-up distance is a float sum of two others, so many triangles
+    are tight and most pairs closer than 2 have a witness.
+    """
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.2, 1.5, (n, n))
+    d = np.triu(w, 1) + np.triu(w, 1).T
+    for k in range(n):
+        d = np.minimum(d, d[:, [k]] + d[[k], :])
+    return FiniteMetricSpace(tuple(map(str, range(n))), d)
+
+
+@pytest.mark.parametrize("g", [2, 3, 5])
+def test_bl_on_integer_grid_keeps_only_the_neighbour_rows(monkeypatch, g):
+    line = line_space(range(g))
+    grid = product_space(line, line, ProductMetricKind.SUM)
+    m1, m2 = positive_pair(g, grid)
+    mv, lp = bl_with_lp(monkeypatch, m1, m2)
+    # two rows per 4-neighbour edge; the diagonal pairs sit at d = 2
+    assert len(lp.constraints) == 4 * g * (g - 1)
+    assert all(d == 1.0 for _, d in lp.constraints)
+    assert mv.value == pytest.approx(transport_bl(m1, m2), abs=1e-9)
+
+
+@pytest.mark.parametrize("n", [2, 3, 7])
+def test_bl_on_uniform_metric_keeps_every_row(monkeypatch, n):
+    m1, m2 = positive_pair(n, uniform_metric_space(n))
+    mv, lp = bl_with_lp(monkeypatch, m1, m2)
+    assert len(lp.constraints) == n * (n - 1)
+    assert mv.value == pytest.approx(transport_bl(m1, m2), abs=1e-9)
+    assert evaluate_certificate(mv, m1=m1, m2=m2) == pytest.approx(mv.value, abs=1e-9)
+
+
+@pytest.mark.parametrize("chunk", [metrics.ESSENTIAL_CHUNK, 1, 50])
+@pytest.mark.parametrize("seed", range(8))
+def test_bl_matches_transport_oracle_on_shortest_path_metrics(monkeypatch, seed, chunk):
+    # chunk 1 tests one pair at a time; 50 elements are 5 pairs of 9 points
+    monkeypatch.setattr(metrics, "ESSENTIAL_CHUNK", chunk)
+    space = shortest_path_space(seed, 9)
+    m1, m2 = positive_pair(seed, space)
+    mv, lp = bl_with_lp(monkeypatch, m1, m2)
+    near = int(np.count_nonzero(np.triu(space.dist < 2.0, 1)))
+    assert len(lp.constraints) < 2 * near  # tight triangles pruned some rows
+    assert mv.value == pytest.approx(transport_bl(m1, m2), abs=1e-9)
+    # the certificate is checked against every pair, pruned or not
+    assert evaluate_certificate(mv, m1=m1, m2=m2) == pytest.approx(mv.value, abs=1e-9)
+
+
+def test_bl_keeps_rows_whose_float_witness_has_a_leg_as_long_as_the_pair():
+    # d(0, 1) = d(0, 2) = 1 and d(1, 2) = 1e-17: fl(1 + 1e-17) = 1, so each
+    # of the pairs (0, 1) and (0, 2) has the other's far end as a witness in
+    # floating point; dropping both would leave h(0) free and report 2
+    d = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1e-17], [1.0, 1e-17, 0.0]])
+    s = FiniteMetricSpace(("a", "b", "c"), d)
+    far = DiscreteMeasure(s, (F(0), F(1, 2), F(1, 2)))
+    assert bl_distance(delta(s, 0), far).value == pytest.approx(1.0, abs=1e-9)
 
 
 def test_bl_to_product_cutoff_fires_before_the_product_space_is_built(monkeypatch):
