@@ -239,6 +239,15 @@ def test_prokhorov_certificate_reevaluates():
     assert evaluate_certificate(mv, m1=m1, m2=m2) == pytest.approx(mv.value, abs=1e-9)
 
 
+def dense_grid_joint():
+    """A joint law with every weight positive on the 5 x 5 grid of [0, 1)^2."""
+    g = 5
+    s = line_space([F(i, g) for i in range(g)])
+    raw = [[(7 * i + 3 * k) % 11 + 1 for k in range(g)] for i in range(g)]
+    total = sum(map(sum, raw))
+    return JointMeasure(s, s, tuple(tuple(F(x, total) for x in row) for row in raw))
+
+
 def fraction_scan_prokhorov(m1, m2):
     """Reference Prokhorov scan: Python pair loops and Fraction capacities.
 
@@ -310,11 +319,7 @@ def test_prokhorov_equals_the_fraction_capacity_scan(n, max_raw):
 
 @pytest.mark.parametrize("kind", list(ProductMetricKind))
 def test_prokhorov_equals_the_fraction_capacity_scan_on_a_grid_joint(kind):
-    g = 5
-    s = line_space([F(i, g) for i in range(g)])
-    raw = [[(7 * i + 3 * k) % 11 + 1 for k in range(g)] for i in range(g)]
-    total = sum(map(sum, raw))
-    j = JointMeasure(s, s, tuple(tuple(F(x, total) for x in row) for row in raw))
+    j = dense_grid_joint()
     assert_same_as_fraction_scan(*joint_and_product_on_product(j, kind))
 
 
@@ -382,11 +387,7 @@ def test_bl_matches_transport_oracle_on_random_pairs(seed):
 
 @pytest.mark.parametrize("kind", list(ProductMetricKind))
 def test_bl_matches_transport_oracle_on_dense_grid(kind):
-    g = 5
-    s = line_space([F(i, g) for i in range(g)])
-    raw = [[(7 * i + 3 * k) % 11 + 1 for k in range(g)] for i in range(g)]
-    total = sum(map(sum, raw))
-    j = JointMeasure(s, s, tuple(tuple(F(x, total) for x in row) for row in raw))
+    j = dense_grid_joint()
     mu, nu = joint_and_product_on_product(j, kind)
     assert np.all(mu.space.dist < 2.0)  # no pair reaches the d >= 2 box bound
     assert bl_to_product(j, kind).value == pytest.approx(transport_bl(mu, nu), abs=1e-9)
