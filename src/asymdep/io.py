@@ -16,7 +16,7 @@ import numpy as np
 
 from .analysis import DecayReport, SweepRow
 from .errors import InputError
-from .measures import DiscreteMeasure, JointMeasure
+from .measures import DiscreteMeasure, JointMeasure, exact_sum
 from .spaces import FiniteMetricSpace
 
 WEIGHT_SUM_TOL = Fraction(1, 10 ** 9)
@@ -48,16 +48,23 @@ def space_to_dict(space: FiniteMetricSpace) -> dict:
     return out
 
 
+def _float_array(x, key: str) -> np.ndarray:
+    try:
+        return np.array(x, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"space {key!r} is not a numeric array: {exc}") from exc
+
+
 def space_from_dict(d: dict) -> FiniteMetricSpace:
     """The space of a dictionary, checked to be a metric (with matching coords)."""
     try:
-        return FiniteMetricSpace(
-            tuple(d["labels"]),
-            np.array(d["dist"], dtype=float),
-            coords=None if d.get("coords") is None else np.array(d["coords"], dtype=float),
-        )
+        labels, dist = tuple(d["labels"]), _float_array(d["dist"], "dist")
     except KeyError as exc:
         raise InputError(f"space dictionary is missing key {exc}") from exc
+    coords = d.get("coords")
+    return FiniteMetricSpace(
+        labels, dist, coords=None if coords is None else _float_array(coords, "coords")
+    )
 
 
 def _normalize_weights(flat: list) -> list[Fraction]:
@@ -65,16 +72,15 @@ def _normalize_weights(flat: list) -> list[Fraction]:
     vals = []
     any_float = False
     for x in flat:
-        if isinstance(x, str):
-            vals.append(Fraction(x))
-        elif isinstance(x, int):
-            vals.append(Fraction(x))
-        elif isinstance(x, float):
-            vals.append(Fraction(x))
-            any_float = True
-        else:
+        # JSON true/false load as bools, which are ints to Python
+        if isinstance(x, bool) or not isinstance(x, (str, int, float)):
             raise InputError(f"weight entry {x!r} is not a number or 'p/q' string")
-    total = sum(vals)
+        try:
+            vals.append(Fraction(x))
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+            raise InputError(f"weight entry {x!r} is not a finite rational: {exc}") from exc
+        any_float = any_float or isinstance(x, float)
+    total = exact_sum(vals)
     if total != 1:
         if not any_float or abs(total - 1) > WEIGHT_SUM_TOL:
             raise InputError(f"weights sum to {total}, not 1")
@@ -105,13 +111,14 @@ def measure_from_dict(d: dict):
     if "space2" in d:
         s2 = space_from_dict(d["space2"])
         rows = d["weights"]
-        if not rows or not isinstance(rows[0], list):
+        if not isinstance(rows, list) or not rows or not isinstance(rows[0], list):
             raise InputError("joint measure weights must be a matrix")
-        flat = _normalize_weights([x for row in rows for x in row])
         ncols = len(rows[0])
-        w = tuple(
-            tuple(flat[r * ncols + c] for c in range(ncols)) for r in range(len(rows))
-        )
+        for r, row in enumerate(rows):
+            if not isinstance(row, list) or len(row) != ncols:
+                raise InputError(f"joint measure weights row {r} is not a list of {ncols} entries")
+        flat = _normalize_weights([x for row in rows for x in row])
+        w = tuple(tuple(flat[r * ncols:(r + 1) * ncols]) for r in range(len(rows)))
         return JointMeasure(s1, s2, w)
     flat = _normalize_weights(list(d["weights"]))
     return DiscreteMeasure(s1, tuple(flat))

@@ -9,13 +9,27 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import InputError
 from .spaces import FiniteMetricSpace, ProductMetricKind, product_space
 
 ONE = Fraction(1)
 ZERO = Fraction(0)
+
+
+def exact_sum(xs: Iterable[Fraction]) -> Fraction:
+    """``sum(xs, Fraction(0))`` exactly, with one Fraction addition per denominator.
+
+    The numerators of each distinct denominator add as Python ints; only the
+    per-denominator totals pay for Fraction addition and its gcd. Weights
+    and dependence entries share a few denominators, so a sum over n entries
+    costs n int additions instead of n Fraction additions.
+    """
+    by_den: dict[int, int] = {}
+    for x in xs:
+        by_den[x.denominator] = by_den.get(x.denominator, 0) + x.numerator
+    return sum((Fraction(num, den) for den, num in by_den.items()), ZERO)
 
 
 def as_fraction(x) -> Fraction:
@@ -39,10 +53,12 @@ class DiscreteMeasure:
         object.__setattr__(self, "weights", w)
         if len(w) != len(self.space):
             raise InputError("weight count does not match point count")
-        if any(x < 0 for x in w):
+        # a Fraction's denominator is positive, so its sign is its numerator's
+        if any(x.numerator < 0 for x in w):
             raise InputError("weights must be nonnegative")
-        if sum(w) != ONE:
-            raise InputError(f"weights must sum to exactly 1 (got {sum(w)})")
+        total = exact_sum(w)
+        if total != ONE:
+            raise InputError(f"weights must sum to exactly 1 (got {total})")
 
     def support(self) -> tuple[int, ...]:
         return tuple(i for i, w in enumerate(self.weights) if w > 0)
@@ -59,9 +75,9 @@ class JointMeasure:
         object.__setattr__(self, "weights", w)
         if len(w) != len(self.space1) or any(len(r) != len(self.space2) for r in w):
             raise InputError("weight matrix shape does not match the two spaces")
-        if any(x < 0 for row in w for x in row):
+        if any(x.numerator < 0 for row in w for x in row):
             raise InputError("weights must be nonnegative")
-        total = sum(x for row in w for x in row)
+        total = exact_sum(x for row in w for x in row)
         if total != ONE:
             raise InputError(f"weights must sum to exactly 1 (got {total})")
 
@@ -79,12 +95,10 @@ class DependenceMatrix:
         object.__setattr__(self, "entries", e)
         if len(e) != len(self.space1) or any(len(r) != len(self.space2) for r in e):
             raise InputError("entry matrix shape does not match the two spaces")
-        if any(sum(row) != ZERO for row in e):
+        if any(exact_sum(row) != ZERO for row in e):
             raise InputError("every row of a dependence matrix must sum to 0")
-        ncols = len(self.space2)
-        for j in range(ncols):
-            if sum(row[j] for row in e) != ZERO:
-                raise InputError("every column of a dependence matrix must sum to 0")
+        if any(exact_sum(col) != ZERO for col in zip(*e)):
+            raise InputError("every column of a dependence matrix must sum to 0")
 
 
 def uniform(space: FiniteMetricSpace) -> DiscreteMeasure:
@@ -102,9 +116,8 @@ def delta(space: FiniteMetricSpace, index: int) -> DiscreteMeasure:
 
 def marginals(j: JointMeasure) -> tuple[DiscreteMeasure, DiscreteMeasure]:
     """Row sums and column sums as DiscreteMeasures on the factor spaces."""
-    rows = tuple(sum(row) for row in j.weights)
-    ncols = len(j.space2)
-    cols = tuple(sum(row[c] for row in j.weights) for c in range(ncols))
+    rows = tuple(exact_sum(row) for row in j.weights)
+    cols = tuple(exact_sum(col) for col in zip(*j.weights))
     return DiscreteMeasure(j.space1, rows), DiscreteMeasure(j.space2, cols)
 
 

@@ -39,6 +39,7 @@ from .measures import (
     DiscreteMeasure,
     JointMeasure,
     dependence_matrix,
+    exact_sum,
     joint_and_product_on_product,
     marginals,
 )
@@ -95,7 +96,7 @@ class MetricValue:
 
 def variation_norm(d: DependenceMatrix) -> MetricValue:
     """Total variation: sum of absolute entries (the AI-4 functional)."""
-    total = sum(abs(x) for row in d.entries for x in row)
+    total = exact_sum(abs(x) for row in d.entries for x in row)
     signs = tuple(tuple(1 if x >= 0 else -1 for x in row) for row in d.entries)
     return MetricValue(MetricName.VARIATION, total, True, {"signs": signs})
 

@@ -93,6 +93,36 @@ def test_malformed_json_raises_input_error(tmp_path):
         io.load_measure(str(path))
 
 
+def _two_by_one_dict(weights):
+    s1, s2 = line_space([0.0, 1.0]), line_space([0.0])
+    j = JointMeasure(s1, s2, ((F(1, 2),), (F(1, 2),)))
+    d = io.joint_to_dict(j)
+    d["weights"] = weights
+    return d
+
+
+@pytest.mark.parametrize("weights", [
+    [["1/2"], ["1/2", "0"]],        # a long row: was truncated to its first entry
+    [["1/2", "1/2"], ["0"]],        # a short row: was a bare IndexError
+    [["1/2"], "1/2"],               # a row that is not a list
+])
+def test_ragged_weight_rows_are_rejected_by_row(weights):
+    with pytest.raises(InputError, match="weights row 1 "):
+        io.measure_from_dict(_two_by_one_dict(weights))
+
+
+@pytest.mark.parametrize("weights", [[[True], [False]], [["1/2"], [False]]])
+def test_bool_weights_are_rejected(weights):
+    with pytest.raises(InputError, match="is not a number"):
+        io.measure_from_dict(_two_by_one_dict(weights))
+
+
+@pytest.mark.parametrize("entry", ["1/0", "abc", float("nan"), float("inf")])
+def test_unparseable_weights_are_input_errors(entry):
+    with pytest.raises(InputError, match="is not a finite rational"):
+        io.measure_from_dict(_two_by_one_dict([["1/2"], [entry]]))
+
+
 # ---------------------------------------------------------------------------
 # CSV round trips
 # ---------------------------------------------------------------------------
@@ -157,6 +187,35 @@ def test_cli_malformed_json_is_input_error(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("[1, 2", encoding="utf-8")
     assert main(["metrics", "--joint", str(path)]) == 1
+
+
+def _bad_joint_files():
+    """(name, JSON text) of joint files that must load as input errors."""
+    good = io.joint_to_dict(_float_distance_joint())
+    out = []
+    for name, entry in [("zero_denominator", "1/0"), ("not_a_number", "abc"),
+                        ("nan", float("nan"))]:
+        d = json.loads(json.dumps(good))
+        d["weights"][0][0] = entry
+        out.append((name, d))
+    for name, key, value in [
+        ("ragged_dist", "dist", [[0.0, 1.0], [1.0]]),
+        ("text_dist", "dist", [["0", "x"], ["x", "0"]]),
+        ("ragged_coords", "coords", [[0.0], [1.0, 2.0]]),
+        ("text_coords", "coords", ["a", "b"]),
+    ]:
+        d = json.loads(json.dumps(good))
+        d["space2"][key] = value
+        out.append((name, d))
+    return [(name, json.dumps(d)) for name, d in out]
+
+
+@pytest.mark.parametrize("name,text", _bad_joint_files(), ids=[n for n, _ in _bad_joint_files()])
+def test_cli_unparseable_joint_is_input_error(tmp_path, capsys, name, text):
+    path = tmp_path / f"{name}.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["metrics", "--joint", str(path), "--select", "variation"]) == 1
+    assert capsys.readouterr().err.startswith("input error: ")
 
 
 def test_cli_capability_cutoff_is_exit_code_two(tmp_path, capsys):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from asymdep import InputError, ProductMetricKind, FiniteMetricSpace, line_space, product_space
+from asymdep import spaces
 from asymdep.spaces import COORD_DIST_TOL
 
 
@@ -223,3 +224,121 @@ def test_coord_check_accepts_a_gap_of_exactly_the_tolerance():
     assert _coords_agree_with_oracle(coords, d)
     d[0, 1] = d[1, 0] = np.nextafter(2 * t, np.inf)
     assert not _coords_agree_with_oracle(coords, d)
+
+
+# ---------------------------------------------------------------------------
+# Exact line metrics skip the triangle scan; everything else takes it
+# ---------------------------------------------------------------------------
+
+def _line_agrees_with_oracle(x, d):
+    """Whether FiniteMetricSpace accepts d with 1-D coords x; asserts it agrees
+    with the per-k oracle and the full-matrix coordinate formula."""
+    witnesses = _triangle_witnesses(d)
+    try:
+        FiniteMetricSpace(tuple(str(i) for i in range(len(d))), d.copy(), coords=x.copy())
+        accepted = True
+    except InputError as exc:
+        assert str(exc) == (TRIANGLE_MESSAGE if witnesses else COORD_MESSAGE)
+        accepted = False
+    assert accepted == (not witnesses and _coords_match(x[:, None], d))
+    return accepted
+
+
+def _scan_calls(monkeypatch):
+    """A list that records one entry per run of the triangle scan."""
+    calls = []
+    scan = spaces._check_triangles
+
+    def counted(dist):
+        calls.append(len(dist))
+        scan(dist)
+
+    monkeypatch.setattr(spaces, "_check_triangles", counted)
+    return calls
+
+
+def _line(x):
+    return np.abs(x[:, None] - x[None, :])
+
+
+@pytest.mark.parametrize("scale", [1.0, 1 / 8])
+@pytest.mark.parametrize("n", ORACLE_SIZES)
+def test_exact_line_skips_the_scan_and_matches_the_oracle(monkeypatch, n, scale):
+    # integer and dyadic (k/8) points: every difference is an exact float
+    x = np.random.default_rng(n).permutation(3 * n)[:n] * scale
+    d = _line(x)
+    assert spaces._is_exact_line(d, x[:, None])
+    calls = _scan_calls(monkeypatch)
+    assert _line_agrees_with_oracle(x, d)
+    assert calls == []
+
+
+@pytest.mark.parametrize("n", [n for n in ORACLE_SIZES if n >= 3])
+def test_inexact_line_takes_the_scan(monkeypatch, n):
+    x = 0.1 * np.arange(n)  # 0.1 k - 0.1 l rounds for some pairs
+    d = _line(x)
+    assert not spaces._is_exact_line(d, x[:, None])
+    calls = _scan_calls(monkeypatch)
+    assert _line_agrees_with_oracle(x, d)
+    assert calls == [n]
+
+
+@pytest.mark.parametrize("step", ["up", "down", "+1e-12", "-1e-12", "+0.9e-12", "-0.9e-12"])
+@pytest.mark.parametrize("n", [n for n in ORACLE_SIZES if n >= 2])
+def test_moved_entry_takes_the_scan_and_matches_the_oracle(monkeypatch, n, step):
+    x = np.arange(n, dtype=float)
+    d = _line(x)
+    i, j = n // 2, n - 1 if n // 2 != n - 1 else 0
+    if step in ("up", "down"):
+        moved = np.nextafter(d[i, j], np.inf if step == "up" else -np.inf)
+    else:
+        moved = d[i, j] + float(step)
+    d[i, j] = d[j, i] = moved
+    assert not spaces._is_exact_line(d, x[:, None])
+    calls = _scan_calls(monkeypatch)
+    _line_agrees_with_oracle(x, d)
+    assert calls == [n]
+
+
+def test_near_line_violation_is_still_rejected_with_the_triangle_message(monkeypatch):
+    # Within COORD_DIST_TOL of the line metric of (0, 1, 2), so the coordinate
+    # check passes, but d02 > d01 + d12 + 1e-12: only the scan can reject it.
+    x = np.array([0.0, 1.0, 2.0])
+    d = _line(x)
+    d[0, 1] = d[1, 0] = 1 - 0.9e-12
+    d[0, 2] = d[2, 0] = 2 + 0.9e-12
+    assert _coords_match(x[:, None], d)
+    calls = _scan_calls(monkeypatch)
+    with pytest.raises(InputError, match=TRIANGLE_MESSAGE):
+        FiniteMetricSpace(("a", "b", "c"), d, coords=x)
+    assert calls == [3]
+
+
+def test_two_dimensional_coords_take_the_scan(monkeypatch):
+    coords = np.array([[0.0, 0.0], [3.0, 0.0], [3.0, 4.0], [0.0, 4.0]])
+    diffs = coords[:, None, :] - coords[None, :, :]
+    d = np.sqrt((diffs ** 2).sum(axis=-1))
+    assert not spaces._is_exact_line(d, coords)
+    calls = _scan_calls(monkeypatch)
+    FiniteMetricSpace(tuple("abcd"), d, coords=coords)
+    assert calls == [4]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_coords_are_not_an_exact_line(bad):
+    x = np.array([0.0, 1.0, 2.0])
+    d = _line(x)
+    x[1] = bad
+    assert not spaces._is_exact_line(d, x[:, None])
+
+
+def test_huge_coords_whose_difference_overflows_are_not_an_exact_line():
+    x = np.array([-1e308, 1e308])
+    d = np.array([[0.0, 1.0], [1.0, 0.0]])
+    assert not spaces._is_exact_line(d, x[:, None])
+
+
+def test_coords_of_more_than_two_axes_are_rejected():
+    with pytest.raises(InputError, match="coords must be"):
+        FiniteMetricSpace(("a", "b"), np.array([[0.0, 1.0], [1.0, 0.0]]),
+                          coords=np.zeros((2, 1, 1)))
