@@ -7,11 +7,11 @@ package are exact rationals.
 
 Validation checks that the distances are finite, symmetric, zero on the
 diagonal and positive off it, that they satisfy the triangle inequality up
-to 1e-12, and that coordinates, if given, reproduce them. The triangle check
-is an O(n^3 / 2) scan, except on an exact line metric: 1-D coordinates whose
-differences are all exact floats and a distance matrix equal to their
-absolute values. There the scan provably passes, so an O(n^2) test of that
-form replaces it; every other input runs the scan.
+to 1e-12, and that coordinates, if given, are finite and reproduce them.
+The triangle check is an O(n^3 / 2) scan, except on an exact line metric:
+1-D coordinates whose differences are all exact floats and a distance
+matrix equal to their absolute values. There the scan provably passes, so
+an O(n^2) test of that form replaces it; every other input runs the scan.
 """
 from __future__ import annotations
 
@@ -70,6 +70,9 @@ class FiniteMetricSpace:
 
     def _check(self, dist: np.ndarray, coords: np.ndarray | None) -> None:
         n = len(self.labels)
+        # first: NaN slips through the coordinate check, as NaN > tol is False
+        if coords is not None and not np.all(np.isfinite(coords)):
+            raise InputError("coords must be finite")
         if not np.all(np.isfinite(dist)):
             raise InputError("distances must be finite")
         if np.any(np.diag(dist) != 0.0):

@@ -1,10 +1,12 @@
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from asymdep import (
     DiscreteMeasure,
+    FiniteMetricSpace,
     InputError,
     JointMeasure,
     LPResult,
@@ -14,6 +16,7 @@ from asymdep import (
     sweep,
 )
 from asymdep import io, metrics
+from asymdep.analysis import build_family
 from asymdep.cli import main
 from asymdep.families import bernoulli_perturbation_family, random_joint
 
@@ -60,6 +63,74 @@ def test_saved_json_is_compact_and_parses_to_the_dict(tmp_path, joint):
     text = path.read_text(encoding="utf-8")
     assert text == json.dumps(d) + "\n"
     assert json.loads(text) == d
+
+
+def _assert_bit_identical(back, j):
+    assert back.weights == j.weights
+    for mine, theirs in [(back.space1, j.space1), (back.space2, j.space2)]:
+        assert mine.labels == theirs.labels
+        assert (mine.coords is None) == (theirs.coords is None)
+        for a, b in [(mine.dist, theirs.dist), (mine.coords, theirs.coords)]:
+            if b is None:
+                continue
+            assert a.dtype == b.dtype == np.float64
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _dyadic_joint():
+    s1, s2 = line_space([k / 8 for k in (-9, 0, 1, 5)]), line_space([0.375, 3.0])
+    return JointMeasure(s1, s2, ((F(1, 8),) * 2,) * 4)
+
+
+@pytest.mark.parametrize("joint", [
+    pytest.param(lambda: build_family("binary_coding", 4, {}).joint, id="binary_coding"),
+    pytest.param(lambda: build_family("markov_shift", 3, {"p": F(1, 3)}).joint, id="markov_shift"),
+    pytest.param(_dyadic_joint, id="dyadic"),
+])
+def test_exact_line_spaces_are_written_without_dist(tmp_path, joint):
+    j = joint()
+    path = tmp_path / "j.json"
+    io.save_measure(j, str(path))
+    saved = json.loads(path.read_text(encoding="utf-8"))
+    assert "dist" not in saved["space1"] and "dist" not in saved["space2"]
+    _assert_bit_identical(io.load_measure(str(path)), j)
+
+
+def _nudged_line():
+    x = np.array([0.0, 0.5, 2.0])
+    d = np.abs(x[:, None] - x[None, :])
+    d[0, 2] = d[2, 0] = np.nextafter(2.0, 3.0)
+    return FiniteMetricSpace(("a", "b", "c"), d, coords=x)
+
+
+def _square():
+    d = np.array([[0.0, 1.0, 2 ** 0.5], [1.0, 0.0, 1.0], [2 ** 0.5, 1.0, 0.0]])
+    return FiniteMetricSpace(("a", "b", "c"), d, coords=[[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
+
+
+@pytest.mark.parametrize("space", [
+    pytest.param(lambda: _float_distance_joint().space1, id="inexact_difference"),
+    pytest.param(_nudged_line, id="mismatched_entry"),
+    pytest.param(_square, id="2d_coords"),
+    pytest.param(lambda: FiniteMetricSpace(("a", "b"), [[0.0, 1.0], [1.0, 0.0]]), id="no_coords"),
+])
+def test_other_spaces_keep_their_dist(tmp_path, space):
+    s = space()
+    assert io.space_to_dict(s)["dist"] == s.dist.tolist()
+    j = JointMeasure(s, s, tuple(tuple(F(int(r == c), len(s)) for c in range(len(s)))
+                                 for r in range(len(s))))
+    path = tmp_path / "j.json"
+    io.save_measure(j, str(path))
+    _assert_bit_identical(io.load_measure(str(path)), j)
+
+
+def test_a_file_with_the_dist_of_an_exact_line_loads_to_the_same_space():
+    j = _dyadic_joint()
+    d = io.joint_to_dict(j)
+    for key, space in [("space1", j.space1), ("space2", j.space2)]:
+        d[key] = {"labels": d[key]["labels"], "dist": space.dist.tolist(),
+                  "coords": d[key]["coords"]}
+    _assert_bit_identical(io.measure_from_dict(d), j)
 
 
 def test_indented_json_from_earlier_versions_loads(tmp_path):
@@ -203,9 +274,24 @@ def _bad_joint_files():
         ("text_dist", "dist", [["0", "x"], ["x", "0"]]),
         ("ragged_coords", "coords", [[0.0], [1.0, 2.0]]),
         ("text_coords", "coords", ["a", "b"]),
+        ("nan_coords", "coords", [[float("nan")], [0.3]]),
     ]:
         d = json.loads(json.dumps(good))
         d["space2"][key] = value
+        out.append((name, d))
+    # space2 stored by its coords alone, as the writer stores an exact line
+    for name, coords in [
+        ("no_dist_no_coords", None),
+        ("no_dist_2d_coords", [[0.0, 0.0], [1.0, 0.0]]),
+        ("no_dist_repeated_coords", [0.0, 0.0]),
+        ("no_dist_ragged_coords", [[0.0], [1.0, 2.0]]),
+        ("no_dist_text_coords", ["a", "b"]),
+        ("no_dist_nan_coords", [[float("nan")], [0.3]]),
+    ]:
+        d = json.loads(json.dumps(good))
+        d["space2"] = {"labels": d["space2"]["labels"]}
+        if coords is not None:
+            d["space2"]["coords"] = coords
         out.append((name, d))
     return [(name, json.dumps(d)) for name, d in out]
 

@@ -332,6 +332,13 @@ def test_non_finite_coords_are_not_an_exact_line(bad):
     assert not spaces._is_exact_line(d, x[:, None])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_coords_are_rejected(bad):
+    with pytest.raises(InputError, match="coords must be finite"):
+        FiniteMetricSpace(("a", "b", "c"), _line(np.array([0.0, 1.0, 2.0])),
+                          coords=[0.0, bad, 2.0])
+
+
 def test_huge_coords_whose_difference_overflows_are_not_an_exact_line():
     x = np.array([-1e308, 1e308])
     d = np.array([[0.0, 1.0], [1.0, 0.0]])
