@@ -9,7 +9,6 @@ from .measures import (
     JointMeasure,
     delta,
     dependence_matrix,
-    joint_on_product,
     joint_and_product_on_product,
     marginals,
     product_measure,

@@ -18,27 +18,27 @@ sufficient-condition bounds on exact finite instances.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import InputError
+from .errors import CapabilityError, InputError
 from .measures import (
-    DiscreteMeasure,
     JointMeasure,
     as_fraction,
     dependence_matrix,
+    exact_sum,
     marginals,
+    pushforward_joint,
 )
 from .metrics import alpha_coefficient, gaussian_cf_gap, variation_norm, DEFAULT_CF_LATTICE
-from .spaces import line_space
+from .spaces import LINE_SPACE_MAX_POINTS, line_space
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-BINARY_CODING_MAX_N = 16
 
 
 # ---------------------------------------------------------------------------
@@ -93,8 +93,10 @@ def binary_coding_weight(n: int, i: int, j: int) -> Fraction:
 
 def binary_coding_family(n: int) -> FamilyInstance:
     """The AI-3-but-not-AI-1 family: support {0..2n-1} x {0..2^n-1} on the line."""
-    if not 1 <= n <= BINARY_CODING_MAX_N:
-        raise InputError(f"binary coding level must satisfy 1 <= n <= {BINARY_CODING_MAX_N}")
+    if n < 1:
+        raise InputError("binary coding level must satisfy n >= 1")
+    if n >= LINE_SPACE_MAX_POINTS.bit_length():  # 2^n > LINE_SPACE_MAX_POINTS, without 2^n
+        raise CapabilityError(f"binary coding n={n} has 2^{n} points, above LINE_SPACE_MAX_POINTS")
     s1 = line_space(range(2 * n))
     s2 = line_space(range(2 ** n))
     weights = tuple(
@@ -249,141 +251,114 @@ def markov_block_family(transition, stationary, n: int, width: int) -> FamilyIns
 # Sufficient-condition checkers
 # ---------------------------------------------------------------------------
 
+def _chunks(seq, size: int) -> tuple:
+    """Consecutive runs of ``size`` items of ``seq``, as tuples."""
+    return tuple(tuple(seq[i:i + size]) for i in range(0, len(seq), size))
+
+
+def _grouped_joint(weights, shape: str, row_dims: int, depth: int):
+    """The sizes of a nested weight list, checked level by level (a flat count hides
+    ragged rows), and the joint law of its first row_dims indices and the rest."""
+    sizes, level = [], [weights]
+    for _ in range(depth):
+        lengths = {len(x) if isinstance(x, (list, tuple)) else None for x in level}
+        if len(lengths) != 1 or None in lengths:
+            raise InputError(f"weights must be an {shape} array")
+        sizes.append(lengths.pop())
+        level = [y for x in level for y in x]
+    rows, cols = math.prod(sizes[:row_dims]), math.prod(sizes[row_dims:])
+    space1, space2 = line_space(range(rows)), line_space(range(cols))
+    return sizes, JointMeasure(space1, space2, _chunks(level, cols))
+
+
 @dataclass(frozen=True)
 class ConditionalIndepInstance:
     """Three-way law over E1 x E2 x {Omega, Omega^c}.
 
     Conditionally on the Omega slice the pair factorizes exactly; delta is the
-    mass of Omega^c.
+    mass of Omega^c. ``joint`` is the law of X and (Y, slice): column 2k is
+    (k, Omega) and column 2k + 1 is (k, Omega^c).
     """
 
     weights: tuple  # weights[i][k][0] = Omega slice, [1] = complement slice
+    joint: JointMeasure = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        w = tuple(
-            tuple((as_fraction(cell[0]), as_fraction(cell[1])) for cell in row)
-            for row in self.weights
-        )
-        object.__setattr__(self, "weights", w)
-        if any(x < 0 for row in w for cell in row for x in cell):
-            raise InputError("weights must be nonnegative")
-        total = sum(x for row in w for cell in row for x in cell)
-        if total != ONE:
-            raise InputError("weights must sum to exactly 1")
-        p_omega = sum(cell[0] for row in w for cell in row)
+        (n1, n2, two), joint = _grouped_joint(self.weights, "n1 x n2 x 2", 1, 3)
+        if two != 2:
+            raise InputError("weights must be an n1 x n2 x 2 array")
+        object.__setattr__(self, "joint", joint)
+        object.__setattr__(self, "weights", tuple(_chunks(row, 2) for row in joint.weights))
+        p_omega = 1 - self.delta
         if p_omega == 0:
             raise InputError("Omega must have positive probability (delta < 1)")
-        n1, n2 = len(w), len(w[0])
-        row_omega = [sum(w[i][k][0] for k in range(n2)) for i in range(n1)]
-        col_omega = [sum(w[i][k][0] for i in range(n1)) for k in range(n2)]
-        for i in range(n1):
-            for k in range(n2):
-                if w[i][k][0] * p_omega != row_omega[i] * col_omega[k]:
-                    raise InputError("the pair is not conditionally independent given Omega")
+        given = [[x / p_omega for x in row[::2]] for row in joint.weights]
+        dep = dependence_matrix(JointMeasure(joint.space1, line_space(range(n2)), given))
+        if any(x for row in dep.entries for x in row):
+            raise InputError("the pair is not conditionally independent given Omega")
 
     @property
     def delta(self) -> Fraction:
-        return sum(cell[1] for row in self.weights for cell in row)
+        return exact_sum(x for row in self.joint.weights for x in row[1::2])
 
     def xy_marginal(self) -> JointMeasure:
         n1, n2 = len(self.weights), len(self.weights[0])
-        s1, s2 = line_space(range(n1)), line_space(range(n2))
-        w = tuple(
-            tuple(self.weights[i][k][0] + self.weights[i][k][1] for k in range(n2))
-            for i in range(n1)
+        return pushforward_joint(
+            self.joint, range(n1), [c // 2 for c in range(2 * n2)],
+            self.joint.space1, line_space(range(n2)),
         )
-        return JointMeasure(s1, s2, w)
 
 
 def conditional_independence_bound_check(
     inst: ConditionalIndepInstance,
 ) -> tuple[Fraction, Fraction, bool]:
-    """alpha of the (X,Y) marginal against the bound 2 delta (1 + 1/(1 - delta))."""
+    """alpha of the (X,Y) marginal against 2 delta (1 + 1/(1 - delta)); P(Omega) > 0 gives delta < 1."""
     delta = inst.delta
-    if delta >= 1:
-        raise InputError("delta must be < 1")
     alpha = alpha_coefficient(inst.xy_marginal()).value
-    bound = 2 * delta * (1 + 1 / (1 - delta)) if delta > 0 else ZERO
+    bound = 2 * delta * (1 + 1 / (1 - delta))
     return alpha, bound, alpha <= bound
 
 
 @dataclass(frozen=True)
 class CouplingInstance:
-    """Four-way law of (X, X', Y, Y') where the primed pair is independent."""
+    """Four-way law of (X, X', Y, Y') where the primed pair is independent.
+
+    ``joint`` is the law of (X, X') and (Y, Y'): row n1 x + x', column n2 y + y'.
+    """
 
     weights: tuple  # weights[x][xp][y][yp]
+    joint: JointMeasure = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        w = tuple(
-            tuple(
-                tuple(tuple(as_fraction(v) for v in yp_row) for yp_row in y_row)
-                for y_row in xp_row
-            )
-            for xp_row in self.weights
-        )
-        object.__setattr__(self, "weights", w)
-        flat = [v for a in w for b in a for c in b for v in c]
-        if any(v < 0 for v in flat):
-            raise InputError("weights must be nonnegative")
-        if sum(flat) != ONE:
-            raise InputError("weights must sum to exactly 1")
-        n1, n2 = len(w), len(w[0][0])
-        qxp = [
-            sum(w[x][xp][y][yp] for x in range(n1) for y in range(n2) for yp in range(n2))
-            for xp in range(n1)
-        ]
-        qyp = [
-            sum(w[x][xp][y][yp] for x in range(n1) for xp in range(n1) for y in range(n2))
-            for yp in range(n2)
-        ]
-        for xp in range(n1):
-            for yp in range(n2):
-                joint = sum(w[x][xp][y][yp] for x in range(n1) for y in range(n2))
-                if joint != qxp[xp] * qyp[yp]:
-                    raise InputError("the primed pair (X', Y') must be independent")
+        (n1, n1p, n2, n2p), joint = _grouped_joint(self.weights, "n1 x n1 x n2 x n2", 2, 4)
+        if n1 != n1p or n2 != n2p:
+            raise InputError("weights must be an n1 x n1 x n2 x n2 array")
+        object.__setattr__(self, "joint", joint)
+        rows = [_chunks(row, n2) for row in joint.weights]  # row n1 x + x' -> [y][y']
+        object.__setattr__(self, "weights", _chunks(rows, n1))
+        if any(x for row in dependence_matrix(self._pair(primed=True)).entries for x in row):
+            raise InputError("the primed pair (X', Y') must be independent")
+
+    def _pair(self, primed: bool) -> JointMeasure:
+        """The law of (X', Y') if primed, else of (X, Y): index n x + x' splits by divmod."""
+        n1, n2 = len(self.weights), len(self.weights[0][0])
+        u = [divmod(r, n1)[primed] for r in range(n1 * n1)]
+        v = [divmod(c, n2)[primed] for c in range(n2 * n2)]
+        return pushforward_joint(self.joint, u, v, line_space(range(n1)), line_space(range(n2)))
 
     def xy_marginal(self) -> JointMeasure:
-        w = self.weights
-        n1, n2 = len(w), len(w[0][0])
-        s1, s2 = line_space(range(n1)), line_space(range(n2))
-        m = tuple(
-            tuple(
-                sum(w[x][xp][y][yp] for xp in range(n1) for yp in range(n2))
-                for y in range(n2)
-            )
-            for x in range(n1)
-        )
-        return JointMeasure(s1, s2, m)
+        return self._pair(primed=False)
 
     def mismatch_probabilities(self) -> tuple[Fraction, Fraction, Fraction]:
-        """(P{(X,Y) != (X',Y')}, P{X != X'}, P{Y != Y'})."""
-        w = self.weights
-        n1, n2 = len(w), len(w[0][0])
-        p_pair = sum(
-            w[x][xp][y][yp]
-            for x in range(n1)
-            for xp in range(n1)
-            for y in range(n2)
-            for yp in range(n2)
-            if (x, y) != (xp, yp)
+        """(P{(X,Y) != (X',Y')}, P{X != X'}, P{Y != Y'}), each 1 minus the mass where they agree."""
+        n1, n2 = len(self.weights), len(self.weights[0][0])
+        rows, cols = range(0, n1 * n1, n1 + 1), range(0, n2 * n2, n2 + 1)  # x = x', y = y'
+        mx, my = marginals(self.joint)
+        return (
+            1 - exact_sum(self.joint.weights[r][c] for r in rows for c in cols),
+            1 - exact_sum(mx.weights[r] for r in rows),
+            1 - exact_sum(my.weights[c] for c in cols),
         )
-        p_x = sum(
-            w[x][xp][y][yp]
-            for x in range(n1)
-            for xp in range(n1)
-            for y in range(n2)
-            for yp in range(n2)
-            if x != xp
-        )
-        p_y = sum(
-            w[x][xp][y][yp]
-            for x in range(n1)
-            for xp in range(n1)
-            for y in range(n2)
-            for yp in range(n2)
-            if y != yp
-        )
-        return p_pair, p_x, p_y
 
 
 def coupling_tv_bound_check(inst: CouplingInstance) -> tuple[Fraction, Fraction, bool]:
@@ -398,57 +373,51 @@ def coupling_tv_bound_check(inst: CouplingInstance) -> tuple[Fraction, Fraction,
 # Random instance generators (fixed seed schedule for reproducibility)
 # ---------------------------------------------------------------------------
 
+# the random checker instances live on E1 = E2 = {0, 1, 2}; random_joint's
+# weights are multiples of 1/RANDOM_JOINT_DENOM
+RANDOM_INSTANCE_SIDE = 3
+RANDOM_JOINT_DENOM = 48
+
+
 def _random_prob_vector(rng: random.Random, n: int, denom: int = 64) -> list[Fraction]:
     cuts = sorted(rng.randint(0, denom) for _ in range(n - 1))
     parts = [a - b for a, b in zip(cuts + [denom], [0] + cuts)]
     return [Fraction(p, denom) for p in parts]
 
 
-def random_conditional_indep_instance(
-    seed: int, n1: int = 3, n2: int = 3
-) -> ConditionalIndepInstance:
+def random_conditional_indep_instance(seed: int) -> ConditionalIndepInstance:
+    n = RANDOM_INSTANCE_SIDE
     rng = random.Random(seed)
     delta = Fraction(rng.randint(0, 31), 64)  # keep delta < 1/2
-    ax = _random_prob_vector(rng, n1)
-    ay = _random_prob_vector(rng, n2)
-    rest = _random_prob_vector(rng, n1 * n2)
-    w = []
-    for i in range(n1):
-        row = []
-        for k in range(n2):
-            omega = (1 - delta) * ax[i] * ay[k]
-            comp = delta * rest[i * n2 + k]
-            row.append((omega, comp))
-        w.append(tuple(row))
-    return ConditionalIndepInstance(tuple(w))
+    ax = _random_prob_vector(rng, n)
+    ay = _random_prob_vector(rng, n)
+    rest = _random_prob_vector(rng, n * n)
+    return ConditionalIndepInstance([
+        [((1 - delta) * ax[i] * ay[k], delta * rest[i * n + k]) for k in range(n)]
+        for i in range(n)
+    ])
 
 
-def random_coupling_instance(seed: int, n1: int = 3, n2: int = 3) -> CouplingInstance:
+def random_coupling_instance(seed: int) -> CouplingInstance:
+    n = RANDOM_INSTANCE_SIDE
     rng = random.Random(seed)
-    q1 = _random_prob_vector(rng, n1)
-    q2 = _random_prob_vector(rng, n2)
-    w = [
-        [[[ZERO] * n2 for _ in range(n2)] for _ in range(n1)] for _ in range(n1)
-    ]
-    for xp in range(n1):
-        for yp in range(n2):
-            mass = q1[xp] * q2[yp]
-            if mass == 0:
-                continue
-            kernel = _random_prob_vector(rng, n1 * n2)
-            for x in range(n1):
-                for y in range(n2):
-                    w[x][xp][y][yp] = mass * kernel[x * n2 + y]
-    return CouplingInstance(
-        tuple(tuple(tuple(tuple(c) for c in b) for b in a) for a in w)
-    )
+    q1 = _random_prob_vector(rng, n)
+    q2 = _random_prob_vector(rng, n)
+    w = [[[[ZERO] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    for xp, yp in itertools.product(range(n), repeat=2):
+        mass = q1[xp] * q2[yp]
+        if mass:
+            kernel = _random_prob_vector(rng, n * n)
+            for x, y in itertools.product(range(n), repeat=2):
+                w[x][xp][y][yp] = mass * kernel[x * n + y]
+    return CouplingInstance(w)
 
 
-def random_joint(seed: int, n1: int, n2: int, denom: int = 48) -> JointMeasure:
+def random_joint(seed: int, n1: int, n2: int) -> JointMeasure:
     """A random exact joint measure on two integer line spaces."""
     rng = random.Random(seed)
     s1, s2 = line_space(range(n1)), line_space(range(n2))
-    flat = _random_prob_vector(rng, n1 * n2, denom=denom)
+    flat = _random_prob_vector(rng, n1 * n2, denom=RANDOM_JOINT_DENOM)
     w = tuple(tuple(flat[i * n2 + k] for k in range(n2)) for i in range(n1))
     return JointMeasure(s1, s2, w)
 

@@ -25,7 +25,7 @@ import numpy as np
 from .analysis import DecayReport, SweepRow
 from .errors import InputError
 from .measures import DiscreteMeasure, JointMeasure, exact_sum
-from .spaces import FiniteMetricSpace, _is_exact_line
+from .spaces import FiniteMetricSpace, _is_exact_line, check_line_space_size
 
 WEIGHT_SUM_TOL = Fraction(1, 10 ** 9)
 
@@ -70,10 +70,11 @@ def space_from_dict(d: dict) -> FiniteMetricSpace:
 
     Without "dist", the distances are rebuilt from 1-D coords.
     """
-    try:
-        labels = tuple(d["labels"])
-    except KeyError as exc:
-        raise InputError(f"space dictionary is missing key {exc}") from exc
+    if not isinstance(d, dict):
+        raise InputError(f"a space must be a JSON object, got {type(d).__name__}")
+    if not isinstance(d.get("labels"), list):
+        raise InputError("a space needs a 'labels' list")
+    labels = tuple(d["labels"])
     coords = d.get("coords")
     coords = None if coords is None else _float_array(coords, "coords")
     if "dist" in d:
@@ -86,6 +87,7 @@ def space_from_dict(d: dict) -> FiniteMetricSpace:
         # every validated space. fl(x_j - x_i) = -fl(x_i - x_j), so this is the
         # saved matrix entry for entry. The constructor rejects non-finite coords.
         x = coords.reshape(-1)
+        check_line_space_size(len(x))
         with np.errstate(invalid="ignore", over="ignore"):
             dist = np.subtract.outer(x, x)
         np.abs(dist, out=dist)
@@ -132,6 +134,8 @@ def joint_to_dict(j: JointMeasure) -> dict:
 
 def measure_from_dict(d: dict):
     """Load a JointMeasure (space1 + space2) or a DiscreteMeasure (space1 only)."""
+    if not isinstance(d, dict):
+        raise InputError(f"a measure must be a JSON object, got {type(d).__name__}")
     if "space1" not in d or "weights" not in d:
         raise InputError("measure JSON needs 'space1' and 'weights'")
     s1 = space_from_dict(d["space1"])
@@ -147,7 +151,9 @@ def measure_from_dict(d: dict):
         flat = _normalize_weights([x for row in rows for x in row])
         w = tuple(tuple(flat[r * ncols:(r + 1) * ncols]) for r in range(len(rows)))
         return JointMeasure(s1, s2, w)
-    flat = _normalize_weights(list(d["weights"]))
+    if not isinstance(d["weights"], list):
+        raise InputError("measure weights must be a list")
+    flat = _normalize_weights(d["weights"])
     return DiscreteMeasure(s1, tuple(flat))
 
 
@@ -247,8 +253,11 @@ def read_series_csv(path: str) -> list[tuple[int, float]]:
     """A two-column (n, value) series; header row optional."""
     out = []
     with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.reader(fh):
+        for line, row in enumerate(csv.reader(fh), 1):
             if not row or row[0].strip().lower() in ("n", ""):
                 continue
-            out.append((int(row[0]), float(parse_value(row[1].strip()) or 0)))
+            try:
+                out.append((int(row[0]), float(parse_value(row[1].strip()) or 0)))
+            except (IndexError, ValueError, ZeroDivisionError) as exc:
+                raise InputError(f"{path} line {line} is not an (n, value) row: {exc}") from exc
     return out

@@ -36,10 +36,14 @@ def as_fraction(x) -> Fraction:
     """Exact coercion: Fraction, int, and 'p/q' strings; floats are converted exactly."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, (int, str)):
+    if isinstance(x, int):
         return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(x)  # exact binary value; callers renormalize if needed
+    if isinstance(x, (str, float)):
+        # a float converts to its exact binary value; callers renormalize if needed
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+            raise InputError(f"{x!r} is not a finite rational: {exc}") from exc
     raise InputError(f"cannot coerce {x!r} to an exact rational")
 
 
@@ -171,13 +175,6 @@ def pushforward_joint(
             if w:
                 out[um[i]][vm[k]] += w
     return JointMeasure(target1, target2, tuple(tuple(r) for r in out))
-
-
-def joint_on_product(j: JointMeasure, kind: ProductMetricKind) -> DiscreteMeasure:
-    """Flatten a joint measure to a DiscreteMeasure on the metric product space."""
-    space = product_space(j.space1, j.space2, kind)
-    flat = tuple(w for row in j.weights for w in row)
-    return DiscreteMeasure(space, flat)
 
 
 def joint_and_product_on_product(

@@ -21,6 +21,7 @@ import numpy as np
 from .engines import BilinearInstance, FlowNetwork, hypercube_bilinear_max, max_flow
 from .engines import LinearProgram, LPStatus, solve_lp
 from .families import (
+    _random_prob_vector,
     bernoulli_perturbation_family,
     binary_coding_family,
     binary_coding_h_matrix,
@@ -285,14 +286,10 @@ def criterion_08_bl_witness() -> CriterionResult:
 
 def _random_measure_pair(rng: random.Random, space):
     n = len(space)
-
-    def vec():
-        denom = 60
-        cuts = sorted(rng.randint(0, denom) for _ in range(n - 1))
-        parts = [a - b for a, b in zip(cuts + [denom], [0] + cuts)]
-        return tuple(F(p, denom) for p in parts)
-
-    return DiscreteMeasure(space, vec()), DiscreteMeasure(space, vec())
+    return (
+        DiscreteMeasure(space, _random_prob_vector(rng, n, 60)),
+        DiscreteMeasure(space, _random_prob_vector(rng, n, 60)),
+    )
 
 
 def criterion_09_identity_suite() -> CriterionResult:

@@ -1,9 +1,13 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from asymdep import (
+    CapabilityError,
+    ConditionalIndepInstance,
+    CouplingInstance,
     InputError,
     alpha_coefficient,
     bernoulli_perturbation_family,
@@ -101,8 +105,21 @@ def test_binary_coding_weight_formula():
 def test_binary_coding_rejects_out_of_range_level():
     with pytest.raises(InputError):
         binary_coding_family(0)
-    with pytest.raises(InputError):
+    with pytest.raises(CapabilityError):
         binary_coding_family(17)
+
+
+@pytest.mark.parametrize("n", [13, 16, 64, 10 ** 9])
+def test_binary_coding_above_the_line_space_cap_fails_at_once(n):
+    # 2^13 > LINE_SPACE_MAX_POINTS = 4096; nothing of size 2^n is built
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapabilityError, match="LINE_SPACE_MAX_POINTS"):
+            binary_coding_family(n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +246,117 @@ def test_coupling_tv_bound_holds(seed):
     tv, bound, holds = coupling_tv_bound_check(inst)
     assert holds
     assert tv == variation_norm(dependence_matrix(inst.xy_marginal())).value
+
+
+# Independent oracles: the checkers derive these from one JointMeasure of
+# grouped variables; here they are nested sums over the four or three indices.
+
+def _oracle_coupling(w):
+    """(X, Y) law and (P{(X,Y) != (X',Y')}, P{X != X'}, P{Y != Y'}) by nested sums."""
+    n1, n2 = len(w), len(w[0][0])
+    cells = [
+        (x, xp, y, yp)
+        for x in range(n1) for xp in range(n1) for y in range(n2) for yp in range(n2)
+    ]
+    xy = tuple(
+        tuple(sum(w[x][xp][y][yp] for xp in range(n1) for yp in range(n2)) for y in range(n2))
+        for x in range(n1)
+    )
+    p_pair = sum(w[x][xp][y][yp] for x, xp, y, yp in cells if (x, y) != (xp, yp))
+    p_x = sum(w[x][xp][y][yp] for x, xp, y, yp in cells if x != xp)
+    p_y = sum(w[x][xp][y][yp] for x, xp, y, yp in cells if y != yp)
+    return xy, (p_pair, p_x, p_y)
+
+
+def _oracle_conditional(w):
+    """(X, Y) law and delta by nested sums."""
+    xy = tuple(tuple(cell[0] + cell[1] for cell in row) for row in w)
+    return xy, sum(cell[1] for row in w for cell in row)
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_checker_laws_match_nested_sum_oracles(seed):
+    coupling = random_coupling_instance(seed)
+    xy, mismatch = _oracle_coupling(coupling.weights)
+    assert coupling.xy_marginal().weights == xy
+    assert coupling.mismatch_probabilities() == mismatch
+    conditional = random_conditional_indep_instance(seed)
+    xy, delta = _oracle_conditional(conditional.weights)
+    assert conditional.xy_marginal().weights == xy
+    assert conditional.delta == delta
+
+
+def test_checker_weights_stay_nested_fractions():
+    coupling = CouplingInstance(_coupling_weights({**_GOOD_COUPLING, (0, 0, 0, 0): "1/4"}))
+    assert coupling.weights[0][0][0][0] == F(1, 4)
+    assert coupling.weights[1][1][1][1] == F(1, 4)
+    assert all(type(v) is F for a in coupling.weights for b in a for c in b for v in c)
+    row = (("1/4", 0), ("1/4", 0))
+    conditional = ConditionalIndepInstance([row, row])
+    assert conditional.weights == (((F(1, 4), F(0)), (F(1, 4), F(0))),) * 2
+    # the stored joint law takes no part in equality
+    assert conditional == ConditionalIndepInstance(conditional.weights)
+
+
+def _coupling_weights(cells, n1=2, n2=2):
+    """weights[x][xp][y][yp], zero outside ``cells``."""
+    return [
+        [[[cells.get((x, xp, y, yp), 0) for yp in range(n2)] for y in range(n2)]
+         for xp in range(n1)]
+        for x in range(n1)
+    ]
+
+
+# X = X' and Y = Y', with (X', Y') uniform on {0, 1}^2
+_GOOD_COUPLING = {(x, x, y, y): F(1, 4) for x in range(2) for y in range(2)}
+
+
+def _ragged_coupling(hidden):
+    w = _coupling_weights(_GOOD_COUPLING)
+    w[1][1][0].pop()  # a zero weight: the weights still sum to 1
+    if hidden:  # and the flat count is 16 again
+        w[1][1][1].append(0)
+    return w
+
+
+@pytest.mark.parametrize("weights,message", [
+    (_coupling_weights({**_GOOD_COUPLING, (0, 0, 0, 0): F(3, 8), (0, 1, 0, 0): F(-1, 8)}),
+     "nonnegative"),
+    (_coupling_weights({**_GOOD_COUPLING, (0, 0, 0, 0): F(1, 2)}), "sum to exactly 1"),
+    (_coupling_weights({**_GOOD_COUPLING, (0, 0, 0, 0): "abc"}), "not a finite rational"),
+    (_coupling_weights({**_GOOD_COUPLING, (0, 0, 0, 0): "1/0"}), "not a finite rational"),
+    (_ragged_coupling(hidden=False), "n1 x n1 x n2 x n2 array"),
+    (_ragged_coupling(hidden=True), "n1 x n1 x n2 x n2 array"),
+    (_coupling_weights({(0, 0, 0, 0): F(1)})[:1], "n1 x n1 x n2 x n2 array"),  # 1 x 2 x 2 x 2
+    ([[[[F(1, 4)]]]] * 4, "n1 x n1 x n2 x n2 array"),  # 4 x 1 x 1 x 1
+    ([[[F(1)]]], "n1 x n1 x n2 x n2 array"),  # three levels
+    # X' = Y', so the primed pair is dependent
+    (_coupling_weights({(x, x, x, x): F(1, 2) for x in range(2)}), "must be independent"),
+], ids=["negative", "sum_not_one", "not_rational", "zero_denominator", "ragged",
+        "hidden_ragged", "x_not_square", "not_square", "too_shallow", "dependent_primed"])
+def test_coupling_instance_rejects_bad_weights(weights, message):
+    with pytest.raises(InputError, match=message):
+        CouplingInstance(weights)
+
+
+_Q = F(1, 4)
+
+
+@pytest.mark.parametrize("weights,message", [
+    ([[(_Q, F(-1, 8)), (_Q, F(1, 8))], [(_Q, 0), (_Q, 0)]], "nonnegative"),
+    ([[(_Q, F(1, 8)), (_Q, 0)], [(_Q, 0), (_Q, 0)]], "sum to exactly 1"),
+    ([[("abc", 0), (_Q, 0)], [(_Q, 0), (_Q, 0)]], "not a finite rational"),
+    ([[(_Q, 0), (_Q, 0)], [(F(1, 2), 0)]], "n1 x n2 x 2 array"),
+    ([[(_Q, 0), (_Q, 0), (_Q, 0)], [(_Q, 0)]], "n1 x n2 x 2 array"),  # 8 entries, ragged
+    ([[(_Q, 0, 0), (_Q, 0, 0)], [(_Q, 0, 0), (_Q, 0, 0)]], "n1 x n2 x 2 array"),
+    ([[(_Q, 0), "00"], [(_Q, _Q), (_Q, 0)]], "n1 x n2 x 2 array"),  # a string is no cell
+    ([[(0, _Q), (0, _Q)], [(0, _Q), (0, _Q)]], "positive probability"),
+    ([[(F(1, 2), 0), (0, 0)], [(0, 0), (F(1, 2), 0)]], "not conditionally independent"),
+], ids=["negative", "sum_not_one", "not_rational", "ragged", "hidden_ragged",
+        "three_slices", "string_cell", "empty_omega", "omega_dependent"])
+def test_conditional_instance_rejects_bad_weights(weights, message):
+    with pytest.raises(InputError, match=message):
+        ConditionalIndepInstance(weights)
 
 
 # ---------------------------------------------------------------------------

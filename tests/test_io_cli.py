@@ -1,10 +1,12 @@
 import json
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from asymdep import (
+    CapabilityError,
     DiscreteMeasure,
     FiniteMetricSpace,
     InputError,
@@ -19,6 +21,7 @@ from asymdep import io, metrics
 from asymdep.analysis import build_family
 from asymdep.cli import main
 from asymdep.families import bernoulli_perturbation_family, random_joint
+from asymdep.spaces import LINE_SPACE_MAX_POINTS
 
 F = Fraction
 
@@ -293,6 +296,17 @@ def _bad_joint_files():
         if coords is not None:
             d["space2"]["coords"] = coords
         out.append((name, d))
+    # JSON values that are not objects where an object is expected
+    out.append(("top_level_number", 5))
+    out.append(("top_level_list", [good]))
+    for key in ("space1", "space2"):
+        d = json.loads(json.dumps(good))
+        d[key] = [1, 2]
+        out.append((f"list_{key}", d))
+    d = json.loads(json.dumps(good))
+    d["space1"]["labels"] = 5
+    out.append(("number_labels", d))
+    out.append(("number_measure_weights", {"space1": good["space1"], "weights": 5}))
     return [(name, json.dumps(d)) for name, d in out]
 
 
@@ -302,6 +316,61 @@ def test_cli_unparseable_joint_is_input_error(tmp_path, capsys, name, text):
     path.write_text(text, encoding="utf-8")
     assert main(["metrics", "--joint", str(path), "--select", "variation"]) == 1
     assert capsys.readouterr().err.startswith("input error: ")
+
+
+@pytest.mark.parametrize("value", ["abc", "1/0"])
+def test_cli_gen_with_a_non_rational_param_is_input_error(tmp_path, capsys, value):
+    out = tmp_path / "joint.json"
+    argv = ["gen", "--family", "markov_shift", "--n", "2", "--param", f"p={value}",
+            "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("input error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("row", ["1,abc", "x,0.5", "1", "1,1/0"])
+def test_cli_classify_with_an_unparseable_row_is_input_error(tmp_path, capsys, row):
+    path = tmp_path / "series.csv"
+    path.write_text(f"n,value\n2,0.5\n{row}\n", encoding="utf-8")
+    assert main(["classify", "--in", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("input error: ")
+
+
+def _coords_only_joint(n):
+    """A joint file whose first space is an n-point line stored by its coords alone."""
+    return {
+        "space1": {"labels": [str(i) for i in range(n)], "coords": list(range(n))},
+        "space2": {"labels": ["0"], "coords": [0.0]},
+        "weights": [[f"1/{n}"] for _ in range(n)],
+    }
+
+
+@pytest.mark.parametrize("n", [LINE_SPACE_MAX_POINTS + 1, 2 ** 16])
+def test_loading_coords_above_the_line_space_cap_fails_before_allocating(n):
+    d = _coords_only_joint(n)["space1"]
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapabilityError, match="LINE_SPACE_MAX_POINTS"):
+            io.space_from_dict(d)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # linear in the input (labels and coords), where the rebuilt dist takes 8 n^2 bytes
+    assert peak < max(2 ** 20, 32 * n)
+
+
+def test_cli_metrics_on_coords_above_the_line_space_cap_is_exit_code_two(tmp_path, capsys):
+    path = tmp_path / "joint.json"
+    path.write_text(json.dumps(_coords_only_joint(LINE_SPACE_MAX_POINTS + 1)), encoding="utf-8")
+    assert main(["metrics", "--joint", str(path), "--select", "variation"]) == 2
+    assert capsys.readouterr().err.startswith("capability error: ")
+
+
+def test_cli_gen_above_the_line_space_cap_is_exit_code_two(tmp_path, capsys):
+    out = tmp_path / "joint.json"
+    assert main(["gen", "--family", "binary_coding", "--n", "13", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("capability error: ")
+    assert not out.exists()
 
 
 def test_cli_capability_cutoff_is_exit_code_two(tmp_path, capsys):

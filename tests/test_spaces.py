@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from asymdep import InputError, ProductMetricKind, FiniteMetricSpace, line_space, product_space
+from asymdep import (
+    CapabilityError, InputError, ProductMetricKind, FiniteMetricSpace, line_space, product_space,
+)
 from asymdep import spaces
-from asymdep.spaces import COORD_DIST_TOL
+from asymdep.spaces import COORD_DIST_TOL, LINE_SPACE_MAX_POINTS
 
 
 def test_line_space_distances_are_absolute_differences():
@@ -12,6 +16,24 @@ def test_line_space_distances_are_absolute_differences():
     assert s.dist[0][2] == pytest.approx(2.0)
     assert s.dist[2][1] == pytest.approx(1.5)
     assert list(s.labels) == ["0.0", "0.5", "2.0"]
+
+
+@pytest.mark.parametrize("n", [LINE_SPACE_MAX_POINTS + 1, 2 ** 16, 2 ** 40])
+def test_line_space_above_the_cap_fails_before_allocating(n):
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapabilityError, match="LINE_SPACE_MAX_POINTS"):
+            line_space(range(n))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+def test_line_space_cap_admits_its_own_size():
+    spaces.check_line_space_size(LINE_SPACE_MAX_POINTS)
+    with pytest.raises(CapabilityError):
+        spaces.check_line_space_size(LINE_SPACE_MAX_POINTS + 1)
 
 
 def test_product_space_sum_and_max_values():
