@@ -7,6 +7,7 @@ from .measures import (
     DependenceMatrix,
     DiscreteMeasure,
     JointMeasure,
+    Numerators,
     delta,
     dependence_matrix,
     joint_and_product_on_product,

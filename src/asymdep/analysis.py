@@ -237,17 +237,29 @@ def metric_row(inst: FamilyInstance, metric: str, kind: ProductMetricKind) -> Sw
     return SweepRow(inst.family, inst.n, metric, value, entry.exact, entry.mode)
 
 
+def _gap_row(spec: SweepSpec, n: int, metric: str, exc: CapabilityError) -> SweepRow:
+    return SweepRow(spec.family, n, metric, None, False, METRICS[metric].mode, note=str(exc))
+
+
 def sweep(spec: SweepSpec) -> DecayReport:
-    """Compute every requested metric at every n and classify each AI condition."""
+    """Compute every requested metric at every n and classify each AI condition.
+
+    A CapabilityError leaves gap rows (no value, the message in ``note``):
+    one for a metric that refuses at some n, one per requested metric at an
+    n where the family cannot be built.
+    """
     rows = []
     for n in spec.n_values:
-        inst = build_family(spec.family, n, spec.family_params)
+        try:
+            inst = build_family(spec.family, n, spec.family_params)
+        except CapabilityError as exc:
+            rows.extend(_gap_row(spec, n, metric, exc) for metric in spec.metrics)
+            continue
         for metric in spec.metrics:
             try:
                 rows.append(metric_row(inst, metric, spec.product_metric))
             except CapabilityError as exc:
-                mode = METRICS[metric].mode
-                rows.append(SweepRow(spec.family, n, metric, None, False, mode, note=str(exc)))
+                rows.append(_gap_row(spec, n, metric, exc))
     rows.sort(key=lambda r: (r.n, r.metric))
     report = DecayReport(tuple(rows), {})
     for condition, candidates in AI_CONDITION_METRICS.items():

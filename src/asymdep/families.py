@@ -18,7 +18,6 @@ sufficient-condition bounds on exact finite instances.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -28,14 +27,13 @@ import numpy as np
 from .errors import CapabilityError, InputError
 from .measures import (
     JointMeasure,
+    Numerators,
     as_fraction,
     dependence_matrix,
-    exact_sum,
-    marginals,
     pushforward_joint,
 )
 from .metrics import alpha_coefficient, gaussian_cf_gap, variation_norm, DEFAULT_CF_LATTICE
-from .spaces import LINE_SPACE_MAX_POINTS, line_space
+from .spaces import LINE_SPACE_MAX_POINTS, FiniteMetricSpace, line_space
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -99,10 +97,10 @@ def binary_coding_family(n: int) -> FamilyInstance:
         raise CapabilityError(f"binary coding n={n} has 2^{n} points, above LINE_SPACE_MAX_POINTS")
     s1 = line_space(range(2 * n))
     s2 = line_space(range(2 ** n))
-    weights = tuple(
-        tuple(binary_coding_weight(n, i, j) for j in range(2 ** n)) for i in range(2 * n)
-    )
-    joint = JointMeasure(s1, s2, weights)
+    # the numerators of binary_coding_weight over n 2^n
+    digits = [tuple(chi(i, j) for j in range(2 ** n)) for i in range(n)]
+    num = digits + [tuple(1 - x for x in row) for row in digits]
+    joint = JointMeasure(s1, s2, Numerators(num, n * 2 ** n))
     return FamilyInstance("binary_coding", n, joint)
 
 
@@ -147,8 +145,8 @@ def bernoulli_perturbation_family(n: int) -> FamilyInstance:
 
 def rectangle_gap(j: JointMeasure, a_indices, b_indices) -> Fraction:
     """|mu(A x B)| for the dependence matrix mu, exact."""
-    d = dependence_matrix(j).entries
-    return abs(sum(d[i][k] for i in a_indices for k in b_indices))
+    d = dependence_matrix(j)
+    return Fraction(abs(sum(d.num[i][k] for i in a_indices for k in b_indices)), d.den)
 
 
 # ---------------------------------------------------------------------------
@@ -256,9 +254,9 @@ def _chunks(seq, size: int) -> tuple:
     return tuple(tuple(seq[i:i + size]) for i in range(0, len(seq), size))
 
 
-def _grouped_joint(weights, shape: str, row_dims: int, depth: int):
+def _grouped(weights, shape: str, depth: int):
     """The sizes of a nested weight list, checked level by level (a flat count hides
-    ragged rows), and the joint law of its first row_dims indices and the rest."""
+    ragged rows), and its entries in row-major order."""
     sizes, level = [], [weights]
     for _ in range(depth):
         lengths = {len(x) if isinstance(x, (list, tuple)) else None for x in level}
@@ -266,9 +264,13 @@ def _grouped_joint(weights, shape: str, row_dims: int, depth: int):
             raise InputError(f"weights must be an {shape} array")
         sizes.append(lengths.pop())
         level = [y for x in level for y in x]
-    rows, cols = math.prod(sizes[:row_dims]), math.prod(sizes[row_dims:])
-    space1, space2 = line_space(range(rows)), line_space(range(cols))
-    return sizes, JointMeasure(space1, space2, _chunks(level, cols))
+    return sizes, level
+
+
+def _line_spaces(*sizes: int) -> tuple[FiniteMetricSpace, ...]:
+    """line_space(range(k)) for each size k, one read-only space per distinct size."""
+    built = {k: line_space(range(k)) for k in dict.fromkeys(sizes)}
+    return tuple(built[k] for k in sizes)
 
 
 @dataclass(frozen=True)
@@ -277,35 +279,40 @@ class ConditionalIndepInstance:
 
     Conditionally on the Omega slice the pair factorizes exactly; delta is the
     mass of Omega^c. ``joint`` is the law of X and (Y, slice): column 2k is
-    (k, Omega) and column 2k + 1 is (k, Omega^c).
+    (k, Omega) and column 2k + 1 is (k, Omega^c). ``y_space`` is E2, the
+    second space of every (X, Y) law the instance builds.
     """
 
     weights: tuple  # weights[i][k][0] = Omega slice, [1] = complement slice
     joint: JointMeasure = field(init=False, repr=False, compare=False)
+    y_space: FiniteMetricSpace = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        (n1, n2, two), joint = _grouped_joint(self.weights, "n1 x n2 x 2", 1, 3)
+        (n1, n2, two), flat = _grouped(self.weights, "n1 x n2 x 2", 3)
         if two != 2:
             raise InputError("weights must be an n1 x n2 x 2 array")
+        s1, s2, y_space = _line_spaces(n1, 2 * n2, n2)
+        joint = JointMeasure(s1, s2, _chunks(flat, 2 * n2))
         object.__setattr__(self, "joint", joint)
+        object.__setattr__(self, "y_space", y_space)
         object.__setattr__(self, "weights", tuple(_chunks(row, 2) for row in joint.weights))
-        p_omega = 1 - self.delta
+        omega = [row[::2] for row in joint.num]
+        p_omega = sum(map(sum, omega))  # P(Omega) times joint.den
         if p_omega == 0:
             raise InputError("Omega must have positive probability (delta < 1)")
-        given = [[x / p_omega for x in row[::2]] for row in joint.weights]
-        dep = dependence_matrix(JointMeasure(joint.space1, line_space(range(n2)), given))
-        if any(x for row in dep.entries for x in row):
+        given = JointMeasure(s1, y_space, Numerators(omega, p_omega))
+        if any(map(any, dependence_matrix(given).num)):
             raise InputError("the pair is not conditionally independent given Omega")
 
     @property
     def delta(self) -> Fraction:
-        return exact_sum(x for row in self.joint.weights for x in row[1::2])
+        return Fraction(sum(sum(row[1::2]) for row in self.joint.num), self.joint.den)
 
     def xy_marginal(self) -> JointMeasure:
         n1, n2 = len(self.weights), len(self.weights[0])
         return pushforward_joint(
             self.joint, range(n1), [c // 2 for c in range(2 * n2)],
-            self.joint.space1, line_space(range(n2)),
+            self.joint.space1, self.y_space,
         )
 
 
@@ -324,19 +331,24 @@ class CouplingInstance:
     """Four-way law of (X, X', Y, Y') where the primed pair is independent.
 
     ``joint`` is the law of (X, X') and (Y, Y'): row n1 x + x', column n2 y + y'.
+    ``pair_spaces`` are E1 and E2, the spaces of the (X, Y) and (X', Y') laws.
     """
 
     weights: tuple  # weights[x][xp][y][yp]
     joint: JointMeasure = field(init=False, repr=False, compare=False)
+    pair_spaces: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        (n1, n1p, n2, n2p), joint = _grouped_joint(self.weights, "n1 x n1 x n2 x n2", 2, 4)
+        (n1, n1p, n2, n2p), flat = _grouped(self.weights, "n1 x n1 x n2 x n2", 4)
+        s1, s2, *pair_spaces = _line_spaces(n1 * n1p, n2 * n2p, n1, n2)
+        joint = JointMeasure(s1, s2, _chunks(flat, n2 * n2p))
         if n1 != n1p or n2 != n2p:
             raise InputError("weights must be an n1 x n1 x n2 x n2 array")
         object.__setattr__(self, "joint", joint)
+        object.__setattr__(self, "pair_spaces", tuple(pair_spaces))
         rows = [_chunks(row, n2) for row in joint.weights]  # row n1 x + x' -> [y][y']
         object.__setattr__(self, "weights", _chunks(rows, n1))
-        if any(x for row in dependence_matrix(self._pair(primed=True)).entries for x in row):
+        if any(map(any, dependence_matrix(self._pair(primed=True)).num)):
             raise InputError("the primed pair (X', Y') must be independent")
 
     def _pair(self, primed: bool) -> JointMeasure:
@@ -344,7 +356,7 @@ class CouplingInstance:
         n1, n2 = len(self.weights), len(self.weights[0][0])
         u = [divmod(r, n1)[primed] for r in range(n1 * n1)]
         v = [divmod(c, n2)[primed] for c in range(n2 * n2)]
-        return pushforward_joint(self.joint, u, v, line_space(range(n1)), line_space(range(n2)))
+        return pushforward_joint(self.joint, u, v, *self.pair_spaces)
 
     def xy_marginal(self) -> JointMeasure:
         return self._pair(primed=False)
@@ -353,11 +365,11 @@ class CouplingInstance:
         """(P{(X,Y) != (X',Y')}, P{X != X'}, P{Y != Y'}), each 1 minus the mass where they agree."""
         n1, n2 = len(self.weights), len(self.weights[0][0])
         rows, cols = range(0, n1 * n1, n1 + 1), range(0, n2 * n2, n2 + 1)  # x = x', y = y'
-        mx, my = marginals(self.joint)
+        num, den = self.joint.num, self.joint.den
         return (
-            1 - exact_sum(self.joint.weights[r][c] for r in rows for c in cols),
-            1 - exact_sum(mx.weights[r] for r in rows),
-            1 - exact_sum(my.weights[c] for c in cols),
+            1 - Fraction(sum(num[r][c] for r in rows for c in cols), den),
+            1 - Fraction(sum(sum(num[r]) for r in rows), den),
+            1 - Fraction(sum(row[c] for row in num for c in cols), den),
         )
 
 

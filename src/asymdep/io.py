@@ -17,14 +17,16 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable
 
 import numpy as np
 
 from .analysis import DecayReport, SweepRow
 from .errors import InputError
-from .measures import DiscreteMeasure, JointMeasure, exact_sum
+from .measures import DiscreteMeasure, JointMeasure, Numerators
 from .spaces import FiniteMetricSpace, _is_exact_line, check_line_space_size
 
 WEIGHT_SUM_TOL = Fraction(1, 10 ** 9)
@@ -96,31 +98,50 @@ def space_from_dict(d: dict) -> FiniteMetricSpace:
     return FiniteMetricSpace(labels, dist, coords=coords)
 
 
-def _normalize_weights(flat: list) -> list[Fraction]:
-    """Exact weights from mixed string/number entries; floats renormalized."""
-    vals = []
-    any_float = False
-    for x in flat:
-        # JSON true/false load as bools, which are ints to Python
-        if isinstance(x, bool) or not isinstance(x, (str, int, float)):
-            raise InputError(f"weight entry {x!r} is not a number or 'p/q' string")
-        try:
-            vals.append(Fraction(x))
-        except (ValueError, ZeroDivisionError, OverflowError) as exc:
-            raise InputError(f"weight entry {x!r} is not a finite rational: {exc}") from exc
-        any_float = any_float or isinstance(x, float)
-    total = exact_sum(vals)
-    if total != 1:
-        if not any_float or abs(total - 1) > WEIGHT_SUM_TOL:
-            raise InputError(f"weights sum to {total}, not 1")
-        vals = [v / total for v in vals]
-    return vals
+def _parse_weight(x) -> Fraction:
+    # JSON true/false load as bools, which are ints to Python
+    if isinstance(x, bool) or not isinstance(x, (str, int, float)):
+        raise InputError(f"weight entry {x!r} is not a number or 'p/q' string")
+    try:
+        return Fraction(x)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise InputError(f"weight entry {x!r} is not a finite rational: {exc}") from exc
+
+
+def _exact_weights(flat: list) -> tuple[list[int], int]:
+    """Integer numerators over one denominator of string/number entries; floats renormalized.
+
+    Each distinct entry is parsed once, in order of first appearance, so the
+    first entry that fails to parse is the one reported. Entries that
+    compare equal (1 and 1.0) parse to equal Fractions.
+    """
+    types = set(map(type, flat))
+    if any(issubclass(t, bool) or not issubclass(t, (str, int, float)) for t in types):
+        for x in flat:  # report the first bad entry, be it of a bad type or unparsable
+            _parse_weight(x)
+    values = {x: _parse_weight(x) for x in dict.fromkeys(flat)}
+    den = math.lcm(*(v.denominator for v in values.values()))
+    of = {x: v.numerator * (den // v.denominator) for x, v in values.items()}
+    num = list(map(of.__getitem__, flat))
+    total = sum(num)
+    if total != den:
+        off = Fraction(total, den)
+        if not any(issubclass(t, float) for t in types) or abs(off - 1) > WEIGHT_SUM_TOL:
+            raise InputError(f"weights sum to {off}, not 1")
+        den = total  # (num / den) / (total / den)
+    return num, den
+
+
+def _weight_strings(num, den: int) -> list[list[str]]:
+    """Rows of "p/q" strings (str of each weight's Fraction), one per distinct numerator."""
+    of = {x: str(Fraction(x, den)) for x in set(chain.from_iterable(num))}
+    return [list(map(of.__getitem__, row)) for row in num]
 
 
 def measure_to_dict(m: DiscreteMeasure) -> dict:
     return {
         "space1": space_to_dict(m.space),
-        "weights": [str(w) for w in m.weights],
+        "weights": _weight_strings((m.num,), m.den)[0],
     }
 
 
@@ -128,7 +149,7 @@ def joint_to_dict(j: JointMeasure) -> dict:
     return {
         "space1": space_to_dict(j.space1),
         "space2": space_to_dict(j.space2),
-        "weights": [[str(w) for w in row] for row in j.weights],
+        "weights": _weight_strings(j.num, j.den),
     }
 
 
@@ -148,13 +169,12 @@ def measure_from_dict(d: dict):
         for r, row in enumerate(rows):
             if not isinstance(row, list) or len(row) != ncols:
                 raise InputError(f"joint measure weights row {r} is not a list of {ncols} entries")
-        flat = _normalize_weights([x for row in rows for x in row])
-        w = tuple(tuple(flat[r * ncols:(r + 1) * ncols]) for r in range(len(rows)))
-        return JointMeasure(s1, s2, w)
+        num, den = _exact_weights([x for row in rows for x in row])
+        num = [num[r * ncols:(r + 1) * ncols] for r in range(len(rows))]
+        return JointMeasure(s1, s2, Numerators(num, den))
     if not isinstance(d["weights"], list):
         raise InputError("measure weights must be a list")
-    flat = _normalize_weights(d["weights"])
-    return DiscreteMeasure(s1, tuple(flat))
+    return DiscreteMeasure(s1, Numerators(*_exact_weights(d["weights"])))
 
 
 def load_measure(path: str):

@@ -1,35 +1,40 @@
 """Discrete and joint probability measures with exact rational weights.
 
-All measure algebra (marginals, products, dependence matrices, pushforwards)
-is exact: weights are fractions.Fraction, sums are checked for exact equality
-with 1 (or 0 for the centered dependence matrix). Geometry stays in the
-attached FiniteMetricSpace.
+A measure stores its weights as Python-int numerators ``num`` over one
+positive denominator ``den``, the least common one (the numerators and
+``den`` share no factor): the weight of point i is num[i] / den, and
+num[i][k] / den for a joint law or a dependence matrix. Python ints are
+exact at any size, so there is one code path. Every check runs on the ints:
+the shape, nonnegative numerators, numerators summing to den (to 0 in every
+row and column of a dependence matrix).
+
+The constructors take Fractions, ints or "p/q" strings, or a
+``Numerators(num, den)`` pair, which they reduce to lowest terms.
+``weights`` (``entries`` of a dependence matrix) is the tuple of Fractions:
+the caller's own when it passed Fractions, otherwise built on first access.
+Marginals, products, dependence matrices and pushforwards run on the
+numerators. Geometry stays in the attached FiniteMetricSpace.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from itertools import chain
+from typing import NamedTuple, Sequence
 
 from .errors import InputError
 from .spaces import FiniteMetricSpace, ProductMetricKind, product_space
 
-ONE = Fraction(1)
-ZERO = Fraction(0)
 
+class Numerators(NamedTuple):
+    """Exact weights as integer numerators over one positive denominator.
 
-def exact_sum(xs: Iterable[Fraction]) -> Fraction:
-    """``sum(xs, Fraction(0))`` exactly, with one Fraction addition per denominator.
-
-    The numerators of each distinct denominator add as Python ints; only the
-    per-denominator totals pay for Fraction addition and its gcd. Weights
-    and dependence entries share a few denominators, so a sum over n entries
-    costs n int additions instead of n Fraction additions.
+    ``num`` holds ints for a DiscreteMeasure, and rows of ints for a
+    JointMeasure or a DependenceMatrix.
     """
-    by_den: dict[int, int] = {}
-    for x in xs:
-        by_den[x.denominator] = by_den.get(x.denominator, 0) + x.numerator
-    return sum((Fraction(num, den) for den, num in by_den.items()), ZERO)
+
+    num: Sequence
+    den: int
 
 
 def as_fraction(x) -> Fraction:
@@ -47,96 +52,161 @@ def as_fraction(x) -> Fraction:
     raise InputError(f"cannot coerce {x!r} to an exact rational")
 
 
-@dataclass(frozen=True)
-class DiscreteMeasure:
-    space: FiniteMetricSpace
-    weights: tuple[Fraction, ...]
+def _exact_rows(rows):
+    """(numerator rows, least common denominator, Fraction rows or None) of
+    rows of weights or of a Numerators of rows."""
+    if isinstance(rows, Numerators):
+        num, den = rows
+        if not isinstance(den, int) or den <= 0:
+            raise InputError(f"the denominator must be a positive integer, got {den!r}")
+        if not all(issubclass(t, int) for t in set(map(type, chain.from_iterable(num)))):
+            raise InputError("numerators must be integers")
+        g = math.gcd(den, *(math.gcd(*row) for row in num))
+        if g > 1:
+            return tuple(tuple(x // g for x in row) for row in num), den // g, None
+        return tuple(map(tuple, num)), den, None
+    view = tuple(tuple(map(as_fraction, row)) for row in rows)
+    # the lcm of reduced denominators leaves the numerators and den coprime
+    dens = {x.denominator for row in view for x in row}
+    den = math.lcm(*dens)
+    scale = {d: den // d for d in dens}
+    num = tuple(tuple(x.numerator * scale[x.denominator] for x in row) for row in view)
+    return num, den, view
 
-    def __post_init__(self) -> None:
-        w = tuple(as_fraction(x) for x in self.weights)
-        object.__setattr__(self, "weights", w)
-        if len(w) != len(self.space):
+
+def _fraction_rows(num, den: int) -> tuple[tuple[Fraction, ...], ...]:
+    """Fraction rows of numerator rows over den, one Fraction per distinct numerator."""
+    of = {x: Fraction(x, den) for x in set(chain.from_iterable(num))}
+    return tuple(tuple(map(of.__getitem__, row)) for row in num)
+
+
+class _Exact:
+    """Numerator rows over one denominator, immutable, with a lazy Fraction view."""
+
+    __slots__ = ("num", "den", "_view")
+
+    def _store(self, rows, **spaces) -> None:
+        num, den, view = _exact_rows(rows)
+        for name, value in dict(spaces, num=num, den=den, _view=view).items():
+            object.__setattr__(self, name, value)
+
+    def _fractions(self, rows) -> tuple[tuple[Fraction, ...], ...]:
+        if self._view is None:
+            object.__setattr__(self, "_view", _fraction_rows(rows, self.den))
+        return self._view
+
+    def _check_shape(self, what: str) -> None:
+        if len(self.num) != len(self.space1) or any(len(r) != len(self.space2) for r in self.num):
+            raise InputError(f"{what} shape does not match the two spaces")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, not by setting slots
+        spaces = (getattr(self, name) for name in type(self).__slots__)
+        return type(self), (*spaces, Numerators(self.num, self.den))
+
+
+class DiscreteMeasure(_Exact):
+    """A probability measure on ``space``: weight num[i] / den at point i."""
+
+    __slots__ = ("space",)
+
+    def __init__(self, space: FiniteMetricSpace, weights) -> None:
+        if isinstance(weights, Numerators):
+            self._store(Numerators((weights.num,), weights.den), space=space)
+        else:
+            self._store((weights,), space=space)
+        object.__setattr__(self, "num", self.num[0])
+        if len(self.num) != len(space):
             raise InputError("weight count does not match point count")
-        # a Fraction's denominator is positive, so its sign is its numerator's
-        if any(x.numerator < 0 for x in w):
+        if min(self.num, default=0) < 0:
             raise InputError("weights must be nonnegative")
-        total = exact_sum(w)
-        if total != ONE:
-            raise InputError(f"weights must sum to exactly 1 (got {total})")
+        if sum(self.num) != self.den:
+            raise InputError(f"weights must sum to exactly 1 (got {Fraction(sum(self.num), self.den)})")
+
+    @property
+    def weights(self) -> tuple[Fraction, ...]:
+        return self._fractions((self.num,))[0]
 
     def support(self) -> tuple[int, ...]:
-        return tuple(i for i, w in enumerate(self.weights) if w > 0)
+        return tuple(i for i, x in enumerate(self.num) if x)
 
 
-@dataclass(frozen=True)
-class JointMeasure:
-    space1: FiniteMetricSpace
-    space2: FiniteMetricSpace
-    weights: tuple[tuple[Fraction, ...], ...]
+class JointMeasure(_Exact):
+    """A probability measure on space1 x space2: weight num[i][k] / den at (i, k)."""
 
-    def __post_init__(self) -> None:
-        w = tuple(tuple(as_fraction(x) for x in row) for row in self.weights)
-        object.__setattr__(self, "weights", w)
-        if len(w) != len(self.space1) or any(len(r) != len(self.space2) for r in w):
-            raise InputError("weight matrix shape does not match the two spaces")
-        if any(x.numerator < 0 for row in w for x in row):
+    __slots__ = ("space1", "space2")
+
+    def __init__(self, space1: FiniteMetricSpace, space2: FiniteMetricSpace, weights) -> None:
+        self._store(weights, space1=space1, space2=space2)
+        self._check_shape("weight matrix")
+        if min(chain.from_iterable(self.num), default=0) < 0:
             raise InputError("weights must be nonnegative")
-        total = exact_sum(x for row in w for x in row)
-        if total != ONE:
-            raise InputError(f"weights must sum to exactly 1 (got {total})")
+        total = sum(map(sum, self.num))
+        if total != self.den:
+            raise InputError(f"weights must sum to exactly 1 (got {Fraction(total, self.den)})")
+
+    @property
+    def weights(self) -> tuple[tuple[Fraction, ...], ...]:
+        return self._fractions(self.num)
 
 
-@dataclass(frozen=True)
-class DependenceMatrix:
+class DependenceMatrix(_Exact):
     """Signed matrix joint - product(marginals); rows and columns sum to zero."""
 
-    space1: FiniteMetricSpace
-    space2: FiniteMetricSpace
-    entries: tuple[tuple[Fraction, ...], ...]
+    __slots__ = ("space1", "space2")
 
-    def __post_init__(self) -> None:
-        e = tuple(tuple(as_fraction(x) for x in row) for row in self.entries)
-        object.__setattr__(self, "entries", e)
-        if len(e) != len(self.space1) or any(len(r) != len(self.space2) for r in e):
-            raise InputError("entry matrix shape does not match the two spaces")
-        if any(exact_sum(row) != ZERO for row in e):
+    def __init__(self, space1: FiniteMetricSpace, space2: FiniteMetricSpace, entries) -> None:
+        self._store(entries, space1=space1, space2=space2)
+        self._check_shape("entry matrix")
+        if any(map(sum, self.num)):
             raise InputError("every row of a dependence matrix must sum to 0")
-        if any(exact_sum(col) != ZERO for col in zip(*e)):
+        if any(map(sum, zip(*self.num))):
             raise InputError("every column of a dependence matrix must sum to 0")
+
+    @property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        return self._fractions(self.num)
 
 
 def uniform(space: FiniteMetricSpace) -> DiscreteMeasure:
     n = len(space)
-    return DiscreteMeasure(space, tuple(Fraction(1, n) for _ in range(n)))
+    return DiscreteMeasure(space, Numerators((1,) * n, n))
 
 
 def delta(space: FiniteMetricSpace, index: int) -> DiscreteMeasure:
     if not 0 <= index < len(space):
         raise InputError("delta index out of range")
-    return DiscreteMeasure(
-        space, tuple(ONE if i == index else ZERO for i in range(len(space)))
-    )
+    return DiscreteMeasure(space, Numerators(tuple(int(i == index) for i in range(len(space))), 1))
+
+
+def _row_and_column_sums(j: JointMeasure) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    return tuple(map(sum, j.num)), tuple(map(sum, zip(*j.num)))
 
 
 def marginals(j: JointMeasure) -> tuple[DiscreteMeasure, DiscreteMeasure]:
     """Row sums and column sums as DiscreteMeasures on the factor spaces."""
-    rows = tuple(exact_sum(row) for row in j.weights)
-    cols = tuple(exact_sum(col) for col in zip(*j.weights))
-    return DiscreteMeasure(j.space1, rows), DiscreteMeasure(j.space2, cols)
+    rows, cols = _row_and_column_sums(j)
+    return (
+        DiscreteMeasure(j.space1, Numerators(rows, j.den)),
+        DiscreteMeasure(j.space2, Numerators(cols, j.den)),
+    )
 
 
 def product_measure(m1: DiscreteMeasure, m2: DiscreteMeasure) -> JointMeasure:
-    w = tuple(tuple(a * b for b in m2.weights) for a in m1.weights)
-    return JointMeasure(m1.space, m2.space, w)
+    num = tuple(tuple(a * b for b in m2.num) for a in m1.num)
+    return JointMeasure(m1.space, m2.space, Numerators(num, m1.den * m2.den))
 
 
 def dependence_matrix(j: JointMeasure) -> DependenceMatrix:
-    m1, m2 = marginals(j)
-    entries = tuple(
-        tuple(j.weights[i][k] - m1.weights[i] * m2.weights[k] for k in range(len(j.space2)))
-        for i in range(len(j.space1))
-    )
-    return DependenceMatrix(j.space1, j.space2, entries)
+    """Entries w_ik - r_i c_k for the joint weights w = num / L and its row and
+    column sums r and c: (L num_ik - R_i C_k) / L^2 with R, C the numerator sums."""
+    big_l = j.den
+    rows, cols = _row_and_column_sums(j)
+    num = [[big_l * w - r * c for w, c in zip(row, cols)] for row, r in zip(j.num, rows)]
+    return DependenceMatrix(j.space1, j.space2, Numerators(num, big_l * big_l))
 
 
 def _check_map(f: Sequence[int], n_from: int, n_to: int, what: str) -> tuple[int, ...]:
@@ -153,10 +223,10 @@ def pushforward(
 ) -> DiscreteMeasure:
     """Image measure under an index map into ``target``. Mass is preserved exactly."""
     fm = _check_map(f, len(m.space), len(target), "pushforward map")
-    out = [ZERO] * len(target)
-    for i, w in enumerate(m.weights):
-        out[fm[i]] += w
-    return DiscreteMeasure(target, tuple(out))
+    out = [0] * len(target)
+    for i, x in enumerate(m.num):
+        out[fm[i]] += x
+    return DiscreteMeasure(target, Numerators(out, m.den))
 
 
 def pushforward_joint(
@@ -169,12 +239,12 @@ def pushforward_joint(
     """Coordinatewise image (x,y) -> (u(x), v(y)); commutes with marginals."""
     um = _check_map(u, len(j.space1), len(target1), "first coordinate map")
     vm = _check_map(v, len(j.space2), len(target2), "second coordinate map")
-    out = [[ZERO] * len(target2) for _ in range(len(target1))]
-    for i, row in enumerate(j.weights):
-        for k, w in enumerate(row):
-            if w:
-                out[um[i]][vm[k]] += w
-    return JointMeasure(target1, target2, tuple(tuple(r) for r in out))
+    out = [[0] * len(target2) for _ in range(len(target1))]
+    for i, row in enumerate(j.num):
+        for k, x in enumerate(row):
+            if x:
+                out[um[i]][vm[k]] += x
+    return JointMeasure(target1, target2, Numerators(out, j.den))
 
 
 def joint_and_product_on_product(
@@ -182,7 +252,10 @@ def joint_and_product_on_product(
 ) -> tuple[DiscreteMeasure, DiscreteMeasure]:
     """The joint law and the product of its marginals on one shared product space."""
     space = product_space(j.space1, j.space2, kind)
-    m1, m2 = marginals(j)
-    flat_joint = tuple(w for row in j.weights for w in row)
-    flat_prod = tuple(a * b for a in m1.weights for b in m2.weights)
-    return DiscreteMeasure(space, flat_joint), DiscreteMeasure(space, flat_prod)
+    rows, cols = _row_and_column_sums(j)
+    flat_joint = tuple(chain.from_iterable(j.num))
+    flat_prod = tuple(r * c for r in rows for c in cols)
+    return (
+        DiscreteMeasure(space, Numerators(flat_joint, j.den)),
+        DiscreteMeasure(space, Numerators(flat_prod, j.den * j.den)),
+    )

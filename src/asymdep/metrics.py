@@ -39,7 +39,6 @@ from .measures import (
     DiscreteMeasure,
     JointMeasure,
     dependence_matrix,
-    exact_sum,
     joint_and_product_on_product,
     marginals,
 )
@@ -96,24 +95,23 @@ class MetricValue:
 
 def variation_norm(d: DependenceMatrix) -> MetricValue:
     """Total variation: sum of absolute entries (the AI-4 functional)."""
-    total = exact_sum(abs(x) for row in d.entries for x in row)
-    signs = tuple(tuple(1 if x >= 0 else -1 for x in row) for row in d.entries)
+    total = Fraction(sum(map(abs, itertools.chain.from_iterable(d.num))), d.den)
+    signs = tuple(tuple(1 if x >= 0 else -1 for x in row) for row in d.num)
     return MetricValue(MetricName.VARIATION, total, True, {"signs": signs})
 
 
 def _best_signs(j: JointMeasure, mode: str):
     """The hypercube kernel's best row signs f for the dependence matrix D.
 
-    D is scaled by the lcm L of its denominators to the integer matrix N, so
-    the kernel runs exactly. Returns (f, f^T N, L).
+    D is N / L for its integer numerators N over its least common
+    denominator L (the lcm of the entries' reduced denominators), so the
+    kernel runs exactly. Returns (f, f^T N, L).
     """
-    d = dependence_matrix(j).entries
-    scale = math.lcm(*(x.denominator for row in d for x in row))
-    n = np.array([[x.numerator * (scale // x.denominator) for x in row] for row in d],
-                 dtype=object)
+    d = dependence_matrix(j)
+    n = np.array(d.num, dtype=object)
     _, a, _ = hypercube_bilinear_max(BilinearInstance(n), mode=mode)
     f = tuple(int(x) for x in a)
-    return f, [sum(s * x for s, x in zip(f, col)) for col in zip(*n)], scale
+    return f, [sum(s * x for s, x in zip(f, col)) for col in zip(*n)], d.den
 
 
 def alpha_coefficient(j: JointMeasure, mode: str = "exact") -> MetricValue:
@@ -258,11 +256,10 @@ def prokhorov_distance(m1: DiscreteMeasure, m2: DiscreteMeasure) -> MetricValue:
     s1, s2 = m1.support(), m2.support()
     union = len(set(s1) | set(s2))
     _require_support(union, PROKHOROV_SUPPORT_CUTOFF, "prokhorov_distance max-flow")
-    w1 = [m1.weights[i] for i in s1]
-    w2 = [m2.weights[k] for k in s2]
-    scale = math.lcm(*(w.denominator for w in w1 + w2))
-    cap1 = [w.numerator * (scale // w.denominator) for w in w1]
-    cap2 = [w.numerator * (scale // w.denominator) for w in w2]
+    # zero weights have denominator 1, so this is the lcm over the supports
+    scale = math.lcm(m1.den, m2.den)
+    cap1 = [m1.num[i] * (scale // m1.den) for i in s1]
+    cap2 = [m2.num[k] * (scale // m2.den) for k in s2]
     s1, s2 = np.array(s1, dtype=np.intp), np.array(s2, dtype=np.intp)
     best, eps = None, 0.0
     while best is None or eps < best[0]:
@@ -356,7 +353,10 @@ def bl_distance(m1: DiscreteMeasure, m2: DiscreteMeasure) -> MetricValue:
     _require_support(n, BL_SUPPORT_CUTOFF, "bl_distance LP")
     if n == 0:
         raise InputError("empty support")
-    c = [float(m1.weights[i] - m2.weights[i]) for i in support]
+    # int true division rounds correctly, as float() of the Fraction does
+    scale = math.lcm(m1.den, m2.den)
+    f1, f2 = scale // m1.den, scale // m2.den
+    c = [(m1.num[i] * f1 - m2.num[i] * f2) / scale for i in support]
     a_idx, b_idx, d_ab = _essential_pairs(m1.space.dist[np.ix_(support, support)])
     constraints = []
     for a, b, d in zip(a_idx.tolist(), b_idx.tolist(), d_ab.tolist()):

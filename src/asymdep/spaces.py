@@ -28,8 +28,8 @@ COORD_DIST_TOL = 1e-12
 
 # A line space holds n x n float64 distances and a temporary of the same size,
 # 2 x 128 MB at 4096 points, the binary_coding n = 12 space: building that
-# family takes 0.3-0.6 s and 286 MB peak RSS (2-vCPU VM, Python 3.11, two
-# runs). Larger line spaces, from line_space or rebuilt by the loader from
+# family takes about 0.11 s and 286 MB peak RSS (2-vCPU VM, Python 3.11,
+# two runs). Larger line spaces, from line_space or rebuilt by the loader from
 # coords, are refused before anything n x n is allocated.
 LINE_SPACE_MAX_POINTS = 4096
 

@@ -11,7 +11,10 @@ from asymdep import (
     report_markdown,
     sweep,
 )
-from asymdep.analysis import build_family, FAMILY_NAMES
+from asymdep import families
+from asymdep.analysis import METRICS, build_family, FAMILY_NAMES
+from asymdep.cli import main
+from asymdep.io import read_report_csv
 
 F = Fraction
 
@@ -148,6 +151,37 @@ def test_sweep_reports_capability_gaps_without_aborting():
     # alpha still produced a full series and a verdict
     assert len(report.series("alpha")) == 4
     assert report.verdicts["AI-3"].verdict == "CONVERGES"
+
+
+def test_sweep_reports_a_family_it_cannot_build_as_gap_rows(monkeypatch):
+    # binary_coding n is refused once 2^n exceeds the cap: n >= 4 under a cap of 8
+    monkeypatch.setattr(families, "LINE_SPACE_MAX_POINTS", 8)
+    with pytest.raises(CapabilityError) as refused:
+        build_family("binary_coding", 4)
+    spec = SweepSpec("binary_coding", (1, 2, 3, 4, 5), ("variation", "alpha", "prokhorov"))
+    report = sweep(spec)
+    assert len(report.rows) == 15
+    for r in report.rows:
+        if r.n <= 3:
+            assert r.value is not None and not r.note
+        else:
+            assert r.value is None and not r.exact
+            assert r.mode == METRICS[r.metric].mode
+    assert {r.note for r in report.rows if r.n == 4} == {str(refused.value)}
+    assert {r.note for r in report.rows if r.n == 5} == {"binary coding n=5 has 2^5 points, above LINE_SPACE_MAX_POINTS"}
+    assert report.series("variation") == [(1, 1.0), (2, 1.0), (3, 1.0)]
+
+
+def test_cli_sweep_past_an_unbuildable_n_exits_zero_with_gap_rows(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(families, "LINE_SPACE_MAX_POINTS", 8)
+    out = tmp_path / "report.csv"
+    argv = ["sweep", "--family", "binary_coding", "--n-from", "3", "--n-to", "4",
+            "--select", "variation", "--out", str(out)]
+    assert main(argv) == 0
+    rows = read_report_csv(str(out))
+    assert [(r["n"], r["value"]) for r in rows] == [(3, 1), (4, None)]
+    assert "LINE_SPACE_MAX_POINTS" in rows[1]["certificate_ref"]
+    assert "| binary_coding | 4 | variation | - |" in capsys.readouterr().out
 
 
 def test_sweep_is_deterministic():

@@ -29,6 +29,7 @@ from asymdep import (
     two_state_chain,
     variation_norm,
 )
+from asymdep import families
 from asymdep.families import (
     binary_coding_weight,
     matrix_power,
@@ -284,6 +285,21 @@ def test_checker_laws_match_nested_sum_oracles(seed):
     xy, delta = _oracle_conditional(conditional.weights)
     assert conditional.xy_marginal().weights == xy
     assert conditional.delta == delta
+
+
+def test_checkers_reuse_their_line_spaces(monkeypatch):
+    coupling, conditional = random_coupling_instance(3), random_conditional_indep_instance(3)
+
+    def rebuilt(*args, **kwargs):
+        raise AssertionError("a checker built a line space after its constructor")
+
+    monkeypatch.setattr(families, "line_space", rebuilt)
+    for inst in (coupling, conditional):
+        a, b = inst.xy_marginal(), inst.xy_marginal()
+        assert a.space1 is b.space1 and a.space2 is b.space2
+    # E1 = E2 = {0, 1, 2}: one space serves both factors
+    assert coupling.pair_spaces[0] is coupling.pair_spaces[1]
+    assert conditional.y_space is conditional.joint.space1
 
 
 def test_checker_weights_stay_nested_fractions():

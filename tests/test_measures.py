@@ -20,7 +20,6 @@ from asymdep import (
     uniform,
 )
 from asymdep.families import random_joint
-from asymdep.measures import exact_sum
 
 F = Fraction
 
@@ -150,24 +149,3 @@ def test_total_mass_preserved_by_pushforward(flat):
     t = line_space([0.0])
     pushed = pushforward_joint(j, [0, 0, 0], [0, 0], t, t)
     assert pushed.weights[0][0] == 1
-
-
-# denominators both shared (a few small ones) and distinct (up to 2^70)
-fractions = st.builds(
-    F,
-    st.integers(min_value=-2 ** 70, max_value=2 ** 70),
-    st.one_of(st.sampled_from([1, 2, 3, 6, 2 ** 70]), st.integers(min_value=1, max_value=2 ** 70)),
-)
-
-
-@settings(max_examples=200, deadline=None)
-@given(xs=st.lists(fractions, max_size=40))
-def test_exact_sum_equals_sum(xs):
-    got = exact_sum(xs)
-    assert isinstance(got, F)
-    assert got == sum(xs, F(0))
-
-
-def test_exact_sum_of_nothing_is_zero():
-    assert exact_sum([]) == 0 and isinstance(exact_sum([]), F)
-    assert exact_sum(iter(())) == 0
