@@ -34,7 +34,7 @@ beta = beta_partition(joint)
 cov = cov_sup_pm1(joint)
 pi = prokhorov_to_product_upper(joint)
 bl = bl_to_product(joint)
-cf, t, s = cf_gap_lattice(joint)
+cf = cf_gap_lattice(joint)
 
 print(f"variation norm      = {var.value}   (AI-4 scale)")
 print(f"alpha (rectangles)  = {alpha.value}   witness A={alpha.certificate['A']}, "
@@ -45,7 +45,8 @@ print(f"cov_sup over +/-1   = {cov.value}   f={cov.certificate['f']}, "
 print(f"prokhorov to product <= {pi.value:.6f}   (epsilon = "
       f"{pi.certificate['epsilon']:.6f})")
 print(f"bounded-Lipschitz   = {bl.value:.6f}")
-print(f"max cf gap on lattice = {cf:.6f}   at t={t}, s={s}")
+print(f"max cf gap on lattice = {cf.value:.6f}   at t={cf.certificate['t']}, "
+      f"s={cf.certificate['s']}")
 print()
 
 print("structural identities on finite supports:")
@@ -59,5 +60,5 @@ print()
 print("re-evaluating certificates from scratch:")
 for mv in (var, alpha, beta, cov):
     again = evaluate_certificate(mv, dep=dep)
-    print(f"  {mv.name.value:<14} certificate re-evaluates to {again} "
+    print(f"  {mv.name:<14} certificate re-evaluates to {again} "
           f"(match: {again == mv.value})")

@@ -28,7 +28,6 @@ from .engines import (
     solve_lp,
 )
 from .metrics import (
-    MetricName,
     MetricValue,
     alpha_coefficient,
     beta_partition,

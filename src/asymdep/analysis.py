@@ -1,7 +1,9 @@
 """n-sweeps over families and decay classification per AI condition.
 
 A sweep computes a set of dependence metrics for each n in a family, then
-classifies each metric series as CONVERGES / STALLS / INCONCLUSIVE. The
+classifies each metric series as CONVERGES / STALLS / INCONCLUSIVE. Which
+metric serves which AI condition, and how it is computed, is the table
+``metrics.METRICS``; every row keeps its certified MetricValue. The
 thresholds below are artifact policy: limits in the source definitions are
 asymptotic, so a finite-sample decision rule is required; they are chosen so
 the packaged families classify according to their known behavior with as few
@@ -12,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable
 
 from .errors import CapabilityError, InputError
 from .families import (
@@ -20,19 +21,9 @@ from .families import (
     bernoulli_perturbation_family,
     binary_coding_family,
     markov_shift_family,
-    rectangle_gap,
     two_state_chain,
 )
-from .measures import dependence_matrix
-from .metrics import (
-    alpha_coefficient,
-    beta_partition,
-    bl_to_product,
-    cf_gap_lattice,
-    cov_sup_pm1,
-    prokhorov_to_product_upper,
-    variation_norm,
-)
+from .metrics import METRICS, JointCase, MetricValue
 from .spaces import ProductMetricKind
 
 VERDICT_CONVERGES = "CONVERGES"
@@ -45,68 +36,26 @@ STALL_FRAC = 0.75  # the whole second half holding at this stalls
 MIN_FIT_QUALITY = 0.8  # r^2 a decreasing fit needs for CONVERGES
 
 
-def _rectangle(inst: FamilyInstance, kind: ProductMetricKind) -> Fraction:
-    rect = inst.params.get("rectangle")
-    if rect is None:
-        raise CapabilityError(f"family {inst.family!r} declares no AI-2 rectangle")
-    return rectangle_gap(inst.joint, *rect)
-
-
-@dataclass(frozen=True)
-class Metric:
-    """One registry entry: how a sweep cell or a CLI row gets its value.
-
-    compute(inst, product_metric) returns the value; mode is "exact"
-    (rational), "numeric" (float from max-flow or LP) or "lattice" (float
-    maximum over the fixed cf test points).
-    """
-
-    name: str
-    compute: Callable[[FamilyInstance, ProductMetricKind], Fraction | float]
-    condition: str
-    mode: str
-
-    @property
-    def exact(self) -> bool:
-        return self.mode == "exact"
-
-
-# Ordered by AI condition, strongest first; within a condition, the first
-# metric with a full series gives the verdict. The lambdas look the metric
-# functions up when called, so a patched module-level name takes effect.
-METRICS = {
-    m.name: m
-    for m in (
-        Metric(
-            "variation",
-            lambda inst, kind: variation_norm(dependence_matrix(inst.joint)).value,
-            "AI-4",
-            "exact",
-        ),
-        Metric("beta", lambda inst, kind: beta_partition(inst.joint).value, "AI-4", "exact"),
-        Metric("alpha", lambda inst, kind: alpha_coefficient(inst.joint).value, "AI-3", "exact"),
-        Metric("cov_sup", lambda inst, kind: cov_sup_pm1(inst.joint).value, "AI-3", "exact"),
-        Metric("rectangle", _rectangle, "AI-2", "exact"),
-        Metric(
-            "prokhorov",
-            lambda inst, kind: prokhorov_to_product_upper(inst.joint, kind).value,
-            "AI-1",
-            "numeric",
-        ),
-        Metric("bl", lambda inst, kind: bl_to_product(inst.joint, kind).value, "AI-1", "numeric"),
-        Metric("cf", lambda inst, kind: cf_gap_lattice(inst.joint)[0], "AI-0", "lattice"),
-    )
-}
-
-KNOWN_METRICS = tuple(METRICS)
-
 # AI condition -> the metrics that operationalize it, in priority order
 AI_CONDITION_METRICS = {
-    c: tuple(m.name for m in METRICS.values() if m.condition == c)
+    c: tuple(name for name, m in METRICS.items() if m.condition == c)
     for c in dict.fromkeys(m.condition for m in METRICS.values())
 }
 
-FAMILY_NAMES = ("binary_coding", "bernoulli_perturbation", "markov_shift")
+
+def _markov_shift(n: int, params: dict) -> FamilyInstance:
+    transition, stationary = two_state_chain(params.get("p", Fraction(1, 4)))
+    return markov_shift_family(transition, stationary, n)
+
+
+# family name -> builder(n, params); the lambdas look the builders up when called
+FAMILIES = {
+    "binary_coding": lambda n, params: binary_coding_family(n),
+    "bernoulli_perturbation": lambda n, params: bernoulli_perturbation_family(n),
+    "markov_shift": _markov_shift,
+}
+
+FAMILY_NAMES = tuple(FAMILIES)
 
 
 @dataclass(frozen=True)
@@ -131,7 +80,7 @@ class SweepSpec:
         if not ns or any(b <= a for a, b in zip(ns, ns[1:])):
             raise InputError("n values must be nonempty and strictly increasing")
         mets = tuple(self.metrics)
-        unknown = [m for m in mets if m not in KNOWN_METRICS]
+        unknown = [m for m in mets if m not in METRICS]
         if unknown:
             raise InputError(f"unknown metrics requested: {unknown}")
         object.__setattr__(self, "metrics", mets)
@@ -139,13 +88,25 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class SweepRow:
+    """One metric at one n; a gap row has no result and says why in note."""
+
     family: str
     n: int
     metric: str
-    value: Fraction | float | None
-    exact: bool
-    mode: str
+    result: MetricValue | None
     note: str = ""
+
+    @property
+    def value(self) -> Fraction | float | None:
+        return None if self.result is None else self.result.value
+
+    @property
+    def exact(self) -> bool:
+        return self.result is not None and self.result.exact
+
+    @property
+    def mode(self) -> str:
+        return METRICS[self.metric].mode
 
 
 @dataclass(frozen=True)
@@ -182,6 +143,8 @@ def classify_decay(series) -> DecayVerdict:
     half of the series holds at STALL_FRAC of the peak. Otherwise
     INCONCLUSIVE. The thresholds classify slow 1/sqrt(n)-type decay as
     convergent from as few as 4 points while keeping flat series stalled.
+    Each fit needs 3 positive points: the power law takes those with n >= 1,
+    the exponential all of them.
     """
     pts = [(int(n), max(float(v), 0.0)) for n, v in series]
     if len(pts) < 4:
@@ -194,15 +157,14 @@ def classify_decay(series) -> DecayVerdict:
     tail = values[len(values) // 2 :]
     if min(tail) >= STALL_FRAC * peak:
         return DecayVerdict(VERDICT_STALLS)
-    positive = [(n, v) for n, v in pts if v > 0]
+    positive = [(n, math.log(v)) for n, v in pts if v > 0]
     best = None
-    if len(positive) >= 3:
-        logs = [math.log(v) for _, v in positive]
-        for model, xs in (
-            ("power", [math.log(n) for n, _ in positive]),
-            ("exponential", [float(n) for n, _ in positive]),
-        ):
-            slope, r2 = _fit_loglog(xs, logs)
+    for model, fit in (
+        ("power", [(math.log(n), y) for n, y in positive if n >= 1]),
+        ("exponential", [(float(n), y) for n, y in positive]),
+    ):
+        if len(fit) >= 3:
+            slope, r2 = _fit_loglog(*zip(*fit))
             if best is None or r2 > best[2]:
                 best = (model, slope, r2)
     if (
@@ -216,50 +178,41 @@ def classify_decay(series) -> DecayVerdict:
 
 
 def build_family(name: str, n: int, params: dict | None = None) -> FamilyInstance:
-    params = dict(params or {})
-    if name == "binary_coding":
-        return binary_coding_family(n)
-    if name == "bernoulli_perturbation":
-        return bernoulli_perturbation_family(n)
-    if name == "markov_shift":
-        p = params.get("p", Fraction(1, 4))
-        transition, stationary = two_state_chain(p)
-        return markov_shift_family(transition, stationary, n)
-    raise InputError(f"unknown family {name!r}")
+    builder = FAMILIES.get(name)
+    if builder is None:
+        raise InputError(f"unknown family {name!r}")
+    return builder(n, dict(params or {}))
 
 
-def metric_row(inst: FamilyInstance, metric: str, kind: ProductMetricKind) -> SweepRow:
-    """The registry cell for one metric on one family instance."""
+def metric_row(family: str, n: int, case: JointCase, metric: str) -> SweepRow:
+    """The table cell for one metric on one joint."""
     entry = METRICS.get(metric)
     if entry is None:
         raise InputError(f"unknown metric {metric!r}")
-    value = entry.compute(inst, kind)
-    return SweepRow(inst.family, inst.n, metric, value, entry.exact, entry.mode)
-
-
-def _gap_row(spec: SweepSpec, n: int, metric: str, exc: CapabilityError) -> SweepRow:
-    return SweepRow(spec.family, n, metric, None, False, METRICS[metric].mode, note=str(exc))
+    return SweepRow(family, n, metric, entry.compute(case))
 
 
 def sweep(spec: SweepSpec) -> DecayReport:
     """Compute every requested metric at every n and classify each AI condition.
 
-    A CapabilityError leaves gap rows (no value, the message in ``note``):
-    one for a metric that refuses at some n, one per requested metric at an
-    n where the family cannot be built.
+    The metrics at one n share one JointCase. A CapabilityError leaves gap
+    rows (no value, the message in ``note``): one for a metric that refuses
+    at some n, one per requested metric at an n where the family cannot be
+    built.
     """
     rows = []
     for n in spec.n_values:
         try:
             inst = build_family(spec.family, n, spec.family_params)
         except CapabilityError as exc:
-            rows.extend(_gap_row(spec, n, metric, exc) for metric in spec.metrics)
+            rows.extend(SweepRow(spec.family, n, m, None, str(exc)) for m in spec.metrics)
             continue
+        case = JointCase(inst.joint, spec.product_metric, inst.params.get("rectangle"))
         for metric in spec.metrics:
             try:
-                rows.append(metric_row(inst, metric, spec.product_metric))
+                rows.append(metric_row(spec.family, n, case, metric))
             except CapabilityError as exc:
-                rows.append(_gap_row(spec, n, metric, exc))
+                rows.append(SweepRow(spec.family, n, metric, None, str(exc)))
     rows.sort(key=lambda r: (r.n, r.metric))
     report = DecayReport(tuple(rows), {})
     for condition, candidates in AI_CONDITION_METRICS.items():

@@ -20,8 +20,8 @@ from . import analysis, io, verify
 from .analysis import SweepSpec, classify_decay, report_markdown, sweep
 from .analysis import FAMILY_NAMES
 from .errors import CapabilityError, InputError, SolverError
-from .families import FamilyInstance
 from .measures import JointMeasure
+from .metrics import JointCase
 from .spaces import ProductMetricKind
 
 
@@ -58,9 +58,8 @@ def cmd_metrics(args) -> int:
     if not isinstance(j, JointMeasure):
         raise InputError("metrics requires a joint-measure JSON file (two spaces)")
     selected = [m.strip() for m in args.select.split(",") if m.strip()]
-    kind = _product_kind(args.product_metric)
-    inst = FamilyInstance("file", 0, j)
-    rows = [analysis.metric_row(inst, metric, kind) for metric in selected]
+    case = JointCase(j, _product_kind(args.product_metric), None)
+    rows = [analysis.metric_row("file", 0, case, metric) for metric in selected]
     for r in rows:
         print(f"{r.metric}: {io.value_to_str(r.value, r.exact)} (exact={r.exact})")
     if args.out:

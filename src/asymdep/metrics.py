@@ -1,26 +1,33 @@
-"""Dependence functionals and distribution distances.
+"""Dependence functionals, distribution distances, and the metric table.
 
-The five graded independence functionals live here:
+The graded independence functionals live here:
 
 * variation_norm        -- total variation of the dependence signed measure
 * alpha_coefficient     -- sup over measurable rectangles of the signed mass
 * beta_partition        -- sup over finite partition pairs (complete regularity)
 * cov_sup_pm1 / cov_gap -- covariance gaps for +-1-valued and general functions
+* rectangle_gap         -- the signed mass of one fixed rectangle
 * prokhorov_distance / bl_distance / cf_gap -- weak-convergence distances
 
 Rational-mode metrics (variation, alpha, beta, cov) are exact; the geometric
 metrics (Prokhorov, bounded-Lipschitz) are float-valued with stated
 tolerances. Each MetricValue carries a certificate that re-evaluates to the
 reported value.
+
+METRICS is the one table from a metric name to its AI condition, its mode,
+the step that computes its MetricValue on a JointCase, and the evaluator
+that evaluate_certificate dispatches to. The metrics asked of one JointCase
+share its dependence matrix, and alpha and cov_sup its sign enumeration.
 """
 from __future__ import annotations
 
 import cmath
-import enum
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -63,18 +70,9 @@ LP_TOL = 1e-9
 ZERO = Fraction(0)
 
 
-class MetricName(enum.Enum):
-    VARIATION = "variation"
-    ALPHA = "alpha"
-    BETA_PARTITION = "beta_partition"
-    COV_SUP = "cov_sup"
-    PROKHOROV = "prokhorov"
-    BL = "bl"
-
-
 @dataclass(frozen=True)
 class MetricValue:
-    name: MetricName
+    name: str  # its key in METRICS
     value: Fraction | float
     exact: bool
     certificate: dict | None = None
@@ -97,17 +95,16 @@ def variation_norm(d: DependenceMatrix) -> MetricValue:
     """Total variation: sum of absolute entries (the AI-4 functional)."""
     total = Fraction(sum(map(abs, itertools.chain.from_iterable(d.num))), d.den)
     signs = tuple(tuple(1 if x >= 0 else -1 for x in row) for row in d.num)
-    return MetricValue(MetricName.VARIATION, total, True, {"signs": signs})
+    return MetricValue("variation", total, True, {"signs": signs})
 
 
-def _best_signs(j: JointMeasure, mode: str):
+def _best_signs(d: DependenceMatrix, mode: str):
     """The hypercube kernel's best row signs f for the dependence matrix D.
 
     D is N / L for its integer numerators N over its least common
     denominator L (the lcm of the entries' reduced denominators), so the
     kernel runs exactly. Returns (f, f^T N, L).
     """
-    d = dependence_matrix(j)
     n = np.array(d.num, dtype=object)
     _, a, _ = hypercube_bilinear_max(BilinearInstance(n), mode=mode)
     f = tuple(int(x) for x in a)
@@ -124,14 +121,18 @@ def alpha_coefficient(j: JointMeasure, mode: str = "exact") -> MetricValue:
     certificate. Heuristic mode uses the kernel's ascent and reports a lower
     bound.
     """
-    f, agg, scale = _best_signs(j, mode)
+    return _alpha(_best_signs(dependence_matrix(j), mode), mode)
+
+
+def _alpha(signs, mode: str) -> MetricValue:
+    f, agg, scale = signs
     a = tuple(i for i, s in enumerate(f) if s > 0)
     b = tuple(k for k, x in enumerate(agg) if x > 0)
     value = Fraction(sum(x for x in agg if x > 0), 2 * scale)
     cert = {"A": a, "B": b}
     if mode == "heuristic":
         cert["lower_bound"] = True
-    return MetricValue(MetricName.ALPHA, value, mode == "exact", cert)
+    return MetricValue("alpha", value, mode == "exact", cert)
 
 
 def beta_partition(j: JointMeasure) -> MetricValue:
@@ -140,12 +141,15 @@ def beta_partition(j: JointMeasure) -> MetricValue:
     Refining a partition never lowers the sum (triangle inequality), so the
     singleton partitions attain the supremum: beta = variation / 2.
     """
-    value = variation_norm(dependence_matrix(j)).value / 2
+    return _beta(dependence_matrix(j))
+
+
+def _beta(d: DependenceMatrix) -> MetricValue:
     cert = {
-        "partition1": tuple((i,) for i in range(len(j.space1))),
-        "partition2": tuple((k,) for k in range(len(j.space2))),
+        "partition1": tuple((i,) for i in range(len(d.space1))),
+        "partition2": tuple((k,) for k in range(len(d.space2))),
     }
-    return MetricValue(MetricName.BETA_PARTITION, value, True, cert)
+    return MetricValue("beta", variation_norm(d).value / 2, True, cert)
 
 
 def cov_sup_pm1(j: JointMeasure, mode: str = "exact") -> MetricValue:
@@ -156,13 +160,26 @@ def cov_sup_pm1(j: JointMeasure, mode: str = "exact") -> MetricValue:
     sign of f^T D, so cov_sup = max_f ||f^T D||_1 = 4 alpha, with the same
     kernel and sign vector as alpha_coefficient.
     """
-    f, agg, scale = _best_signs(j, mode)
+    return _cov_sup(_best_signs(dependence_matrix(j), mode), mode)
+
+
+def _cov_sup(signs, mode: str) -> MetricValue:
+    f, agg, scale = signs
     g = tuple(1 if x >= 0 else -1 for x in agg)
     value = Fraction(sum(abs(x) for x in agg), scale)
     cert = {"f": f, "g": g}
     if mode == "heuristic":
         cert["lower_bound"] = True
-    return MetricValue(MetricName.COV_SUP, value, mode == "exact", cert)
+    return MetricValue("cov_sup", value, mode == "exact", cert)
+
+
+def rectangle_gap(j: JointMeasure, a_indices, b_indices) -> Fraction:
+    """|mu(A x B)| for the dependence matrix mu, exact."""
+    return _rectangle_mass(dependence_matrix(j), a_indices, b_indices)
+
+
+def _rectangle_mass(d: DependenceMatrix, a_indices, b_indices) -> Fraction:
+    return Fraction(abs(sum(d.num[i][k] for i in a_indices for k in b_indices)), d.den)
 
 
 def cov_gap(j: JointMeasure, f, g):
@@ -172,13 +189,7 @@ def cov_gap(j: JointMeasure, f, g):
     """
     if len(f) != len(j.space1) or len(g) != len(j.space2):
         raise InputError("test function length mismatch")
-    d = dependence_matrix(j).entries
-    return sum(
-        f[i] * g[k] * d[i][k]
-        for i in range(len(j.space1))
-        for k in range(len(j.space2))
-        if d[i][k]
-    )
+    return _integral(dependence_matrix(j), [[a * b for b in g] for a in f])
 
 
 def integral_gap(j: JointMeasure, h):
@@ -187,11 +198,15 @@ def integral_gap(j: JointMeasure, h):
     Dividing by max(sup|h|, Lip(h)) turns this into a bounded-Lipschitz
     lower bound.
     """
-    d = dependence_matrix(j).entries
     n1, n2 = len(j.space1), len(j.space2)
     if len(h) != n1 or any(len(row) != n2 for row in h):
         raise InputError("h is not indexed consistently with the joint measure")
-    return sum(h[i][k] * d[i][k] for i in range(n1) for k in range(n2) if d[i][k])
+    return _integral(dependence_matrix(j), h)
+
+
+def _integral(d: DependenceMatrix, h):
+    """sum h(i,k) D_ik over the nonzero entries of D."""
+    return sum(h[i][k] * x for i, row in enumerate(d.entries) for k, x in enumerate(row) if x)
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +291,7 @@ def prokhorov_distance(m1: DiscreteMeasure, m2: DiscreteMeasure) -> MetricValue:
         "outside_mass": 1 - overlap,
         "coupling": tuple((pair, flow) for pair, flow in coupling.items()),
     }
-    return MetricValue(MetricName.PROKHOROV, value, False, cert)
+    return MetricValue("prokhorov", value, False, cert)
 
 
 def _require_support(n: int, cutoff: int, what: str) -> None:
@@ -374,7 +389,7 @@ def bl_distance(m1: DiscreteMeasure, m2: DiscreteMeasure) -> MetricValue:
     # 0.0 first: max returns the first of equal items, so -0.0 reads 0.0
     value = max(0.0, res.value)
     cert = {"support": tuple(support), "h": res.solution}
-    return MetricValue(MetricName.BL, value, False, cert)
+    return MetricValue("bl", value, False, cert)
 
 
 def prokhorov_to_product_upper(
@@ -392,7 +407,7 @@ def prokhorov_to_product_upper(
     mv = prokhorov_distance(mu, nu)
     cert = dict(mv.certificate or {})
     cert["upper_bound_for"] = "distance to the set of product measures"
-    return MetricValue(MetricName.PROKHOROV, mv.value, False, cert)
+    return MetricValue("prokhorov", mv.value, False, cert)
 
 
 def bl_to_product(
@@ -445,8 +460,9 @@ def cf_gap(j: JointMeasure, t, s) -> float:
 DEFAULT_CF_LATTICE = (-3.0, -2.0, -1.0, 1.0, 2.0, 3.0)
 
 
-def cf_gap_lattice(j: JointMeasure):
-    """Max cf_gap over the test points DEFAULT_CF_LATTICE; returns (gap, t, s)."""
+def cf_gap_lattice(j: JointMeasure) -> MetricValue:
+    """Max cf_gap over the test points DEFAULT_CF_LATTICE, the argmax (t, s)
+    as its certificate."""
     if j.space1.coords is None or j.space2.coords is None:
         raise CapabilityError("cf_gap needs coordinate-embedded spaces")
     d1, d2 = j.space1.dim, j.space2.dim
@@ -456,7 +472,8 @@ def cf_gap_lattice(j: JointMeasure):
             g = cf_gap(j, t, s)
             if g > best[0]:
                 best = (g, t, s)
-    return best
+    gap, t, s = best
+    return MetricValue("cf", gap, False, {"t": t, "s": s})
 
 
 def gaussian_cf_gap(mean1, mean2, cov11, cov22, cov12, t, s) -> float:
@@ -481,8 +498,55 @@ def gaussian_cf_gap(mean1, mean2, cov11, cov22, cov12, t, s) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Certificate re-evaluation
+# Certificate evaluators: (certificate, dep, m1, m2) -> value
 # ---------------------------------------------------------------------------
+
+def _variation_from(cert, dep, m1, m2):
+    return _integral(dep, cert["signs"])
+
+
+def _rectangle_from(cert, dep, m1, m2):
+    return _rectangle_mass(dep, cert["A"], cert["B"])
+
+
+def _beta_from(cert, dep, m1, m2):
+    blocks = itertools.product(cert["partition1"], cert["partition2"])
+    return sum((_rectangle_mass(dep, a, b) for a, b in blocks), ZERO) / 2
+
+
+def _cov_sup_from(cert, dep, m1, m2):
+    return abs(_integral(dep, [[a * b for b in cert["g"]] for a in cert["f"]]))
+
+
+def _prokhorov_from(cert, dep, m1, m2):
+    eps = cert["epsilon"]
+    dist = m1.space.dist
+    outside = Fraction(1)
+    for (i, k), flow in cert["coupling"]:
+        if float(dist[i, k]) <= eps:
+            outside -= flow
+    return max(eps, float(outside))
+
+
+def _bl_from(cert, dep, m1, m2):
+    support, h = cert["support"], cert["h"]
+    dist = m1.space.dist
+    for a in range(len(support)):
+        if abs(h[a]) > 1 + LP_TOL:
+            raise InputError("BL certificate violates the bound |h| <= 1")
+        for b in range(a + 1, len(support)):
+            if abs(h[a] - h[b]) > float(dist[support[a], support[b]]) + LP_TOL:
+                raise InputError("BL certificate violates the Lipschitz constraint")
+    return sum(h[a] * float(m1.weights[i] - m2.weights[i]) for a, i in enumerate(support))
+
+
+def _cf_from(cert, dep, m1, m2):
+    """phi_joint(t, s) - phi_X(t) phi_Y(s) = sum D_ik e^{i (t.x_i + s.y_k)}."""
+    u = np.exp(1j * (dep.space1.coords @ np.asarray(cert["t"], dtype=float)))
+    v = np.exp(1j * (dep.space2.coords @ np.asarray(cert["s"], dtype=float)))
+    d = np.array([[float(x) for x in row] for row in dep.entries])
+    return float(abs(u @ d @ v))
+
 
 def evaluate_certificate(
     mv: MetricValue,
@@ -493,51 +557,67 @@ def evaluate_certificate(
 ):
     """Recompute a metric value from its certificate alone.
 
-    Exact metrics re-evaluate to the identical rational; LP/flow metrics to
-    within 1e-9.
+    Exact metrics re-evaluate to the identical rational; LP/flow metrics and
+    cf to within 1e-9. prokhorov and bl need m1 and m2, the others dep.
     """
-    cert = mv.certificate
-    if cert is None:
+    if mv.certificate is None:
         raise InputError("metric value carries no certificate")
-    if mv.name is MetricName.VARIATION:
-        return sum(
-            s * x for srow, row in zip(cert["signs"], dep.entries) for s, x in zip(srow, row)
-        )
-    if mv.name is MetricName.ALPHA:
-        return abs(sum(dep.entries[i][k] for i in cert["A"] for k in cert["B"]))
-    if mv.name is MetricName.BETA_PARTITION:
-        total = ZERO
-        for blk1 in cert["partition1"]:
-            for blk2 in cert["partition2"]:
-                total += abs(sum(dep.entries[i][k] for i in blk1 for k in blk2))
-        return total / 2
-    if mv.name is MetricName.COV_SUP:
-        f, g = cert["f"], cert["g"]
-        return abs(
-            sum(
-                f[i] * g[k] * dep.entries[i][k]
-                for i in range(len(f))
-                for k in range(len(g))
-            )
-        )
-    if mv.name is MetricName.PROKHOROV:
-        eps = cert["epsilon"]
-        dist = m1.space.dist
-        outside = Fraction(1)
-        for (i, k), flow in cert["coupling"]:
-            if float(dist[i, k]) <= eps:
-                outside -= flow
-        return max(eps, float(outside))
-    if mv.name is MetricName.BL:
-        support, h = cert["support"], cert["h"]
-        dist = m1.space.dist
-        for a in range(len(support)):
-            if abs(h[a]) > 1 + LP_TOL:
-                raise InputError("BL certificate violates the bound |h| <= 1")
-            for b in range(a + 1, len(support)):
-                if abs(h[a] - h[b]) > float(dist[support[a], support[b]]) + LP_TOL:
-                    raise InputError("BL certificate violates the Lipschitz constraint")
-        return sum(
-            h[a] * float(m1.weights[i] - m2.weights[i]) for a, i in enumerate(support)
-        )
-    raise InputError(f"no certificate evaluator for {mv.name}")
+    entry = METRICS.get(mv.name)
+    if entry is None:
+        raise InputError(f"no certificate evaluator for {mv.name}")
+    return entry.evaluate(mv.certificate, dep, m1, m2)
+
+
+# ---------------------------------------------------------------------------
+# The metric table
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class JointCase:
+    """A joint law, the product metric of its AI-1 distances and its declared
+    AI-2 rectangle (A, B) or None. The metrics asked of one case share its
+    dependence matrix and its sign enumeration, each built on first use."""
+
+    joint: JointMeasure
+    kind: ProductMetricKind
+    rectangle: tuple | None
+
+    @cached_property
+    def dep(self) -> DependenceMatrix:
+        return dependence_matrix(self.joint)
+
+    @cached_property
+    def signs(self):
+        return _best_signs(self.dep, "exact")
+
+
+def _declared_rectangle(c: JointCase) -> MetricValue:
+    if c.rectangle is None:
+        raise CapabilityError("the joint declares no AI-2 rectangle")
+    a, b = c.rectangle
+    return MetricValue("rectangle", _rectangle_mass(c.dep, a, b), True, {"A": a, "B": b})
+
+
+class MetricEntry(NamedTuple):
+    condition: str  # the AI condition the metric serves
+    mode: str  # "exact" (rational), "numeric" (max-flow or LP), "lattice" (cf test points)
+    compute: Callable[[JointCase], MetricValue]
+    evaluate: Callable  # (certificate, dep, m1, m2) -> the value again
+
+
+# Ordered by AI condition, strongest first; within a condition, the first
+# metric with a full series gives a sweep its verdict. The compute steps look
+# the metric functions up when called, so a rebound module-level name takes
+# effect.
+METRICS = {
+    "variation": MetricEntry("AI-4", "exact", lambda c: variation_norm(c.dep), _variation_from),
+    "beta": MetricEntry("AI-4", "exact", lambda c: _beta(c.dep), _beta_from),
+    "alpha": MetricEntry("AI-3", "exact", lambda c: _alpha(c.signs, "exact"), _rectangle_from),
+    "cov_sup": MetricEntry("AI-3", "exact", lambda c: _cov_sup(c.signs, "exact"), _cov_sup_from),
+    "rectangle": MetricEntry("AI-2", "exact", _declared_rectangle, _rectangle_from),
+    "prokhorov": MetricEntry(
+        "AI-1", "numeric", lambda c: prokhorov_to_product_upper(c.joint, c.kind), _prokhorov_from
+    ),
+    "bl": MetricEntry("AI-1", "numeric", lambda c: bl_to_product(c.joint, c.kind), _bl_from),
+    "cf": MetricEntry("AI-0", "lattice", lambda c: cf_gap_lattice(c.joint), _cf_from),
+}

@@ -202,3 +202,20 @@ def test_report_markdown_mentions_each_metric_and_verdict():
     assert "alpha" in text
     assert "AI-3" in text
     assert "CONVERGES" in text
+
+
+def test_sweep_and_classify_from_n_zero_return_a_verdict(capsys):
+    spec = SweepSpec("markov_shift", (0, 1, 2, 3, 4), ("variation", "alpha"))
+    report = sweep(spec)
+    assert report.verdicts["AI-4"].verdict == "CONVERGES"
+    assert report.verdicts["AI-3"].verdict == "CONVERGES"
+    # the power model is fitted on n >= 1 only; the exponential one on every point
+    v = classify_decay([(0, 1.0), (1, 1.0), (2, 0.5), (3, 1 / 3), (4, 0.25)])
+    assert (v.verdict, v.model) == ("CONVERGES", "power")
+    assert v.rate == pytest.approx(-1.0, abs=1e-6)
+    v = classify_decay([(0, 1.0), (1, 0.5), (2, 0.25), (3, 0.125)])
+    assert (v.verdict, v.model) == ("CONVERGES", "exponential")
+    argv = ["sweep", "--family", "markov_shift", "--n-from", "0", "--n-to", "4",
+            "--select", "variation,alpha"]
+    assert main(argv) == 0
+    assert "| markov_shift | 0 | variation | 1 |" in capsys.readouterr().out

@@ -106,7 +106,7 @@ def test_best_signs_hands_the_kernel_the_lcm_scaled_matrix(w):
         return kernel(inst, mode=mode)
 
     with mock.patch.object(metrics, "hypercube_bilinear_max", spy):
-        f, agg, scale = metrics._best_signs(joint_of(w), "exact")
+        f, agg, scale = metrics._best_signs(dependence_matrix(joint_of(w)), "exact")
     n, want_scale = lcm_scaled(dependence_entries(w))
     assert scale == want_scale
     (matrix,) = seen

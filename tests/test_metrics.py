@@ -11,7 +11,6 @@ from asymdep import (
     FiniteMetricSpace,
     InputError,
     JointMeasure,
-    MetricName,
     ProductMetricKind,
     alpha_coefficient,
     bernoulli_perturbation_family,
@@ -535,8 +534,7 @@ def test_cf_gap_vanishes_for_product_measures():
     s1, s2 = line_space([0.0, 1.0]), line_space([0.0, 1.0, 2.0])
     p = product_measure(uniform(s1), uniform(s2))
     assert cf_gap(p, 1.3, -0.7) == pytest.approx(0.0, abs=1e-12)
-    gap, _, _ = cf_gap_lattice(p)
-    assert gap == pytest.approx(0.0, abs=1e-12)
+    assert cf_gap_lattice(p).value == pytest.approx(0.0, abs=1e-12)
 
 
 def test_cf_gap_against_direct_numpy_evaluation():
@@ -552,7 +550,7 @@ def test_cf_gap_against_direct_numpy_evaluation():
 
 
 def test_cf_gap_of_bernoulli_family_shrinks_with_n():
-    gaps = [cf_gap_lattice(bernoulli_perturbation_family(n).joint)[0] for n in (2, 4, 8, 16)]
+    gaps = [cf_gap_lattice(bernoulli_perturbation_family(n).joint).value for n in (2, 4, 8, 16)]
     assert all(a > b for a, b in zip(gaps, gaps[1:]))
     assert gaps[-1] < gaps[0] / 4
 
@@ -578,7 +576,7 @@ def test_variation_certificate_reevaluates_exactly():
     j = random_joint(1, 4, 4)
     d = dependence_matrix(j)
     mv = variation_norm(d)
-    assert mv.name is MetricName.VARIATION
+    assert mv.name == "variation"
     assert evaluate_certificate(mv, dep=d) == mv.value
 
 

@@ -371,3 +371,26 @@ def test_coords_of_more_than_two_axes_are_rejected():
     with pytest.raises(InputError, match="coords must be"):
         FiniteMetricSpace(("a", "b"), np.array([[0.0, 1.0], [1.0, 0.0]]),
                           coords=np.zeros((2, 1, 1)))
+
+
+# ---------------------------------------------------------------------------
+# Symmetry check in blocks of 64 rows
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "i, j",
+    [
+        (3, 7), (7, 3),          # inside the first block
+        (140, 145), (145, 140),  # inside the last block, a partial one
+        (63, 64), (64, 63),      # on either side of a block edge
+        (10, 100), (100, 10),    # rows of one block, columns of another
+        (0, 149), (149, 0),      # the far corners
+    ],
+)
+def test_asymmetric_entry_is_rejected_in_every_block(i, j):
+    n = 150
+    d = np.full((n, n), 1.0) - np.eye(n)
+    FiniteMetricSpace(tuple(range(n)), d.copy())
+    d[i, j] = 1.5
+    with pytest.raises(InputError, match="must be symmetric"):
+        FiniteMetricSpace(tuple(range(n)), d)
