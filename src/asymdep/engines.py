@@ -5,6 +5,9 @@ that works over any exact numeric type (Fraction capacities stay exact).
 Linear programs are delegated to scipy's HiGHS backend behind a small
 maximize-form wrapper that hands it one sparse constraint matrix; scipy is
 imported on the first solve, so importing the package does not load it.
+The hypercube kernel enumerates sign vectors exactly for integer matrices of
+any size: a float64 screen with a proven rounding bound keeps every sign
+vector that may be optimal, and the survivors are re-ranked in Python ints.
 """
 from __future__ import annotations
 
@@ -225,13 +228,41 @@ def hypercube_bilinear_max(
     The maximum of the convex function |a^T M b| over the cube is attained at
     sign vectors; for fixed a the optimal b is sign(a^T M), and a and -a give
     the same value, so exact mode enumerates the smaller side with its last
-    sign fixed. Heuristic mode runs alternating ascent from seeded random
-    starts and reports a lower bound.
+    sign fixed (sign vector a of mask t has a_i = +1 where bit i of t is set)
+    and returns the lowest mask of largest value. Heuristic mode runs
+    alternating ascent from seeded random starts and reports a lower bound.
 
-    Integer instances are exact in both modes: the enumeration runs in
-    float64 while sum |M| < 2^53, which keeps every partial sum an exactly
-    represented integer, and in Python ints above that; the value is a
-    Python int re-derived from the sign vectors. a and b are float arrays.
+    Integer instances are exact in both modes; the value is a Python int
+    re-derived from the sign vectors, and a and b are float arrays. Exact
+    mode screens every sign vector in float64 and re-ranks the survivors in
+    Python ints. With S = sum |M| and s = max(0, bitlength(S) - 1000), the
+    screen scores v^(a) = sum_j |fl(a^T F)_j| for F = fl(M / 2^s) (Python's
+    int / int division rounds correctly), and every score satisfies
+
+        |v^(a) - v(a) / 2^s| <= E = (m + k + 4) 2^-52 S' + m k 2^-1074,
+
+    v(a) = ||a^T M||_1 and S' = fl(S / 2^s). Proof, with u = 2^-53,
+    T = S / 2^s and gamma_n = n u / (1 - n u):
+    (1) fl(M_ij / 2^s) = (M_ij / 2^s)(1 + d) + e with |d| <= u and
+        |e| <= 2^-1075, so sum |F| <= (1 + u) T + m k 2^-1075.
+    (2) The products a_i F_ij are exact. Each addition rounds once with
+        relative error <= u: a sum in the subnormal range is exact, and an
+        FMA a_i F_ij + t is one rounded sum. No partial sum overflows, as
+        all stay below 2 T < 2^1001. In any summation order (Higham,
+        Accuracy and Stability of Numerical Algorithms, ch. 4) the computed
+        entries c^_j of a^T F are within gamma_{m-1} sum_i |F_ij| of the
+        exact ones, and v^ is within gamma_{k-1} sum_j |c^_j| of their sum.
+    (3) Adding (1) and (2), for (m + k) u <= 2^-10 (k < 2^40 columns),
+        |v^(a) - v(a) / 2^s| <= E0 = (1 + 2^-9)(m + k) u T + m k 2^-1074.
+    The computed E is at least 1.99 E0 (twice E0's first term, up to three
+    roundings; the second term is negligible, as T >= 2^53), so the spare
+    2 (E - E0) >= 2^-52 T covers the rounding of fl(max v^ - 2 E), at most
+    u max v^ <= 1.01 u T. Every maximiser a* then survives the screen
+    v^(a) >= max v^ - 2 E: v^(a*) >= v(a*) / 2^s - E0 >= v(a^) / 2^s - E0
+    >= v^(a^) - 2 E0 for the float argmax a^. The survivors, in mask order,
+    are re-scored in Python ints, so the lowest-mask maximiser is found
+    exactly. When S < 2^53, s = 0 and every partial sum is an exactly
+    represented integer, so E = 0, v^ = v and the screen alone decides.
     """
     M = inst.matrix
     m, k = M.shape
@@ -239,26 +270,17 @@ def hypercube_bilinear_max(
     if transposed:
         M = M.T
         m, k = k, m
-    fm = M.astype(float)
+    fm, err = _float_screen(M) if inst.is_integer else (M, 0.0)
     if mode == "exact":
         if m > BILINEAR_EXACT_CUTOFF:
             raise CapabilityError(
                 f"exact hypercube enumeration needs the smaller side "
                 f"<= {BILINEAR_EXACT_CUTOFF}, got {m}"
             )
-        work = fm
-        if inst.is_integer and sum(abs(x) for x in M.flat) >= 2 ** 53:
-            work = M
-        best_val, a = -1, None
-        total = 1 << max(m - 1, 0)
-        chunk = 1 << 14
-        for start in range(0, total, chunk):
-            masks = np.arange(start, min(start + chunk, total), dtype=np.int64)[:, None]
-            A = (2 * ((masks >> np.arange(m)) & 1) - 1).astype(work.dtype)
-            vals = np.abs(A @ work).sum(axis=1)
-            i = int(np.argmax(vals))
-            if vals[i] > best_val:
-                best_val, a = vals[i], A[i].astype(float)
+        masks = _screen(fm, err)
+        if err:
+            masks = _exact_best(M, masks)
+        a = _sign_vectors(masks, m)[0]
     elif mode == "heuristic":
         rngs = [np.random.default_rng(seed) for seed in range(HEURISTIC_RESTARTS)]
         best_val, a = -1.0, None
@@ -287,3 +309,69 @@ def hypercube_bilinear_max(
     if transposed:
         a, b = b, a
     return value, a, b
+
+
+def _float_screen(M: np.ndarray) -> tuple[np.ndarray, float]:
+    """F = fl(M / 2^s) of an integer matrix and the screen's error bound E.
+
+    See hypercube_bilinear_max for s, E and the proof; E = 0 when
+    sum |M| < 2^53, where F = M exactly and the float scores are exact.
+    """
+    m, k = M.shape
+    total = sum(abs(x) for x in M.flat)
+    scale = 1 << max(0, total.bit_length() - 1000)
+    fm = (M / scale).astype(float)
+    if total < 2 ** 53:
+        return fm, 0.0
+    return fm, (m + k + 4) * 2.0 ** -52 * (total / scale) + m * k * 2.0 ** -1074
+
+
+def _chunk_rows(k: int) -> int:
+    """Sign vectors per chunk: at most 2^14, and at most 2^20 floats (8 MB) of a^T M."""
+    return min(1 << 14, max(1, (1 << 20) // max(k, 1)))
+
+
+def _sign_vectors(masks: np.ndarray, m: int) -> np.ndarray:
+    """Rows a with a_i = +1 where bit i of the mask is set, -1 elsewhere."""
+    return (2 * ((masks[:, None] >> np.arange(m)) & 1) - 1).astype(float)
+
+
+def _screen(fm: np.ndarray, err: float) -> np.ndarray:
+    """Masks, ascending, whose float score is within 2 err of the largest.
+
+    With err = 0 (exact integer scores, or a float instance) only the lowest
+    mask of largest score is returned.
+    """
+    m, k = fm.shape
+    total = 1 << max(m - 1, 0)
+    rows = _chunk_rows(k)
+    best, first, kept = -1.0, None, []
+    for start in range(0, total, rows):
+        masks = np.arange(start, min(start + rows, total), dtype=np.int64)
+        prod = _sign_vectors(masks, m) @ fm
+        vals = np.abs(prod, out=prod).sum(axis=1)
+        i = int(np.argmax(vals))
+        if vals[i] > best:
+            best, first = vals[i], masks[i : i + 1]
+        if err:
+            near = vals >= best - 2 * err
+            kept.append((masks[near], vals[near]))
+    if not err:
+        return first
+    masks = np.concatenate([t for t, _ in kept])
+    vals = np.concatenate([v for _, v in kept])
+    return masks[vals >= best - 2 * err]
+
+
+def _exact_best(M: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """The lowest of the ascending masks whose Python-int ||a^T M||_1 is largest."""
+    m, k = M.shape
+    rows = _chunk_rows(k)
+    best, winner = -1, None
+    for start in range(0, len(masks), rows):
+        chunk = masks[start : start + rows]
+        vals = np.abs(_sign_vectors(chunk, m).astype(int).astype(object) @ M).sum(axis=1)
+        i = int(np.argmax(vals))
+        if vals[i] > best:
+            best, winner = vals[i], chunk[i : i + 1]
+    return winner

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import asymdep
 from asymdep import (
@@ -226,3 +228,75 @@ def test_sign_matrix_bilinear_value_and_bound():
             BilinearInstance(binary_coding_sign_matrix(n)), mode="exact"
         )
         assert round(v) ** 2 <= 4 ** n * n
+
+
+def lowest_mask_maximiser(rows):
+    """Python-int oracle: (value, a, b) at the first largest ||a^T N||_1.
+
+    Enumerates the smaller side like the kernel: last sign -1, a_i = +1
+    where bit i of the mask is set, masks in increasing order.
+    """
+    mat = [list(r) for r in rows]
+    transposed = len(mat[0]) < len(mat)
+    if transposed:
+        mat = [list(c) for c in zip(*mat)]
+    best = None
+    for tail in itertools.product((-1, 1), repeat=len(mat) - 1):
+        a = tail[::-1] + (-1,)
+        row = [sum(s * x for s, x in zip(a, col)) for col in zip(*mat)]
+        value = sum(map(abs, row))
+        if best is None or value > best[0]:
+            best = (value, a, tuple(1 if x >= 0 else -1 for x in row))
+    value, a, b = best
+    return (value, b, a) if transposed else (value, a, b)
+
+
+def kernel_result(rows):
+    value, a, b = hypercube_bilinear_max(BilinearInstance(np.array(rows, dtype=object)))
+    return value, tuple(int(x) for x in a), tuple(int(x) for x in b)
+
+
+@st.composite
+def signed_copies(draw, base):
+    """Rows and columns of base drawn with repeats and sign flips."""
+    m, k = len(base), len(base[0])
+    pick = st.tuples(st.integers(0, m - 1), st.sampled_from((1, -1)))
+    rows = draw(st.lists(pick, min_size=1, max_size=6))
+    pick = st.tuples(st.integers(0, k - 1), st.sampled_from((1, -1)))
+    cols = draw(st.lists(pick, min_size=1, max_size=6))
+    return [[r * c * base[i][j] for j, c in cols] for i, r in rows]
+
+
+@st.composite
+def integer_matrices(draw):
+    m, k = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    entry = st.one_of(st.integers(-8, 8), st.integers(-(2 ** 1100), 2 ** 1100))
+    base = draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=m, max_size=m))
+    mat = draw(st.one_of(st.just(base), signed_copies(base)))
+    if draw(st.booleans()):
+        # planted near-ties: the float scores of 2^70 B + P tie wherever B's
+        # do, and the small P decides which tied sign vector wins exactly
+        small = st.integers(-2, 2)
+        mat = [[2 ** 70 * x + draw(small) for x in row] for row in mat]
+    return mat
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_matrices())
+def test_exact_bilinear_matches_python_int_enumeration(rows):
+    assert kernel_result(rows) == lowest_mask_maximiser(rows)
+
+
+def test_planted_tie_moves_the_exact_winner_past_the_float_argmax():
+    # B's zero row 0 makes masks 2t and 2t + 1 tie, and at scale 2^70 the
+    # float scores of N = 2^70 B + P tie too, so the float argmax is the even
+    # mask; P's row 0 makes the odd one (a_0 = +1) the exact winner
+    B = [[0, 0, 0, 0], [1, 2, -1, 3], [2, -1, 1, 1]]
+    _, a, _ = lowest_mask_maximiser(B)
+    agg = [sum(s * x for s, x in zip(a, col)) for col in zip(*B)]
+    P = [[1 if x >= 0 else -1 for x in agg], [0] * 4, [0] * 4]
+    N = [[2 ** 70 * x + y for x, y in zip(rb, rp)] for rb, rp in zip(B, P)]
+    want = lowest_mask_maximiser(N)
+    assert a[0] == -1 and want[1][0] == 1
+    assert kernel_result(N) == want
+

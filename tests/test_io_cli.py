@@ -435,3 +435,20 @@ def test_cli_rejects_unknown_metric(tmp_path, capsys):
     joint_path = tmp_path / "joint.json"
     main(["gen", "--family", "bernoulli_perturbation", "--n", "2", "--out", str(joint_path)])
     assert main(["metrics", "--joint", str(joint_path), "--select", "entropy"]) == 1
+
+
+@pytest.mark.parametrize("n", [20, 30])
+def test_alpha_and_cov_sup_stay_exact_beyond_the_float_range(n, tmp_path, capsys):
+    # with p = 1/(2^61 - 1) the dependence matrix's numerators pass 2^1024
+    p = Fraction(1, 2 ** 61 - 1)
+    alpha = abs(1 - 2 * p) ** n / 4
+    joint = build_family("markov_shift", n, {"p": p}).joint
+    assert metrics.alpha_coefficient(joint).value == alpha
+    assert metrics.cov_sup_pm1(joint).value == 4 * alpha
+    path = tmp_path / "ms.json"
+    assert main(["gen", "--family", "markov_shift", "--n", str(n),
+                 "--param", f"p={p}", "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["metrics", "--joint", str(path), "--select", "alpha,cov_sup"]) == 0
+    printed = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+    assert printed == {"alpha": f"{alpha} (exact=True)", "cov_sup": f"{4 * alpha} (exact=True)"}
