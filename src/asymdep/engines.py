@@ -2,6 +2,8 @@
 
 The max-flow solver is a Dinic-style layered augmenting-path implementation
 that works over any exact numeric type (Fraction capacities stay exact).
+Its DFS keeps the path on an explicit stack, so the depth of the level
+graph is not bounded by Python's recursion limit.
 Linear programs are delegated to scipy's HiGHS backend behind a small
 maximize-form wrapper that hands it one sparse constraint matrix; scipy is
 imported on the first solve, so importing the package does not load it.
@@ -51,8 +53,19 @@ def max_flow(net: FlowNetwork) -> tuple[object, list[object]]:
 
     Dinic's algorithm: BFS level graph + DFS blocking flows. Arithmetic is
     whatever the capacities use; with Fraction capacities the result is exact.
+
+    The DFS keeps its path from the source on an explicit stack, so a level
+    graph of any depth needs no recursion. At node u it scans the arcs from
+    the pointer it[u] on and takes the first with residual capacity into the
+    next level. A dead end pops back to the arc's tail and moves that
+    pointer past it; a path to the sink is augmented by the least residual
+    capacity along it (min taken from the source down, starting at the
+    sentinel bound) and then cut back to the tail of its first saturated
+    arc, where a search restarted from the source would arrive again, as
+    the pointers above that arc still name the path's own arcs.
     """
     n = net.node_count
+    source, sink = net.source, net.sink
     # adjacency of edge ids; residual graph stores forward and backward arcs
     head: list[int] = []
     cap: list = []
@@ -67,8 +80,8 @@ def max_flow(net: FlowNetwork) -> tuple[object, list[object]]:
 
     def bfs() -> list[int] | None:
         level = [-1] * n
-        level[net.source] = 0
-        q = deque([net.source])
+        level[source] = 0
+        q = deque([source])
         while q:
             u = q.popleft()
             for eid in adj[u]:
@@ -76,36 +89,51 @@ def max_flow(net: FlowNetwork) -> tuple[object, list[object]]:
                 if level[v] < 0 and cap[eid] > 0:
                     level[v] = level[u] + 1
                     q.append(v)
-        return level if level[net.sink] >= 0 else None
-
-    def dfs(u: int, pushed, level: list[int], it: list[int]):
-        if u == net.sink:
-            return pushed
-        while it[u] < len(adj[u]):
-            eid = adj[u][it[u]]
-            v = head[eid]
-            if cap[eid] > 0 and level[v] == level[u] + 1:
-                d = dfs(v, min(pushed, cap[eid]), level, it)
-                if d > 0:
-                    cap[eid] -= d
-                    cap[eid ^ 1] += d
-                    return d
-            it[u] += 1
-        return pushed * 0
+        return level if level[sink] >= 0 else None
 
     # sentinel "infinite" capacity: total source capacity + 1
-    inf = sum(c for a, _, c in net.edges if a == net.source) + 1
+    inf = sum(c for a, _, c in net.edges if a == source) + 1
     total = None
     while True:
         level = bfs()
         if level is None:
             break
         it = [0] * n
+        path: list[int] = []  # arc ids from the source to u
+        u = source
         while True:
-            pushed = dfs(net.source, inf, level, it)
-            if pushed == 0:
+            if u == sink:
+                # the least residual capacity, as min(pushed, cap) from the source down
+                pushed = inf
+                for eid in path:
+                    if cap[eid] < pushed:
+                        pushed = cap[eid]
+                cut = -1
+                for k, eid in enumerate(path):
+                    cap[eid] -= pushed
+                    cap[eid ^ 1] += pushed
+                    if cut < 0 and not cap[eid] > 0:
+                        cut = k
+                total = pushed if total is None else total + pushed
+                del path[cut:]
+                u = head[path[-1]] if path else source
+                continue
+            arcs = adj[u]
+            i, end, nxt = it[u], len(arcs), level[u] + 1
+            while i < end:
+                eid = arcs[i]
+                if cap[eid] > 0 and level[head[eid]] == nxt:
+                    break
+                i += 1
+            it[u] = i
+            if i < end:
+                path.append(eid)
+                u = head[eid]
+            elif path:  # dead end: back to the tail, past the arc that led here
+                u = head[path.pop() ^ 1]
+                it[u] += 1
+            else:  # the source is exhausted: the blocking flow is complete
                 break
-            total = pushed if total is None else total + pushed
     if total is None:
         total = net.edges[0][2] * 0 if net.edges else 0
     flows = [net.edges[i][2] - cap[2 * i] for i in range(len(net.edges))]

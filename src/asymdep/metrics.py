@@ -21,7 +21,6 @@ share its dependence matrix, and alpha and cov_sup its sign enumeration.
 """
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 from dataclasses import dataclass
@@ -65,6 +64,8 @@ PROKHOROV_SUPPORT_CUTOFF = 4096
 SUPPORT_BLOCK_ROWS = 64
 # elements of the distance matrix per chunk of the BL essential-pair test
 ESSENTIAL_CHUNK = 1 << 20
+# witnesses per pair (a, b) that the essential-pair screen tries: a's nearest points
+ESSENTIAL_NEAREST = 8
 LP_TOL = 1e-9
 
 ZERO = Fraction(0)
@@ -313,14 +314,19 @@ def _essential_pairs(d: np.ndarray):
     fl(d(a, c) + d(c, b)) <= d(a, b) with both legs d(a, c) and d(c, b)
     strictly shorter than d(a, b); the legs condition rules out c = a and
     c = b, where one leg is d(a, b) itself. Returns the essential a, b and
-    d(a, b) in np.triu_indices order. The witness test runs over about
-    ESSENTIAL_CHUNK elements of d at a time.
+    d(a, b) in np.triu_indices order.
+
+    A screen first tries as witnesses only the ESSENTIAL_NEAREST points
+    nearest to a (see _nearest_witness). Only the pairs it leaves open take
+    the full test against every c, over about ESSENTIAL_CHUNK elements of d
+    at a time.
     """
     n = len(d)
     a_idx, b_idx = np.triu_indices(n, k=1)
     d_ab = d[a_idx, b_idx]
-    near = d_ab < 2.0
-    a_idx, b_idx, d_ab = a_idx[near], b_idx[near], d_ab[near]
+    open_ = d_ab < 2.0
+    open_ &= ~_nearest_witness(d)[a_idx, b_idx]
+    a_idx, b_idx, d_ab = a_idx[open_], b_idx[open_], d_ab[open_]
     keep = np.empty(len(d_ab), dtype=bool)
     step = max(1, min(len(d_ab), ESSENTIAL_CHUNK // n))
     leg_ac, leg_cb = np.empty((step, n)), np.empty((step, n))
@@ -339,6 +345,33 @@ def _essential_pairs(d: np.ndarray):
         w &= t
         keep[s:e] = ~w.any(axis=1)
     return a_idx[keep], b_idx[keep], d_ab[keep]
+
+
+def _nearest_witness(d: np.ndarray) -> np.ndarray:
+    """found[a, b]: one of the ESSENTIAL_NEAREST points c nearest to a (by a
+    row argsort of d, a itself among them) is a witness for the pair (a, b).
+
+    The test is the full scan's, in the same float operations, with d(c, b)
+    read from row b of d, so every witness found here is one the full scan
+    finds. It runs over about ESSENTIAL_CHUNK elements at a time: rows a,
+    their nearest c, and every b.
+    """
+    n = len(d)
+    nearest = np.argsort(d, axis=1)[:, :ESSENTIAL_NEAREST]
+    k = nearest.shape[1]
+    by_c = np.ascontiguousarray(d.T)  # by_c[c, b] = d(b, c)
+    found = np.empty((n, n), dtype=bool)
+    step = max(1, ESSENTIAL_CHUNK // (k * n))
+    for s in range(0, n, step):
+        c = nearest[s:s + step]
+        ac = np.take_along_axis(d[s:s + step], c, axis=1)[:, :, None]
+        cb = by_c[c]
+        dab = d[s:s + step, None, :]
+        w = np.less(ac, dab)
+        w &= np.less(cb, dab)
+        w &= np.less_equal(np.add(ac, cb, out=cb), dab)
+        np.any(w, axis=1, out=found[s:s + step])
+    return found
 
 
 def bl_distance(m1: DiscreteMeasure, m2: DiscreteMeasure) -> MetricValue:
@@ -427,34 +460,37 @@ def bl_to_product(
 # Characteristic functions
 # ---------------------------------------------------------------------------
 
-def _char_fn(weights, coords, t) -> complex:
-    return sum(
-        float(w) * cmath.exp(1j * float(np.dot(t, x)))
-        for w, x in zip(weights, coords)
-        if w
-    )
+def _cf_gaps(j: JointMeasure, ts: np.ndarray, ss: np.ndarray) -> np.ndarray:
+    """|phi_joint(t, s) - phi_X(t) phi_Y(s)| for every row t of ts and s of ss.
+
+    With U[t, i] = e^{i t.x_i}, V[s, k] = e^{i s.y_k} and the joint weights
+    W, phi_joint = U W V^T, phi_X = U w_X and phi_Y = V w_Y. The weights
+    are the exact numerators over the denominator, each rounded once by
+    Python's int / int division, as float() of its Fraction is; the
+    marginals come from the exact row and column sums.
+    """
+    den = j.den
+    w = np.array([[x / den for x in row] for row in j.num])
+    w_x = np.array([sum(row) / den for row in j.num])
+    w_y = np.array([sum(col) / den for col in zip(*j.num)])
+    u = np.exp(1j * (ts @ j.space1.coords.T))
+    v = np.exp(1j * (ss @ j.space2.coords.T))
+    return np.abs(u @ w @ v.T - np.outer(u @ w_x, v @ w_y))
+
+
+def _require_coords(j: JointMeasure) -> None:
+    if j.space1.coords is None or j.space2.coords is None:
+        raise CapabilityError("cf_gap needs coordinate-embedded spaces")
 
 
 def cf_gap(j: JointMeasure, t, s) -> float:
-    """|phi_joint(t,s) - phi_X(t) phi_Y(s)| by direct summation over atoms."""
-    if j.space1.coords is None or j.space2.coords is None:
-        raise CapabilityError("cf_gap needs coordinate-embedded spaces")
+    """|phi_joint(t,s) - phi_X(t) phi_Y(s)| at one point (t, s)."""
+    _require_coords(j)
     t = np.atleast_1d(np.asarray(t, dtype=float))
     s = np.atleast_1d(np.asarray(s, dtype=float))
-    if t.shape[0] != j.space1.dim or s.shape[0] != j.space2.dim:
+    if t.shape != (j.space1.dim,) or s.shape != (j.space2.dim,):
         raise InputError("t and s must match the coordinate dimensions")
-    m1, m2 = marginals(j)
-    phi_x = _char_fn(m1.weights, j.space1.coords, t)
-    phi_y = _char_fn(m2.weights, j.space2.coords, s)
-    phi_joint = sum(
-        float(w) * cmath.exp(
-            1j * (float(np.dot(t, j.space1.coords[i])) + float(np.dot(s, j.space2.coords[k])))
-        )
-        for i, row in enumerate(j.weights)
-        for k, w in enumerate(row)
-        if w
-    )
-    return abs(phi_joint - phi_x * phi_y)
+    return float(_cf_gaps(j, t[None, :], s[None, :])[0, 0])
 
 
 DEFAULT_CF_LATTICE = (-3.0, -2.0, -1.0, 1.0, 2.0, 3.0)
@@ -462,18 +498,19 @@ DEFAULT_CF_LATTICE = (-3.0, -2.0, -1.0, 1.0, 2.0, 3.0)
 
 def cf_gap_lattice(j: JointMeasure) -> MetricValue:
     """Max cf_gap over the test points DEFAULT_CF_LATTICE, the argmax (t, s)
-    as its certificate."""
-    if j.space1.coords is None or j.space2.coords is None:
-        raise CapabilityError("cf_gap needs coordinate-embedded spaces")
-    d1, d2 = j.space1.dim, j.space2.dim
-    best = (-1.0, None, None)
-    for t in itertools.product(DEFAULT_CF_LATTICE, repeat=d1):
-        for s in itertools.product(DEFAULT_CF_LATTICE, repeat=d2):
-            g = cf_gap(j, t, s)
-            if g > best[0]:
-                best = (g, t, s)
-    gap, t, s = best
-    return MetricValue("cf", gap, False, {"t": t, "s": s})
+    as its certificate: the first largest in itertools.product order.
+
+    gap(t, s) = gap(-t, -s) in exact arithmetic (the characteristic
+    functions are conjugated) and the lattice is symmetric, so the maximum
+    is attained at a mirror pair at least. Under rounding the argmax may
+    land on either point of it, or on another point of an exact tie.
+    """
+    _require_coords(j)
+    ts = list(itertools.product(DEFAULT_CF_LATTICE, repeat=j.space1.dim))
+    ss = list(itertools.product(DEFAULT_CF_LATTICE, repeat=j.space2.dim))
+    gaps = _cf_gaps(j, np.array(ts), np.array(ss))
+    a, b = np.unravel_index(np.argmax(gaps), gaps.shape)
+    return MetricValue("cf", float(gaps[a, b]), False, {"t": ts[a], "s": ss[b]})
 
 
 def gaussian_cf_gap(mean1, mean2, cov11, cov22, cov12, t, s) -> float:

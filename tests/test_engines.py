@@ -23,6 +23,7 @@ from asymdep import (
     solve_lp,
 )
 from asymdep.families import binary_coding_sign_matrix
+from flow_oracle import max_flow as oracle_max_flow
 
 F = Fraction
 
@@ -84,6 +85,79 @@ def test_max_flow_exact_fractions():
     edges = [(0, 1, F(1, 3)), (1, 2, F(1, 7)), (0, 2, F(2, 5))]
     value, _ = max_flow(FlowNetwork(3, tuple(edges), 0, 2))
     assert value == F(1, 7) + F(2, 5)
+
+
+def test_max_flow_on_a_5000_node_path():
+    # a level graph 5000 deep: a recursive DFS runs out of stack here
+    n = 5000
+    value, flows = max_flow(FlowNetwork(n, tuple((i, i + 1, 1) for i in range(n - 1)), 0, n - 1))
+    assert value == 1 and flows == [1] * (n - 1)
+
+
+def test_max_flow_on_a_5000_layer_chain_of_parallel_edges():
+    # layer i -> i + 1 has two parallel edges of capacities 1 and 2
+    n = 5001
+    edges = tuple(e for i in range(n - 1) for e in ((i, i + 1, 1), (i, i + 1, 2)))
+    value, flows = max_flow(FlowNetwork(n, edges, 0, n - 1))
+    assert value == 3 and flows == [1, 2] * (n - 1)
+
+
+def typed(values):
+    """Values with their types, so that 2 and Fraction(2) differ."""
+    return [(type(x), x) for x in values]
+
+
+CAPACITIES = st.one_of(
+    st.integers(0, 9),
+    st.fractions(min_value=0, max_value=9, max_denominator=12),
+    st.integers(2 ** 64, 2 ** 66),
+)
+
+
+@st.composite
+def flow_networks(draw):
+    """(n, edges, source, sink): coupling, layered or general, with parallel
+    edges and edges into the source. A coupling network has the shape of
+    Prokhorov's: source -> every row, some row -> column pairs, every
+    column -> sink."""
+    shape = draw(st.sampled_from(("coupling", "layered", "general")))
+    if shape == "coupling":
+        rows, cols = draw(st.integers(2, 5)), draw(st.integers(2, 5))
+        n, source, sink = 2 + rows + cols, 0, 1 + rows + cols
+        middle = [(1 + a, 1 + rows + b) for a in range(rows) for b in range(cols)]
+        pairs = [(source, 1 + a) for a in range(rows)]
+        pairs += draw(st.lists(st.sampled_from(middle), min_size=1, max_size=20))
+        pairs += [(1 + rows + b, sink) for b in range(cols)]
+    elif shape == "layered":  # source, layers of 1..4 nodes, sink
+        widths = draw(st.lists(st.integers(1, 4), min_size=1, max_size=5))
+        layers, n = [[0]], 1
+        for w in widths:
+            layers.append(list(range(n, n + w)))
+            n += w
+        layers.append([n])
+        n += 1
+        pairs = [(u, v) for here, there in zip(layers, layers[1:]) for u in here for v in there]
+        pairs = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=30))
+        source, sink = 0, n - 1
+    else:
+        n = draw(st.integers(2, 7))
+        node = st.integers(0, n - 1)
+        pairs = draw(st.lists(st.tuples(node, node).filter(lambda p: p[0] != p[1]), max_size=30))
+        source, sink = draw(st.lists(node, min_size=2, max_size=2, unique=True))
+    back = draw(st.lists(st.integers(1, n - 1), max_size=3))  # edges into the source
+    pairs += [(u, source) for u in back if u != source]
+    edges = [(u, v, draw(CAPACITIES)) for u, v in pairs]
+    return n, edges, source, sink
+
+
+@settings(max_examples=400, deadline=None)
+@given(flow_networks())
+def test_max_flow_matches_the_recursive_dinic_oracle(network):
+    n, edges, source, sink = network
+    value, flows = max_flow(FlowNetwork(n, tuple(edges), source, sink))
+    want_value, want_flows = oracle_max_flow(n, edges, source, sink)
+    assert typed([value]) == typed([want_value])
+    assert typed(flows) == typed(want_flows)
 
 
 # ---------------------------------------------------------------------------

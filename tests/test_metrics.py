@@ -1,9 +1,12 @@
+import cmath
 import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from asymdep import (
     CapabilityError,
@@ -38,10 +41,11 @@ from asymdep import (
     variation_norm,
 )
 from asymdep import metrics
-from asymdep.engines import FlowNetwork, max_flow
 from asymdep.families import random_joint
 from asymdep.measures import joint_and_product_on_product
 from asymdep.verify import _beta_oracle, _random_measure_pair
+from flow_oracle import max_flow as oracle_max_flow
+from fraction_oracle import marginals as oracle_marginals
 
 F = Fraction
 
@@ -248,7 +252,8 @@ def dense_grid_joint():
 
 
 def fraction_scan_prokhorov(m1, m2):
-    """Reference Prokhorov scan: Python pair loops and Fraction capacities.
+    """Reference Prokhorov scan: Python pair loops, Fraction capacities and
+    the recursive Dinic oracle.
 
     Scans every breakpoint (0 and the distances between the supports) in
     ascending order until eps reaches the best max(eps, 1 - F(eps)), with
@@ -271,7 +276,7 @@ def fraction_scan_prokhorov(m1, m2):
                     pairs.append((i, k))
                     edges.append((1 + a, 1 + n1 + b, F(1)))
         edges += [(1 + n1 + b, sink, m2.weights[k]) for b, k in enumerate(s2)]
-        overlap, flows = max_flow(FlowNetwork(2 + n1 + n2, tuple(edges), source, sink))
+        overlap, flows = oracle_max_flow(2 + n1 + n2, edges, source, sink)
         coupling = {p: f for p, f in zip(pairs, flows[n1:]) if f > 0}
         candidate = max(eps, float(1 - overlap))
         if best is None or candidate < best[0]:
@@ -483,6 +488,76 @@ def test_bl_keeps_rows_whose_float_witness_has_a_leg_as_long_as_the_pair():
     assert bl_distance(delta(s, 0), far).value == pytest.approx(1.0, abs=1e-9)
 
 
+def essential_pairs_oracle(d):
+    """The essential pairs by a triple loop over Python floats: a < b with
+    d(a, b) < 2 and no c with both legs shorter and d(a, c) + d(c, b) <= d(a, b).
+    Returns (a, b, d(a, b)) lists in np.triu_indices order."""
+    d = d.tolist()
+    n = len(d)
+    kept = []
+    for a in range(n):
+        for b in range(a + 1, n):
+            dab = d[a][b]
+            if dab < 2.0 and not any(
+                d[a][c] < dab and d[b][c] < dab and d[a][c] + d[b][c] <= dab for c in range(n)
+            ):
+                kept.append((a, b, dab))
+    return [list(col) for col in zip(*kept)] if kept else [[], [], []]
+
+
+def screen_miss_space():
+    """A metric whose only witness for the pair (0, 1) is not among the
+    ESSENTIAL_NEAREST points nearest to 0.
+
+    d(0, 1) = 1 and point 2 sits halfway: d(0, 2) = d(2, 1) = 0.5. The
+    decoys, ESSENTIAL_NEAREST of them, sit at 0.1 from 0, 0.2 from each
+    other, 0.5 from 2 and 1 from 1, so their leg to 1 is as long as the pair.
+    """
+    k = metrics.ESSENTIAL_NEAREST
+    n = 3 + k
+    d = np.full((n, n), 0.2)
+    d[0, 1], d[0, 2], d[1, 2] = 1.0, 0.5, 0.5
+    d[0, 3:], d[1, 3:], d[2, 3:] = 0.1, 1.0, 0.5
+    d = np.triu(d, 1) + np.triu(d, 1).T
+    return FiniteMetricSpace(tuple(map(str, range(n))), d)
+
+
+def grid_space(kind):
+    line = line_space([F(i, 9) for i in range(9)])
+    return product_space(line, line, kind)
+
+
+ESSENTIAL_CASES = {
+    **{f"shortest-path-{seed}": lambda seed=seed: shortest_path_space(seed, 9) for seed in range(8)},
+    "grid-sum": lambda: grid_space(ProductMetricKind.SUM),
+    "grid-max": lambda: grid_space(ProductMetricKind.MAX),
+    "uniform": lambda: uniform_metric_space(7),
+    "tiny-leg": lambda: FiniteMetricSpace(
+        ("a", "b", "c"), np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1e-17], [1.0, 1e-17, 0.0]])
+    ),
+    "screen-miss": screen_miss_space,
+}
+
+
+@pytest.mark.parametrize("chunk", [metrics.ESSENTIAL_CHUNK, 1, 50])
+@pytest.mark.parametrize("case", ESSENTIAL_CASES)
+def test_essential_pairs_match_the_triple_loop_oracle(monkeypatch, case, chunk):
+    monkeypatch.setattr(metrics, "ESSENTIAL_CHUNK", chunk)
+    d = ESSENTIAL_CASES[case]().dist
+    a, b, dab = metrics._essential_pairs(d)
+    want_a, want_b, want_d = essential_pairs_oracle(d)
+    assert a.tolist() == want_a and b.tolist() == want_b
+    assert [x.hex() for x in dab.tolist()] == [x.hex() for x in want_d]
+
+
+def test_the_screen_misses_a_far_witness_and_the_full_scan_finds_it():
+    d = screen_miss_space().dist
+    assert 2 not in np.argsort(d[0])[: metrics.ESSENTIAL_NEAREST]
+    assert not metrics._nearest_witness(d)[0, 1]
+    a, b, _ = metrics._essential_pairs(d)
+    assert (0, 1) not in set(zip(a.tolist(), b.tolist()))
+
+
 def test_bl_to_product_cutoff_fires_before_the_product_space_is_built(monkeypatch):
     def unreachable(j, kind):
         raise AssertionError("product space built above the BL cutoff")
@@ -553,6 +628,74 @@ def test_cf_gap_of_bernoulli_family_shrinks_with_n():
     gaps = [cf_gap_lattice(bernoulli_perturbation_family(n).joint).value for n in (2, 4, 8, 16)]
     assert all(a > b for a, b in zip(gaps, gaps[1:]))
     assert gaps[-1] < gaps[0] / 4
+
+
+def oracle_cf_gap(j, t, s):
+    """cf gap by direct summation: one cmath.exp per atom of positive weight,
+    Fraction weights and Fraction marginals converted to float one by one."""
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    s = np.atleast_1d(np.asarray(s, dtype=float))
+    x, y = j.space1.coords, j.space2.coords
+    rows, cols = oracle_marginals(j.weights)
+    phi_x = sum(float(w) * cmath.exp(1j * float(np.dot(t, x[i]))) for i, w in enumerate(rows) if w)
+    phi_y = sum(float(w) * cmath.exp(1j * float(np.dot(s, y[k]))) for k, w in enumerate(cols) if w)
+    phi_joint = sum(
+        float(w) * cmath.exp(1j * (float(np.dot(t, x[i])) + float(np.dot(s, y[k]))))
+        for i, row in enumerate(j.weights)
+        for k, w in enumerate(row)
+        if w
+    )
+    return abs(phi_joint - phi_x * phi_y)
+
+
+def oracle_cf_lattice(j):
+    """The largest oracle gap over the test lattice."""
+    lattice = metrics.DEFAULT_CF_LATTICE
+    return max(
+        oracle_cf_gap(j, t, s)
+        for t in itertools.product(lattice, repeat=j.space1.dim)
+        for s in itertools.product(lattice, repeat=j.space2.dim)
+    )
+
+
+@st.composite
+def coordinate_spaces(draw):
+    """1 to 4 distinct points with 1-D or 2-D coordinates, Euclidean distances."""
+    dim = draw(st.integers(1, 2))
+    point = st.tuples(*[st.integers(-6, 6).map(lambda v: v / 4)] * dim)
+    coords = np.array(draw(st.lists(point, min_size=1, max_size=4, unique=True)))
+    dist = np.sqrt(((coords[:, None, :] - coords[None, :, :]) ** 2).sum(axis=-1))
+    return FiniteMetricSpace(tuple(map(str, range(len(coords)))), dist, coords)
+
+
+@st.composite
+def coordinate_joints(draw):
+    """A joint law on two coordinate spaces: raw weights up to 2^70, some zero."""
+    s1, s2 = draw(coordinate_spaces()), draw(coordinate_spaces())
+    raw_weight = st.one_of(st.just(0), st.integers(1, 9), st.integers(1, 2 ** 70))
+    raw = [[draw(raw_weight) for _ in range(len(s2))] for _ in range(len(s1))]
+    raw[draw(st.integers(0, len(s1) - 1))][draw(st.integers(0, len(s2) - 1))] += 1
+    total = sum(map(sum, raw))
+    return JointMeasure(s1, s2, tuple(tuple(F(x, total) for x in row) for row in raw))
+
+
+@settings(max_examples=150, deadline=None)
+@given(coordinate_joints(), st.data())
+def test_cf_gap_matches_the_per_atom_oracle(j, data):
+    test_point = st.floats(-5, 5, allow_nan=False)
+    t = [data.draw(test_point) for _ in range(j.space1.dim)]
+    s = [data.draw(test_point) for _ in range(j.space2.dim)]
+    assert abs(cf_gap(j, t, s) - oracle_cf_gap(j, t, s)) <= 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(coordinate_joints())
+def test_cf_gap_lattice_matches_the_per_atom_oracle(j):
+    mv = cf_gap_lattice(j)
+    assert abs(mv.value - oracle_cf_lattice(j)) <= 1e-12
+    # ties may put the argmax on another lattice point, but one as large
+    assert abs(oracle_cf_gap(j, mv.certificate["t"], mv.certificate["s"]) - mv.value) <= 1e-12
+    assert abs(evaluate_certificate(mv, dep=dependence_matrix(j)) - mv.value) <= 1e-9
 
 
 def test_gaussian_cf_gap_closed_form_value():
