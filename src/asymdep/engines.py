@@ -24,7 +24,6 @@ from .errors import CapabilityError, InputError, SolverError
 
 # largest smaller side that exact enumeration accepts (alpha and cov_sup too)
 BILINEAR_EXACT_CUTOFF = 22
-HEURISTIC_RESTARTS = 32
 
 
 @dataclass(frozen=True)
@@ -248,24 +247,21 @@ class BilinearInstance:
         return self.matrix.dtype == object
 
 
-def hypercube_bilinear_max(
-    inst: BilinearInstance, mode: str = "exact"
-) -> tuple[int | float, np.ndarray, np.ndarray]:
+def hypercube_bilinear_max(inst: BilinearInstance) -> tuple[int | float, np.ndarray, np.ndarray]:
     """max over a in {-1,1}^m, b in {-1,1}^k of |a^T M b|; returns (value, a, b).
 
     The maximum of the convex function |a^T M b| over the cube is attained at
     sign vectors; for fixed a the optimal b is sign(a^T M), and a and -a give
-    the same value, so exact mode enumerates the smaller side with its last
+    the same value, so the kernel enumerates the smaller side with its last
     sign fixed (sign vector a of mask t has a_i = +1 where bit i of t is set)
-    and returns the lowest mask of largest value. Heuristic mode runs
-    alternating ascent from seeded random starts and reports a lower bound.
+    and returns the lowest mask of largest value.
 
-    Integer instances are exact in both modes; the value is a Python int
-    re-derived from the sign vectors, and a and b are float arrays. Exact
-    mode screens every sign vector in float64 and re-ranks the survivors in
-    Python ints. With S = sum |M| and s = max(0, bitlength(S) - 1000), the
-    screen scores v^(a) = sum_j |fl(a^T F)_j| for F = fl(M / 2^s) (Python's
-    int / int division rounds correctly), and every score satisfies
+    Integer instances are exact: the value is a Python int re-derived from
+    the sign vectors, and a and b are float arrays. The kernel screens every
+    sign vector in float64 and re-ranks the survivors in Python ints. With
+    S = sum |M| and s = max(0, bitlength(S) - 1000), the screen scores
+    v^(a) = sum_j |fl(a^T F)_j| for F = fl(M / 2^s) (Python's int / int
+    division rounds correctly), and every score satisfies
 
         |v^(a) - v(a) / 2^s| <= E = (m + k + 4) 2^-52 S' + m k 2^-1074,
 
@@ -298,35 +294,16 @@ def hypercube_bilinear_max(
     if transposed:
         M = M.T
         m, k = k, m
+    if m > BILINEAR_EXACT_CUTOFF:
+        raise CapabilityError(
+            f"exact hypercube enumeration needs the smaller side "
+            f"<= {BILINEAR_EXACT_CUTOFF}, got {m}"
+        )
     fm, err = _float_screen(M) if inst.is_integer else (M, 0.0)
-    if mode == "exact":
-        if m > BILINEAR_EXACT_CUTOFF:
-            raise CapabilityError(
-                f"exact hypercube enumeration needs the smaller side "
-                f"<= {BILINEAR_EXACT_CUTOFF}, got {m}"
-            )
-        masks = _screen(fm, err)
-        if err:
-            masks = _exact_best(M, masks)
-        a = _sign_vectors(masks, m)[0]
-    elif mode == "heuristic":
-        rngs = [np.random.default_rng(seed) for seed in range(HEURISTIC_RESTARTS)]
-        best_val, a = -1.0, None
-        for rng in rngs:
-            cur = rng.choice([-1.0, 1.0], size=m)
-            prev = -1.0
-            for _ in range(200):
-                b = np.where(cur @ fm >= 0, 1.0, -1.0)
-                cur = np.where(fm @ b >= 0, 1.0, -1.0)
-                val = float(np.abs(cur @ fm).sum())
-                if val <= prev:
-                    break
-                prev = val
-            val = float(np.abs(cur @ fm).sum())
-            if val > best_val:
-                best_val, a = val, cur
-    else:
-        raise InputError(f"unknown mode {mode!r}")
+    masks = _screen(fm, err)
+    if err:
+        masks = _exact_best(M, masks)
+    a = _sign_vectors(masks, m)[0]
     if inst.is_integer:
         row = a.astype(int).astype(object) @ M
         b = np.array([1.0 if x >= 0 else -1.0 for x in row])

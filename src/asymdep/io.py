@@ -270,14 +270,17 @@ def write_plot_data(report: DecayReport, path: str) -> None:
 
 
 def read_series_csv(path: str) -> list[tuple[int, float]]:
-    """A two-column (n, value) series; header row optional."""
+    """A two-column (n, value) series; header row optional. Rows whose value
+    is missing (`-` or empty, a sweep's gap row) are skipped."""
     out = []
     with open(path, newline="", encoding="utf-8") as fh:
         for line, row in enumerate(csv.reader(fh), 1):
             if not row or row[0].strip().lower() in ("n", ""):
                 continue
             try:
-                out.append((int(row[0]), float(parse_value(row[1].strip()) or 0)))
+                n, value = int(row[0]), row[1].strip()
+                if value not in ("-", ""):
+                    out.append((n, float(parse_value(value))))
             except (IndexError, ValueError, ZeroDivisionError) as exc:
                 raise InputError(f"{path} line {line} is not an (n, value) row: {exc}") from exc
     return out

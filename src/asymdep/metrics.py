@@ -16,7 +16,8 @@ reported value.
 
 METRICS is the one table from a metric name to its AI condition, its mode,
 the step that computes its MetricValue on a JointCase, and the evaluator
-that evaluate_certificate dispatches to. The metrics asked of one JointCase
+that evaluate_certificate dispatches to; a MetricValue is exact exactly when
+its entry's mode is "exact". The metrics asked of one JointCase
 share its dependence matrix, and alpha and cov_sup its sign enumeration.
 """
 from __future__ import annotations
@@ -75,14 +76,20 @@ ZERO = Fraction(0)
 class MetricValue:
     name: str  # its key in METRICS
     value: Fraction | float
-    exact: bool
     certificate: dict | None = None
 
     def __post_init__(self) -> None:
+        if self.name not in METRICS:
+            raise InputError(f"unknown metric {self.name!r}")
         if self.value < 0:
             raise InputError("metric values are nonnegative")
         if self.exact and not isinstance(self.value, (Fraction, int)):
             raise InputError("exact metric values must be rational")
+
+    @property
+    def exact(self) -> bool:
+        """Whether the metric's table entry computes it exactly (as a rational)."""
+        return METRICS[self.name].mode == "exact"
 
     def as_float(self) -> float:
         return float(self.value)
@@ -96,10 +103,10 @@ def variation_norm(d: DependenceMatrix) -> MetricValue:
     """Total variation: sum of absolute entries (the AI-4 functional)."""
     total = Fraction(sum(map(abs, itertools.chain.from_iterable(d.num))), d.den)
     signs = tuple(tuple(1 if x >= 0 else -1 for x in row) for row in d.num)
-    return MetricValue("variation", total, True, {"signs": signs})
+    return MetricValue("variation", total, {"signs": signs})
 
 
-def _best_signs(d: DependenceMatrix, mode: str):
+def _best_signs(d: DependenceMatrix):
     """The hypercube kernel's best row signs f for the dependence matrix D.
 
     D is N / L for its integer numerators N over its least common
@@ -107,7 +114,7 @@ def _best_signs(d: DependenceMatrix, mode: str):
     kernel runs exactly. Returns (f, f^T N, L).
     """
     n = np.array(d.num, dtype=object)
-    _, a, _ = hypercube_bilinear_max(BilinearInstance(n), mode=mode)
+    _, a, _ = hypercube_bilinear_max(BilinearInstance(n))
     f = tuple(int(x) for x in a)
     return f, [sum(s * x for s, x in zip(f, col)) for col in zip(*n)], d.den
 
@@ -119,21 +126,24 @@ def alpha_coefficient(j: JointMeasure, mode: str = "exact") -> MetricValue:
     the zero row sums make its entries sum to 0, so the best B (the positive
     columns) carries mass ||f^T D||_1 / 4: alpha = max_f ||f^T D||_1 / 4,
     solved by the hypercube kernel. The value is re-derived exactly from the
-    certificate. Heuristic mode uses the kernel's ascent and reports a lower
-    bound.
+    certificate. mode accepts only "exact"; there is no other path.
     """
-    return _alpha(_best_signs(dependence_matrix(j), mode), mode)
+    _require_exact(mode)
+    return _alpha(_best_signs(dependence_matrix(j)))
 
 
-def _alpha(signs, mode: str) -> MetricValue:
+def _require_exact(mode: str) -> None:
+    # kept only because the benchmark's trace hook binds `mode` by name
+    if mode != "exact":
+        raise InputError(f"mode must be 'exact', got {mode!r}")
+
+
+def _alpha(signs) -> MetricValue:
     f, agg, scale = signs
     a = tuple(i for i, s in enumerate(f) if s > 0)
     b = tuple(k for k, x in enumerate(agg) if x > 0)
     value = Fraction(sum(x for x in agg if x > 0), 2 * scale)
-    cert = {"A": a, "B": b}
-    if mode == "heuristic":
-        cert["lower_bound"] = True
-    return MetricValue("alpha", value, mode == "exact", cert)
+    return MetricValue("alpha", value, {"A": a, "B": b})
 
 
 def beta_partition(j: JointMeasure) -> MetricValue:
@@ -150,7 +160,7 @@ def _beta(d: DependenceMatrix) -> MetricValue:
         "partition1": tuple((i,) for i in range(len(d.space1))),
         "partition2": tuple((k,) for k in range(len(d.space2))),
     }
-    return MetricValue("beta", variation_norm(d).value / 2, True, cert)
+    return MetricValue("beta", variation_norm(d).value / 2, cert)
 
 
 def cov_sup_pm1(j: JointMeasure, mode: str = "exact") -> MetricValue:
@@ -159,19 +169,17 @@ def cov_sup_pm1(j: JointMeasure, mode: str = "exact") -> MetricValue:
     |psi| is convex in each coordinate, so the maximum over [-1,1]-valued
     functions is attained at sign vectors; for a fixed f the optimal g is the
     sign of f^T D, so cov_sup = max_f ||f^T D||_1 = 4 alpha, with the same
-    kernel and sign vector as alpha_coefficient.
+    kernel and sign vector as alpha_coefficient. mode accepts only "exact".
     """
-    return _cov_sup(_best_signs(dependence_matrix(j), mode), mode)
+    _require_exact(mode)
+    return _cov_sup(_best_signs(dependence_matrix(j)))
 
 
-def _cov_sup(signs, mode: str) -> MetricValue:
+def _cov_sup(signs) -> MetricValue:
     f, agg, scale = signs
     g = tuple(1 if x >= 0 else -1 for x in agg)
     value = Fraction(sum(abs(x) for x in agg), scale)
-    cert = {"f": f, "g": g}
-    if mode == "heuristic":
-        cert["lower_bound"] = True
-    return MetricValue("cov_sup", value, mode == "exact", cert)
+    return MetricValue("cov_sup", value, {"f": f, "g": g})
 
 
 def rectangle_gap(j: JointMeasure, a_indices, b_indices) -> Fraction:
@@ -292,7 +300,7 @@ def prokhorov_distance(m1: DiscreteMeasure, m2: DiscreteMeasure) -> MetricValue:
         "outside_mass": 1 - overlap,
         "coupling": tuple((pair, flow) for pair, flow in coupling.items()),
     }
-    return MetricValue("prokhorov", value, False, cert)
+    return MetricValue("prokhorov", value, cert)
 
 
 def _require_support(n: int, cutoff: int, what: str) -> None:
@@ -422,7 +430,7 @@ def bl_distance(m1: DiscreteMeasure, m2: DiscreteMeasure) -> MetricValue:
     # 0.0 first: max returns the first of equal items, so -0.0 reads 0.0
     value = max(0.0, res.value)
     cert = {"support": tuple(support), "h": res.solution}
-    return MetricValue("bl", value, False, cert)
+    return MetricValue("bl", value, cert)
 
 
 def prokhorov_to_product_upper(
@@ -440,7 +448,7 @@ def prokhorov_to_product_upper(
     mv = prokhorov_distance(mu, nu)
     cert = dict(mv.certificate or {})
     cert["upper_bound_for"] = "distance to the set of product measures"
-    return MetricValue("prokhorov", mv.value, False, cert)
+    return MetricValue("prokhorov", mv.value, cert)
 
 
 def bl_to_product(
@@ -510,7 +518,7 @@ def cf_gap_lattice(j: JointMeasure) -> MetricValue:
     ss = list(itertools.product(DEFAULT_CF_LATTICE, repeat=j.space2.dim))
     gaps = _cf_gaps(j, np.array(ts), np.array(ss))
     a, b = np.unravel_index(np.argmax(gaps), gaps.shape)
-    return MetricValue("cf", float(gaps[a, b]), False, {"t": ts[a], "s": ss[b]})
+    return MetricValue("cf", float(gaps[a, b]), {"t": ts[a], "s": ss[b]})
 
 
 def gaussian_cf_gap(mean1, mean2, cov11, cov22, cov12, t, s) -> float:
@@ -595,13 +603,17 @@ def evaluate_certificate(
     """Recompute a metric value from its certificate alone.
 
     Exact metrics re-evaluate to the identical rational; LP/flow metrics and
-    cf to within 1e-9. prokhorov and bl need m1 and m2, the others dep.
+    cf to within 1e-9. prokhorov and bl need m1 and m2, the others dep; a
+    missing one is an InputError.
     """
     if mv.certificate is None:
         raise InputError("metric value carries no certificate")
-    entry = METRICS.get(mv.name)
-    if entry is None:
-        raise InputError(f"no certificate evaluator for {mv.name}")
+    entry = METRICS[mv.name]
+    # the numeric metrics compare two measures; the others read the dependence matrix
+    given = {"m1": m1, "m2": m2} if entry.mode == "numeric" else {"dep": dep}
+    missing = [name for name, arg in given.items() if arg is None]
+    if missing:
+        raise InputError(f"the {mv.name} certificate needs {' and '.join(missing)}")
     return entry.evaluate(mv.certificate, dep, m1, m2)
 
 
@@ -625,14 +637,14 @@ class JointCase:
 
     @cached_property
     def signs(self):
-        return _best_signs(self.dep, "exact")
+        return _best_signs(self.dep)
 
 
 def _declared_rectangle(c: JointCase) -> MetricValue:
     if c.rectangle is None:
         raise CapabilityError("the joint declares no AI-2 rectangle")
     a, b = c.rectangle
-    return MetricValue("rectangle", _rectangle_mass(c.dep, a, b), True, {"A": a, "B": b})
+    return MetricValue("rectangle", _rectangle_mass(c.dep, a, b), {"A": a, "B": b})
 
 
 class MetricEntry(NamedTuple):
@@ -649,8 +661,8 @@ class MetricEntry(NamedTuple):
 METRICS = {
     "variation": MetricEntry("AI-4", "exact", lambda c: variation_norm(c.dep), _variation_from),
     "beta": MetricEntry("AI-4", "exact", lambda c: _beta(c.dep), _beta_from),
-    "alpha": MetricEntry("AI-3", "exact", lambda c: _alpha(c.signs, "exact"), _rectangle_from),
-    "cov_sup": MetricEntry("AI-3", "exact", lambda c: _cov_sup(c.signs, "exact"), _cov_sup_from),
+    "alpha": MetricEntry("AI-3", "exact", lambda c: _alpha(c.signs), _rectangle_from),
+    "cov_sup": MetricEntry("AI-3", "exact", lambda c: _cov_sup(c.signs), _cov_sup_from),
     "rectangle": MetricEntry("AI-2", "exact", _declared_rectangle, _rectangle_from),
     "prokhorov": MetricEntry(
         "AI-1", "numeric", lambda c: prokhorov_to_product_upper(c.joint, c.kind), _prokhorov_from

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import os
 import random
@@ -275,32 +276,25 @@ def test_exact_bilinear_matches_full_enumeration(seed):
     rng = np.random.default_rng(seed)
     mat = rng.standard_normal((rng.integers(2, 6), rng.integers(2, 6)))
     inst = BilinearInstance(mat)
-    value, a, b = hypercube_bilinear_max(inst, mode="exact")
+    value, a, b = hypercube_bilinear_max(inst)
     assert value == pytest.approx(full_enumeration_max(mat), abs=1e-9)
     assert float(a @ mat @ b) == pytest.approx(value, abs=1e-9)
     assert set(np.unique(a)) <= {-1.0, 1.0} and set(np.unique(b)) <= {-1.0, 1.0}
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_heuristic_bilinear_is_a_valid_lower_bound(seed):
-    rng = np.random.default_rng(100 + seed)
-    mat = rng.standard_normal((5, 5))
-    exact, _, _ = hypercube_bilinear_max(BilinearInstance(mat), mode="exact")
-    heur, a, b = hypercube_bilinear_max(BilinearInstance(mat), mode="heuristic")
-    assert heur <= exact + 1e-9
-    assert float(a @ mat @ b) == pytest.approx(heur, abs=1e-9)
+def test_the_bilinear_kernel_has_one_exact_path():
+    assert list(inspect.signature(hypercube_bilinear_max).parameters) == ["inst"]
+    assert not hasattr(asymdep.engines, "HEURISTIC_RESTARTS")
 
 
 def test_sign_matrix_bilinear_value_and_bound():
     # the 8x3 matrix of signed binary digits attains exactly 12 at level 3, and
     # the squared maximum never exceeds 4^n * n at any level
     mat = binary_coding_sign_matrix(3)
-    value, _, _ = hypercube_bilinear_max(BilinearInstance(mat), mode="exact")
+    value, _, _ = hypercube_bilinear_max(BilinearInstance(mat))
     assert value == pytest.approx(12.0, abs=1e-9)
     for n in range(1, 9):
-        v, _, _ = hypercube_bilinear_max(
-            BilinearInstance(binary_coding_sign_matrix(n)), mode="exact"
-        )
+        v, _, _ = hypercube_bilinear_max(BilinearInstance(binary_coding_sign_matrix(n)))
         assert round(v) ** 2 <= 4 ** n * n
 
 

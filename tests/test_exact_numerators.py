@@ -101,12 +101,12 @@ def test_best_signs_hands_the_kernel_the_lcm_scaled_matrix(w):
     seen = []
     kernel = metrics.hypercube_bilinear_max
 
-    def spy(inst, mode="exact"):
+    def spy(inst):
         seen.append(inst.matrix)
-        return kernel(inst, mode=mode)
+        return kernel(inst)
 
     with mock.patch.object(metrics, "hypercube_bilinear_max", spy):
-        f, agg, scale = metrics._best_signs(dependence_matrix(joint_of(w)), "exact")
+        f, agg, scale = metrics._best_signs(dependence_matrix(joint_of(w)))
     n, want_scale = lcm_scaled(dependence_entries(w))
     assert scale == want_scale
     (matrix,) = seen

@@ -336,6 +336,15 @@ def test_cli_classify_with_an_unparseable_row_is_input_error(tmp_path, capsys, r
     assert capsys.readouterr().err.startswith("input error: ")
 
 
+@pytest.mark.parametrize("missing", ["-", ""])
+def test_cli_classify_skips_rows_with_a_missing_value(tmp_path, capsys, missing):
+    path = tmp_path / "series.csv"
+    path.write_text(f"1,1/4\n2,1/4\n3,1/4\n4,1/4\n5,{missing}\n", encoding="utf-8")
+    assert io.read_series_csv(str(path)) == [(n, 0.25) for n in range(1, 5)]
+    assert main(["classify", "--in", str(path)]) == 0
+    assert capsys.readouterr().out == "STALLS\n"
+
+
 def _coords_only_joint(n):
     """A joint file whose first space is an n-point line stored by its coords alone."""
     return {

@@ -1,6 +1,7 @@
 """The metric table: every metric name maps to a certified MetricValue, and
 the metrics asked of one joint share its dependence matrix and its sign
 enumeration."""
+import dataclasses
 import sys
 from fractions import Fraction
 
@@ -148,3 +149,55 @@ def test_cli_metrics_builds_one_dependence_matrix_and_one_enumeration(monkeypatc
     assert main(argv) == 0
     assert (len(deps), len(kernel)) == (1, 1)
     assert "cov_sup: 1 (exact=True)" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# One exact path: MetricValue.exact comes from the table
+# ---------------------------------------------------------------------------
+
+def bernoulli_case():
+    inst = analysis.build_family("bernoulli_perturbation", 4)
+    return JointCase(inst.joint, SUM, inst.params.get("rectangle"))
+
+
+@pytest.mark.parametrize("name", list(METRICS))
+def test_a_metric_is_exact_exactly_when_its_table_mode_is(name):
+    mv = METRICS[name].compute(bernoulli_case())
+    assert mv.exact == (METRICS[name].mode == "exact")
+    assert isinstance(mv.value, Fraction) == mv.exact
+
+
+def test_metric_value_has_no_stored_exact_field_and_a_known_name():
+    assert [f.name for f in dataclasses.fields(metrics.MetricValue)] == [
+        "name", "value", "certificate"]
+    with pytest.raises(metrics.InputError, match="unknown metric"):
+        metrics.MetricValue("heuristic_alpha", F(1, 4))
+
+
+@pytest.mark.parametrize("fn", [metrics.alpha_coefficient, metrics.cov_sup_pm1])
+def test_alpha_and_cov_sup_accept_only_the_exact_mode(fn):
+    j = bernoulli_case().joint
+    assert fn(j, mode="exact") == fn(j)
+    with pytest.raises(metrics.InputError, match="mode must be 'exact'"):
+        fn(j, mode="heuristic")
+
+
+@pytest.mark.parametrize("name", [n for n, m in METRICS.items() if m.mode != "numeric"])
+def test_a_dependence_certificate_without_dep_is_an_input_error(name):
+    case = bernoulli_case()
+    mv = METRICS[name].compute(case)
+    mu, nu = joint_and_product_on_product(case.joint, SUM)
+    with pytest.raises(metrics.InputError, match=f"the {name} certificate needs dep$"):
+        evaluate_certificate(mv, m1=mu, m2=nu)
+
+
+@pytest.mark.parametrize("name", ["prokhorov", "bl"])
+@pytest.mark.parametrize("keep, missing", [((), "m1 and m2"), (("m1",), "m2"), (("m2",), "m1")],
+                         ids=["neither", "only-m1", "only-m2"])
+def test_a_two_measure_certificate_without_both_measures_is_an_input_error(name, keep, missing):
+    case = bernoulli_case()
+    mv = METRICS[name].compute(case)
+    mu, nu = joint_and_product_on_product(case.joint, SUM)
+    kwargs = {arg: m for arg, m in (("m1", mu), ("m2", nu)) if arg in keep}
+    with pytest.raises(metrics.InputError, match=f"the {name} certificate needs {missing}$"):
+        evaluate_certificate(mv, dep=case.dep, **kwargs)

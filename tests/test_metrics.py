@@ -145,14 +145,6 @@ def test_alpha_of_binary_coding_decays_like_inverse_sqrt(n):
     assert mv.value ** 2 <= F(1, n)  # alpha <= 1/sqrt(n), squared to stay rational
 
 
-def test_alpha_heuristic_is_an_exact_rational_lower_bound():
-    j = random_joint(42, 5, 5)
-    exact = alpha_coefficient(j, mode="exact")
-    heur = alpha_coefficient(j, mode="heuristic")
-    assert heur.value <= exact.value
-    assert evaluate_certificate(heur, dep=dependence_matrix(j)) == heur.value
-
-
 @pytest.mark.parametrize("seed", range(5))
 def test_beta_is_half_variation(seed):
     j = random_joint(seed, 4, 3)
@@ -174,13 +166,6 @@ def test_cov_sup_is_four_alpha_and_matches_enumeration(seed):
     assert mv.value == brute_force_cov_sup(j)
     assert mv.value == 4 * alpha_coefficient(j).value
     assert evaluate_certificate(mv, dep=dependence_matrix(j)) == mv.value
-
-
-def test_cov_sup_heuristic_lower_bound():
-    j = random_joint(5, 5, 4)
-    heur = cov_sup_pm1(j, mode="heuristic")
-    assert heur.value <= cov_sup_pm1(j).value
-    assert not heur.exact
 
 
 def test_cov_gap_and_integral_gap_examples():
@@ -725,6 +710,6 @@ def test_variation_certificate_reevaluates_exactly():
 
 def test_certificate_required():
     mv = variation_norm(dependence_matrix(random_joint(2, 2, 2)))
-    stripped = type(mv)(mv.name, mv.value, mv.exact, None)
+    stripped = type(mv)(mv.name, mv.value, None)
     with pytest.raises(InputError):
         evaluate_certificate(stripped, dep=None)
