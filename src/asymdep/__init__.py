@@ -23,6 +23,7 @@ from .engines import (
     LinearProgram,
     LPResult,
     LPStatus,
+    SparseRows,
     hypercube_bilinear_max,
     max_flow,
     solve_lp,

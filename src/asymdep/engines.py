@@ -4,8 +4,8 @@ The max-flow solver is a Dinic-style layered augmenting-path implementation
 that works over any exact numeric type (Fraction capacities stay exact).
 Its DFS keeps the path on an explicit stack, so the depth of the level
 graph is not bounded by Python's recursion limit.
-Linear programs are delegated to scipy's HiGHS backend behind a small
-maximize-form wrapper that hands it one sparse constraint matrix; scipy is
+Linear programs are held as arrays in HiGHS's own form, two-sided rows
+lower <= A x <= upper, and go to HiGHS as one sparse matrix; scipy is
 imported on the first solve, so importing the package does not load it.
 The hypercube kernel enumerates sign vectors exactly for integer matrices of
 any size: a float64 screen with a proven rounding bound keeps every sign
@@ -14,8 +14,8 @@ vector that may be optimal, and the survivors are re-ranked in Python ints.
 from __future__ import annotations
 
 import enum
+import operator
 from collections import deque
-from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,17 +34,21 @@ class FlowNetwork:
     sink: int
 
     def __post_init__(self) -> None:
-        edges = tuple((int(a), int(b), c) for a, b, c in self.edges)
-        object.__setattr__(self, "edges", edges)
+        """Check the edges column by column; endpoints become Python ints."""
         if self.source == self.sink:
             raise InputError("source and sink must differ")
-        for a, b, c in edges:
-            if a == b:
-                raise InputError("self-loops are not allowed")
-            if not (0 <= a < self.node_count and 0 <= b < self.node_count):
-                raise InputError("edge endpoint out of range")
-            if c < 0:
-                raise InputError("capacities must be nonnegative")
+        edges = tuple(self.edges)
+        tails, heads, caps = tuple(zip(*edges)) or ((), (), ())
+        if set(map(type, tails + heads)) - {int}:
+            tails, heads = tuple(map(int, tails)), tuple(map(int, heads))
+            edges = tuple(zip(tails, heads, caps))
+        object.__setattr__(self, "edges", edges)
+        if any(map(operator.eq, tails, heads)):
+            raise InputError("self-loops are not allowed")
+        if edges and not (0 <= min(tails + heads) and max(tails + heads) < self.node_count):
+            raise InputError("edge endpoint out of range")
+        if caps and min(caps) < 0:
+            raise InputError("capacities must be nonnegative")
 
 
 def max_flow(net: FlowNetwork) -> tuple[object, list[object]]:
@@ -145,33 +149,72 @@ class LPStatus(enum.Enum):
     UNBOUNDED = "unbounded"
 
 
-@dataclass(frozen=True)
-class LinearProgram:
-    """Maximize objective . x subject to rows coeffs . x <= bound and box bounds.
+def _hold_vectors(obj, **dtypes) -> list[np.ndarray]:
+    """Hold the named fields of a frozen dataclass as 1-D arrays of the given dtypes."""
+    out = []
+    for name, dtype in dtypes.items():
+        x = np.asarray(getattr(obj, name), dtype=dtype)
+        if x.ndim != 1:
+            raise InputError(f"{name} must be a 1-D array")
+        object.__setattr__(obj, name, x)
+        out.append(x)
+    return out
 
-    Each constraint is a pair (coeffs, bound) with coeffs a sparse
-    {column: coefficient} mapping.
-    """
 
-    objective: tuple[float, ...]
-    constraints: tuple[tuple[Mapping[int, float], float], ...] = ()
-    variable_bounds: tuple[tuple[float | None, float | None], ...] | None = None
+@dataclass(frozen=True, eq=False)
+class SparseRows:
+    """Rows lower <= A x <= upper, A in coordinate form: entry k adds coeff[k]
+    to A[row[k], col[k]]. A bound may be infinite, for a one-sided row.
+    len() is the number of rows."""
+
+    row: np.ndarray
+    col: np.ndarray
+    coeff: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
 
     def __post_init__(self) -> None:
-        nvar = len(self.objective)
-        for row in self.constraints:
-            if not (isinstance(row, tuple) and len(row) == 2):
-                raise InputError("a constraint is a (coefficients, bound) pair")
-            if not isinstance(row[0], Mapping):
-                raise InputError("constraint coefficients must be a {column: coefficient} mapping")
-            if not all(isinstance(j, int) and 0 <= j < nvar for j in row[0]):
-                raise InputError(f"constraint columns must be ints in range({nvar})")
-        if self.variable_bounds is not None:
-            if len(self.variable_bounds) != nvar:
-                raise InputError("bounds dimension mismatch")
-            for lo, hi in self.variable_bounds:
-                if lo is not None and hi is not None and lo > hi:
-                    raise InputError("variable bound lo > hi")
+        if any(np.size(x) and np.asarray(x).dtype.kind not in "iu" for x in (self.row, self.col)):
+            raise InputError("constraint rows and columns must be integer arrays")
+        row, col, coeff, lower, upper = _hold_vectors(
+            self, row=np.intp, col=np.intp, coeff=float, lower=float, upper=float
+        )
+        if not (len(row) == len(col) == len(coeff) and len(lower) == len(upper)):
+            raise InputError("constraint array lengths differ")
+        if not (np.all((0 <= row) & (row < len(lower))) and np.all(col >= 0)):
+            raise InputError(f"constraint rows must lie in range({len(lower)}), columns >= 0")
+        if not np.all(lower <= upper):
+            raise InputError("a lower bound exceeds its upper bound")
+
+    def __len__(self) -> int:
+        return len(self.lower)
+
+
+@dataclass(frozen=True, eq=False)
+class LinearProgram:
+    """Maximize objective . x subject to the rows and var_lower <= x <= var_upper.
+
+    The objective and the variable bounds are held as float arrays; bounds
+    left out are infinite.
+    """
+
+    objective: np.ndarray
+    constraints: SparseRows = SparseRows((), (), (), (), ())
+    var_lower: np.ndarray | None = None
+    var_upper: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        (obj,) = _hold_vectors(self, objective=float)
+        for name, inf in (("var_lower", -np.inf), ("var_upper", np.inf)):
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, np.full(len(obj), inf))
+        lower, upper = _hold_vectors(self, var_lower=float, var_upper=float)
+        if not len(lower) == len(upper) == len(obj):
+            raise InputError("bounds dimension mismatch")
+        if not np.all(self.constraints.col < len(obj)):
+            raise InputError(f"constraint columns must lie in range({len(obj)})")
+        if not np.all(lower <= upper):
+            raise InputError("a lower bound exceeds its upper bound")
 
 
 @dataclass(frozen=True)
@@ -182,34 +225,20 @@ class LPResult:
 
 
 def solve_lp(lp: LinearProgram) -> LPResult:
-    """Solve the (maximization) LP with HiGHS; 1e-9 feasibility/optimality target.
+    """Solve the (maximization) LP with HiGHS's default tolerances: scipy's
+    milp without integer variables, the rows as one sparse matrix."""
+    from scipy.optimize import Bounds, LinearConstraint, milp
+    from scipy.sparse import csc_array
 
-    The rows become one sparse A_ub; zero coefficients are dropped.
-    """
-    from scipy.optimize import linprog
-    from scipy.sparse import csr_matrix
-
-    nvar = len(lp.objective)
-    cols, vals, counts, b_ub = [], [], [], []
-    for coeffs, bound in lp.constraints:
-        cols.extend(coeffs)
-        vals.extend(coeffs.values())
-        counts.append(len(coeffs))
-        b_ub.append(bound)
-    rows = np.repeat(np.arange(len(b_ub)), np.array(counts, int))
-    vals = np.array(vals, float)
-    keep = vals != 0
-    a_ub = csr_matrix((vals[keep], (rows[keep], np.array(cols, int)[keep])), shape=(len(b_ub), nvar))
-    bounds = lp.variable_bounds if lp.variable_bounds is not None else [(None, None)] * nvar
-    res = linprog(
-        -np.asarray(lp.objective, dtype=float),
-        A_ub=a_ub,
-        b_ub=np.array(b_ub, float),
-        bounds=bounds,
-        method="highs",
+    c = lp.constraints
+    a = csc_array((c.coeff, (c.row, c.col)), shape=(len(c), len(lp.objective)))
+    res = milp(
+        -lp.objective,
+        constraints=LinearConstraint(a, c.lower, c.upper),
+        bounds=Bounds(lp.var_lower, lp.var_upper),
     )
     if res.status == 0:
-        return LPResult(LPStatus.OPTIMAL, float(-res.fun), tuple(float(x) for x in res.x))
+        return LPResult(LPStatus.OPTIMAL, float(-res.fun), tuple(res.x.tolist()))
     if res.status == 2:
         return LPResult(LPStatus.INFEASIBLE, None, None)
     if res.status == 3:

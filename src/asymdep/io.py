@@ -270,11 +270,13 @@ def write_plot_data(report: DecayReport, path: str) -> None:
 
 
 def read_series_csv(path: str) -> list[tuple[int, float]]:
-    """A two-column (n, value) series; header row optional. Rows whose value
-    is missing (`-` or empty, a sweep's gap row) are skipped."""
+    """A two-column (n, value) series; header row optional, more columns an
+    InputError. Rows whose value is missing (`-` or empty) are skipped."""
     out = []
     with open(path, newline="", encoding="utf-8") as fh:
         for line, row in enumerate(csv.reader(fh), 1):
+            if len(row) > 2:
+                raise InputError(f"{path} line {line} has {len(row)} columns, not (n, value)")
             if not row or row[0].strip().lower() in ("n", ""):
                 continue
             try:

@@ -36,6 +36,7 @@ from .engines import (
     FlowNetwork,
     LinearProgram,
     LPStatus,
+    SparseRows,
     hypercube_bilinear_max,
     max_flow,
     solve_lp,
@@ -233,6 +234,9 @@ def _require_same_space(m1: DiscreteMeasure, m2: DiscreteMeasure) -> None:
 def _overlap_flow(dist, s1, s2, cap1, cap2, scale: int, eps: float):
     """Max coupling mass on pairs with dist <= eps, via exact max flow.
 
+    Returns the mass and the pair flows, both scaled by `scale`: the flow
+    (x, y, f) carries f / scale from x to y.
+
     The capacities are the weights scaled to ints by `scale` (cap1 on s1,
     cap2 on s2) and `scale` on every pair edge. Dinic's min, add, subtract
     and compare steps commute with that scaling (its unscaled start bound,
@@ -257,11 +261,7 @@ def _overlap_flow(dist, s1, s2, cap1, cap2, scale: int, eps: float):
     edges += zip((1 + a).tolist(), (1 + n1 + b).tolist(), itertools.repeat(scale))
     edges += [(1 + n1 + y, sink, c) for y, c in enumerate(cap2)]
     value, flows = max_flow(FlowNetwork(2 + n1 + n2, tuple(edges), source, sink))
-    pairs = zip(s1[a].tolist(), s2[b].tolist())
-    coupling = {
-        pair: Fraction(flow, scale) for pair, flow in zip(pairs, flows[n1:]) if flow > 0
-    }
-    return Fraction(value, scale), coupling, next_eps
+    return value, (s1[a], s2[b], flows[n1 : n1 + len(a)]), next_eps
 
 
 def prokhorov_distance(m1: DiscreteMeasure, m2: DiscreteMeasure) -> MetricValue:
@@ -287,18 +287,18 @@ def prokhorov_distance(m1: DiscreteMeasure, m2: DiscreteMeasure) -> MetricValue:
     s1, s2 = np.array(s1, dtype=np.intp), np.array(s2, dtype=np.intp)
     best, eps = None, 0.0
     while best is None or eps < best[0]:
-        overlap, coupling, next_eps = _overlap_flow(
-            m1.space.dist, s1, s2, cap1, cap2, scale, eps
-        )
-        candidate = max(eps, float(1 - overlap))
+        overlap, flows, next_eps = _overlap_flow(m1.space.dist, s1, s2, cap1, cap2, scale, eps)
+        # int true division rounds correctly, as float() of the Fraction does
+        candidate = max(eps, (scale - overlap) / scale)
         if best is None or candidate < best[0]:
-            best = (candidate, eps, overlap, coupling)
+            best = (candidate, eps, overlap, flows)
         eps = next_eps
-    value, eps, overlap, coupling = best
+    value, eps, overlap, (tails, heads, flows) = best
+    coupling = zip(tails.tolist(), heads.tolist(), flows)
     cert = {
         "epsilon": eps,
-        "outside_mass": 1 - overlap,
-        "coupling": tuple((pair, flow) for pair, flow in coupling.items()),
+        "outside_mass": Fraction(scale - overlap, scale),
+        "coupling": tuple(((a, b), Fraction(w, scale)) for a, b, w in coupling if w > 0),
     }
     return MetricValue("prokhorov", value, cert)
 
@@ -386,11 +386,11 @@ def bl_distance(m1: DiscreteMeasure, m2: DiscreteMeasure) -> MetricValue:
     """Bounded-Lipschitz distance: max of integral gaps over |h|<=1, Lip(h)<=1.
 
     Solved as an LP in the values h of the witness on the union support, with
-    the box |h| <= 1 and two sparse rows h(a) - h(b) <= d(a, b) and
-    h(b) - h(a) <= d(a, b) for each essential pair (see _essential_pairs).
+    the box |h| <= 1 and one two-sided row -d(a, b) <= h(a) - h(b) <= d(a, b)
+    for each essential pair (see _essential_pairs).
 
     The rows of the other pairs are implied, so the feasible set is the one
-    with a row pair for every pair. At d(a, b) >= 2 the box gives
+    with a row for every pair. At d(a, b) >= 2 the box gives
     |h(a) - h(b)| <= 2. Below 2, induct on d(a, b): a pair that is not
     essential has a witness c with both legs strictly shorter, so
     |h(a) - h(b)| <= |h(a) - h(c)| + |h(c) - h(b)| <= d(a, c) + d(c, b),
@@ -414,16 +414,10 @@ def bl_distance(m1: DiscreteMeasure, m2: DiscreteMeasure) -> MetricValue:
     f1, f2 = scale // m1.den, scale // m2.den
     c = [(m1.num[i] * f1 - m2.num[i] * f2) / scale for i in support]
     a_idx, b_idx, d_ab = _essential_pairs(m1.space.dist[np.ix_(support, support)])
-    constraints = []
-    for a, b, d in zip(a_idx.tolist(), b_idx.tolist(), d_ab.tolist()):
-        constraints.append(({a: 1.0, b: -1.0}, d))
-        constraints.append(({a: -1.0, b: 1.0}, d))
-    lp = LinearProgram(
-        objective=tuple(c),
-        constraints=tuple(constraints),
-        variable_bounds=tuple((-1.0, 1.0) for _ in range(n)),
-    )
-    res = solve_lp(lp)
+    # row k is -d_ab[k] <= h(a_idx[k]) - h(b_idx[k]) <= d_ab[k]
+    rows, cols = np.arange(len(d_ab)).repeat(2), np.column_stack((a_idx, b_idx)).ravel()
+    pairs = SparseRows(rows, cols, np.tile((1.0, -1.0), len(d_ab)), -d_ab, d_ab)
+    res = solve_lp(LinearProgram(np.array(c), pairs, np.full(n, -1.0), np.full(n, 1.0)))
     # h = 0 is feasible and the box bounds the objective: only the solver can fail
     if res.status is not LPStatus.OPTIMAL:
         raise SolverError(f"BL linear program was {res.status.value}")

@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .engines import BilinearInstance, FlowNetwork, hypercube_bilinear_max, max_flow
-from .engines import LinearProgram, LPStatus, solve_lp
+from .engines import LinearProgram, LPStatus, SparseRows, solve_lp
 from .families import (
     _random_prob_vector,
     bernoulli_perturbation_family,
@@ -423,62 +423,31 @@ def _bipartite_flow_oracle(supplies, demands, edges, caps) -> float:
     """Brute-force LP value of the bipartite max-flow instance."""
     from scipy.optimize import linprog
 
-    ne = len(edges)
-    c = -np.ones(ne)
-    rows, rhs = [], []
-    for i, s in enumerate(supplies):
-        row = np.zeros(ne)
-        for e, (a, _) in enumerate(edges):
-            if a == i:
-                row[e] = 1.0
-        rows.append(row)
-        rhs.append(float(s))
-    for k, d in enumerate(demands):
-        row = np.zeros(ne)
-        for e, (_, b) in enumerate(edges):
-            if b == k:
-                row[e] = 1.0
-        rows.append(row)
-        rhs.append(float(d))
+    # one row per supply node and per demand node, over the edges at it
+    ends = np.array(edges, dtype=int).reshape(-1, 2)
+    rows = [ends[:, 0] == i for i in range(len(supplies))]
+    rows += [ends[:, 1] == k for k in range(len(demands))]
     res = linprog(
-        c,
-        A_ub=np.array(rows),
-        b_ub=np.array(rhs),
+        -np.ones(len(edges)),
+        A_ub=np.array(rows, dtype=float),
+        b_ub=np.array([float(x) for x in (*supplies, *demands)]),
         bounds=[(0.0, float(cap)) for cap in caps],
         method="highs",
     )
     return float(-res.fun)
 
 
-def _vertex_enumeration_oracle(lp: LinearProgram) -> float:
-    """Max objective over the feasible vertices of a small bounded LP."""
-    nvar = len(lp.objective)
-    rows, rhs = [], []
-    for coeffs, bound in lp.constraints:
-        row = np.zeros(nvar)
-        for j, v in coeffs.items():
-            row[j] = v
-        rows.append(row)
-        rhs.append(bound)
-    for i, (lo, hi) in enumerate(lp.variable_bounds):
-        e = np.zeros(nvar)
-        e[i] = 1.0
-        if hi is not None:
-            rows.append(e.copy())
-            rhs.append(hi)
-        if lo is not None:
-            rows.append(-e)
-            rhs.append(-lo)
-    a = np.array(rows)
-    b = np.array(rhs)
+def _vertex_enumeration_oracle(objective, a: np.ndarray, b: np.ndarray) -> float:
+    """Max objective . x over the vertices of the bounded polytope a x <= b."""
+    nvar = len(objective)
     best = -math.inf
-    for combo in itertools.combinations(range(len(rows)), nvar):
+    for combo in itertools.combinations(range(len(a)), nvar):
         sub = a[list(combo)]
         if abs(np.linalg.det(sub)) < 1e-10:
             continue
         x = np.linalg.solve(sub, b[list(combo)])
         if np.all(a @ x <= b + 1e-9):
-            best = max(best, float(np.dot(lp.objective, x)))
+            best = max(best, float(np.dot(objective, x)))
     return best
 
 
@@ -508,18 +477,19 @@ def criterion_14_engine_oracles() -> CriterionResult:
     for t in range(50):
         nvar = rng.randint(2, 6)
         x0 = np.array([rng.uniform(-0.5, 0.5) for _ in range(nvar)])
-        constraints = []
+        rows, upper = [], []
         for _ in range(nvar + 2):
-            row = np.array([rng.uniform(-1, 1) for _ in range(nvar)])
-            bound = float(row @ x0 + rng.uniform(0.1, 1.0))
-            constraints.append((dict(enumerate(row.tolist())), bound))
-        lp = LinearProgram(
-            objective=tuple(rng.uniform(-1, 1) for _ in range(nvar)),
-            constraints=tuple(constraints),
-            variable_bounds=tuple((-1.0, 1.0) for _ in range(nvar)),
+            rows.append(np.array([rng.uniform(-1, 1) for _ in range(nvar)]))
+            upper.append(float(rows[-1] @ x0 + rng.uniform(0.1, 1.0)))
+        objective = np.array([rng.uniform(-1, 1) for _ in range(nvar)])
+        a, box, eye = np.array(rows), np.ones(nvar), np.eye(nvar)
+        i, j = np.indices(a.shape)
+        sparse = SparseRows(i.ravel(), j.ravel(), a.ravel(), np.full(len(a), -np.inf), upper)
+        res = solve_lp(LinearProgram(objective, sparse, -box, box))
+        # the box -1 <= x <= 1 joins the rows as x <= 1 and -x <= 1
+        oracle = _vertex_enumeration_oracle(
+            objective, np.vstack((a, eye, -eye)), np.array(upper + [1.0] * 2 * nvar)
         )
-        res = solve_lp(lp)
-        oracle = _vertex_enumeration_oracle(lp)
         if res.status is not LPStatus.OPTIMAL or abs(res.value - oracle) > 1e-8:
             bad.append((t, "lp", res.value, oracle))
     # exact bilinear max vs full enumeration

@@ -19,11 +19,13 @@ from asymdep import (
     InputError,
     LinearProgram,
     LPStatus,
+    SparseRows,
     hypercube_bilinear_max,
     max_flow,
     solve_lp,
 )
 from asymdep.families import binary_coding_sign_matrix
+from asymdep.verify import _vertex_enumeration_oracle
 from flow_oracle import max_flow as oracle_max_flow
 
 F = Fraction
@@ -54,6 +56,31 @@ def test_max_flow_textbook_network():
         outflow = sum(f for (u, v, _), f in zip(edges, flows) if u == node)
         assert inflow == outflow
     assert all(0 <= f <= c for (_, _, c), f in zip(edges, flows))
+
+
+@pytest.mark.parametrize(
+    "n, edges, source, sink, message",
+    [
+        (3, ((0, 1, 1),), 1, 1, "source and sink must differ"),
+        (3, ((0, 1, 1), (1, 1, 1)), 0, 2, "self-loops are not allowed"),
+        (3, ((0, 1, 1), (1, 3, 1)), 0, 2, "edge endpoint out of range"),
+        (3, ((0, 1, 1), (-1, 2, 1)), 0, 2, "edge endpoint out of range"),
+        (3, ((0, 1, 1), (1, 2, F(-1, 2))), 0, 2, "capacities must be nonnegative"),
+    ],
+    ids=["source-is-sink", "self-loop", "endpoint-past-the-end", "negative-endpoint",
+         "negative-capacity"],
+)
+def test_invalid_flow_network_raises(n, edges, source, sink, message):
+    with pytest.raises(InputError, match=message):
+        FlowNetwork(n, edges, source, sink)
+
+
+def test_numpy_int_endpoints_become_python_ints():
+    edges = [(np.int64(0), np.intp(1), F(1, 2)), (1, np.int32(2), 3)]
+    net = FlowNetwork(3, edges, 0, 2)
+    assert net.edges == ((0, 1, F(1, 2)), (1, 2, 3))
+    assert {type(x) for a, b, _ in net.edges for x in (a, b)} == {int}
+    assert max_flow(net) == (F(1, 2), [F(1, 2), F(1, 2)])
 
 
 def brute_force_min_cut(n, source, sink, edges):
@@ -165,15 +192,22 @@ def test_max_flow_matches_the_recursive_dinic_oracle(network):
 # Linear programming
 # ---------------------------------------------------------------------------
 
+def sparse_rows(a, lower=None, upper=None):
+    """Every entry of the dense matrix a, zeros included, as SparseRows."""
+    a = np.asarray(a, dtype=float)
+    i, j = np.indices(a.shape)
+    free = np.full(len(a), np.inf)
+    lower = -free if lower is None else np.asarray(lower, dtype=float)
+    upper = free if upper is None else np.asarray(upper, dtype=float)
+    return SparseRows(i.ravel(), j.ravel(), a.ravel(), lower, upper)
+
+
 def test_solve_lp_known_optimum():
     # max x + y  s.t.  x + 2y <= 4, 3x + y <= 6, x, y >= 0  ->  (8/5, 6/5)
     lp = LinearProgram(
         objective=(1.0, 1.0),
-        constraints=(
-            ({0: 1.0, 1: 2.0}, 4.0),
-            ({0: 3.0, 1: 1.0}, 6.0),
-        ),
-        variable_bounds=((0.0, None), (0.0, None)),
+        constraints=sparse_rows([[1.0, 2.0], [3.0, 1.0]], upper=[4.0, 6.0]),
+        var_lower=(0.0, 0.0),
     )
     res = solve_lp(lp)
     assert res.status is LPStatus.OPTIMAL
@@ -185,60 +219,123 @@ def test_solve_lp_known_optimum():
 def test_solve_lp_infeasible():
     lp = LinearProgram(
         objective=(1.0,),
-        constraints=(({0: 1.0}, -1.0),),
-        variable_bounds=((0.0, None),),
+        constraints=sparse_rows([[1.0]], upper=[-1.0]),
+        var_lower=(0.0,),
     )
     assert solve_lp(lp).status is LPStatus.INFEASIBLE
 
 
+def test_solve_lp_infeasible_two_sided_row():
+    # 1 <= x - y <= 2 cannot hold inside the box 0 <= x, y <= 1/2
+    rows = sparse_rows([[1.0, -1.0]], lower=[1.0], upper=[2.0])
+    lp = LinearProgram((1.0, 1.0), rows, (0.0, 0.0), (0.5, 0.5))
+    assert solve_lp(lp).status is LPStatus.INFEASIBLE
+
+
 def test_solve_lp_unbounded():
-    lp = LinearProgram(
-        objective=(1.0,),
-        constraints=(),
-        variable_bounds=((0.0, None),),
-    )
+    # no rows at all
+    lp = LinearProgram(objective=(1.0,), var_lower=(0.0,))
+    assert len(lp.constraints) == 0 and len(lp.objective) == 1
     assert solve_lp(lp).status is LPStatus.UNBOUNDED
+
+
+def test_solve_lp_without_rows_is_the_corner_of_the_box():
+    lp = LinearProgram((1.0, -2.0, 0.5), var_lower=(-1.0, -1.0, 0.0), var_upper=(1.0, 1.0, 4.0))
+    res = solve_lp(lp)
+    assert len(lp.constraints) == 0
+    assert res.status is LPStatus.OPTIMAL
+    assert res.value == pytest.approx(5.0, abs=1e-9)
+    assert res.solution == pytest.approx((1.0, -1.0, 4.0), abs=1e-9)
 
 
 def test_solve_lp_unbounded_despite_a_constraint():
     # x - y <= 1 leaves x = y -> infinity open
     lp = LinearProgram(
         objective=(1.0, 1.0),
-        constraints=(({0: 1.0, 1: -1.0}, 1.0),),
-        variable_bounds=((0.0, None), (0.0, None)),
+        constraints=sparse_rows([[1.0, -1.0]], upper=[1.0]),
+        var_lower=(0.0, 0.0),
     )
     assert solve_lp(lp).status is LPStatus.UNBOUNDED
 
 
 def test_solve_lp_zero_coefficients_change_nothing():
     # max x + 2y - z  s.t.  x + y + z <= 3, x - z <= 1, y <= 1: the optimum is 3
-    rows = (
-        ({0: 1.0, 1: 1.0, 2: 1.0}, 3.0),
-        ({0: 1.0, 1: 0.0, 2: -1.0}, 1.0),
-        ({0: 0.0, 1: 1.0}, 1.0),
-    )
-    bounds = ((0.0, 2.0),) * 3
-    res = solve_lp(LinearProgram((1.0, 2.0, -1.0), rows, bounds))
+    a = [[1.0, 1.0, 1.0], [1.0, 0.0, -1.0], [0.0, 1.0, 0.0]]
+    upper = [3.0, 1.0, 1.0]
+    bounds = (0.0,) * 3, (2.0,) * 3
+    rows = sparse_rows(a, upper=upper)
+    res = solve_lp(LinearProgram((1.0, 2.0, -1.0), rows, *bounds))
     assert res.status is LPStatus.OPTIMAL
     assert res.value == pytest.approx(3.0, abs=1e-9)
-    nonzero = tuple(({j: v for j, v in coeffs.items() if v}, bound) for coeffs, bound in rows)
-    assert solve_lp(LinearProgram((1.0, 2.0, -1.0), nonzero, bounds)) == res
+    keep = rows.coeff != 0
+    nonzero = SparseRows(rows.row[keep], rows.col[keep], rows.coeff[keep], rows.lower, rows.upper)
+    assert solve_lp(LinearProgram((1.0, 2.0, -1.0), nonzero, *bounds)) == res
 
 
-@pytest.mark.parametrize("key", [2, -1, 1.0])
-def test_mapping_row_column_outside_range_raises(key):
-    with pytest.raises(InputError):
-        LinearProgram(objective=(1.0, 1.0), constraints=(({key: 1.0}, 1.0),))
+def test_repeated_coordinates_add_up():
+    # (0, 0) is given as 0.25 + 0.75 and (0, 1) as 3 - 4: the row x - y <= 1/2
+    rows = SparseRows((0, 0, 0, 0), (0, 1, 0, 1), (0.25, 3.0, 0.75, -4.0), (-np.inf,), (0.5,))
+    res = solve_lp(LinearProgram((1.0, 0.0), rows, (0.0, 0.0), (1.0, 0.25)))
+    assert res.status is LPStatus.OPTIMAL
+    assert res.value == pytest.approx(0.75, abs=1e-9)
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_two_sided_rows_match_vertex_enumeration(seed):
+    # finite lower and upper bounds around a point x0 inside the box; the
+    # oracle reads each row lower <= a x <= upper as a x <= upper, -a x <= -lower
+    rng = np.random.default_rng(seed)
+    nvar = int(rng.integers(2, 5))
+    nrow = int(rng.integers(1, nvar + 3))
+    x0 = rng.uniform(-0.5, 0.5, nvar)
+    a = rng.uniform(-1, 1, (nrow, nvar))
+    lower = a @ x0 - rng.uniform(0.05, 0.5, nrow)
+    upper = a @ x0 + rng.uniform(0.05, 0.5, nrow)
+    objective = rng.uniform(-1, 1, nvar)
+    box = np.ones(nvar)
+    res = solve_lp(LinearProgram(objective, sparse_rows(a, lower, upper), -box, box))
+    eye = np.eye(nvar)
+    oracle = _vertex_enumeration_oracle(
+        objective, np.vstack((a, -a, eye, -eye)), np.concatenate((upper, -lower, box, box))
+    )
+    assert res.status is LPStatus.OPTIMAL
+    assert res.value == pytest.approx(oracle, abs=1e-8)
+    x = np.array(res.solution)
+    assert np.all(a @ x <= upper + 1e-8) and np.all(a @ x >= lower - 1e-8)
+
+
+@pytest.mark.parametrize("col", [2, -1, 1.0])
+def test_constraint_column_outside_range_raises(col):
+    with pytest.raises(InputError, match="integer arrays|range"):
+        LinearProgram((1.0, 1.0), SparseRows((0,), (col,), (1.0,), (-np.inf,), (1.0,)))
+
+
+ROW = {"row": (0,), "col": (0,), "coeff": (1.0,), "lower": (0.0,), "upper": (1.0,)}
 
 
 @pytest.mark.parametrize(
-    "row",
-    [((1.0, 1.0), 1.0), ({0: 1.0}, "<=", 1.0), [{0: 1.0}, 1.0]],
-    ids=["dense-coefficients", "relation-triple", "list-pair"],
+    "rows, bounds, message",
+    [
+        ({**ROW, "row": (1,)}, {}, "range"),
+        ({**ROW, "row": (-1,)}, {}, "range"),
+        ({**ROW, "row": (0.0,)}, {}, "integer arrays"),
+        ({**ROW, "coeff": (1.0, 2.0)}, {}, "lengths differ"),
+        ({**ROW, "col": (0, 1)}, {}, "lengths differ"),
+        ({**ROW, "upper": (1.0, 2.0)}, {}, "lengths differ"),
+        ({**ROW, "lower": (2.0,)}, {}, "lower bound exceeds"),
+        ({**ROW, "lower": (np.nan,)}, {}, "lower bound exceeds"),
+        (ROW, {"var_lower": (0.0,)}, "bounds dimension mismatch"),
+        (ROW, {"var_upper": (1.0, 1.0, 1.0)}, "bounds dimension mismatch"),
+        (ROW, {"var_lower": (0.0, 2.0), "var_upper": (1.0, 1.0)}, "lower bound exceeds"),
+        ({**ROW, "coeff": ((1.0,),)}, {}, "1-D"),
+    ],
+    ids=["row-past-the-end", "negative-row", "float-row", "coeff-length", "col-length",
+         "upper-length", "lower-above-upper", "nan-bound", "short-var-lower",
+         "long-var-upper", "var-lower-above-var-upper", "2-d-coeff"],
 )
-def test_lp_row_that_is_not_a_mapping_pair_raises(row):
-    with pytest.raises(InputError):
-        LinearProgram(objective=(1.0, 1.0), constraints=(row,))
+def test_lp_arrays_that_do_not_fit_raise(rows, bounds, message):
+    with pytest.raises(InputError, match=message):
+        LinearProgram(objective=(1.0, 1.0), constraints=SparseRows(**rows), **bounds)
 
 
 def test_import_does_not_load_scipy_solvers():

@@ -336,6 +336,20 @@ def test_cli_classify_with_an_unparseable_row_is_input_error(tmp_path, capsys, r
     assert capsys.readouterr().err.startswith("input error: ")
 
 
+def test_cli_classify_refuses_plot_data_of_two_metrics(tmp_path, capsys):
+    # variation is constant 1 (STALLS) and alpha decays: one verdict cannot stand for both
+    plot_csv = tmp_path / "plot.csv"
+    assert main([
+        "sweep", "--family", "binary_coding", "--n-from", "1", "--n-to", "6",
+        "--select", "variation,alpha", "--emit-plot-data", str(plot_csv),
+    ]) == 0
+    capsys.readouterr()
+    assert main(["classify", "--in", str(plot_csv)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and "line 1 has 3 columns, not (n, value)" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("missing", ["-", ""])
 def test_cli_classify_skips_rows_with_a_missing_value(tmp_path, capsys, missing):
     path = tmp_path / "series.csv"

@@ -433,9 +433,9 @@ def test_bl_on_integer_grid_keeps_only_the_neighbour_rows(monkeypatch, g):
     grid = product_space(line, line, ProductMetricKind.SUM)
     m1, m2 = positive_pair(g, grid)
     mv, lp = bl_with_lp(monkeypatch, m1, m2)
-    # two rows per 4-neighbour edge; the diagonal pairs sit at d = 2
-    assert len(lp.constraints) == 4 * g * (g - 1)
-    assert all(d == 1.0 for _, d in lp.constraints)
+    # one two-sided row per 4-neighbour edge; the diagonal pairs sit at d = 2
+    assert len(lp.constraints) == 2 * g * (g - 1)
+    assert np.all(lp.constraints.lower == -1.0) and np.all(lp.constraints.upper == 1.0)
     assert mv.value == pytest.approx(transport_bl(m1, m2), abs=1e-9)
 
 
@@ -443,7 +443,15 @@ def test_bl_on_integer_grid_keeps_only_the_neighbour_rows(monkeypatch, g):
 def test_bl_on_uniform_metric_keeps_every_row(monkeypatch, n):
     m1, m2 = positive_pair(n, uniform_metric_space(n))
     mv, lp = bl_with_lp(monkeypatch, m1, m2)
-    assert len(lp.constraints) == n * (n - 1)
+    assert len(lp.constraints) == n * (n - 1) // 2
+    # each row is -1 <= h(a) - h(b) <= 1 for one pair a < b
+    c = lp.constraints
+    rows = [[] for _ in range(len(c))]
+    for r, col, v in zip(c.row.tolist(), c.col.tolist(), c.coeff.tolist()):
+        rows[r].append((col, v))
+    pairs = itertools.combinations(range(n), 2)
+    assert sorted(sorted(row) for row in rows) == [[(a, 1.0), (b, -1.0)] for a, b in pairs]
+    assert np.all(c.lower == -1.0) and np.all(c.upper == 1.0)
     assert mv.value == pytest.approx(transport_bl(m1, m2), abs=1e-9)
     assert evaluate_certificate(mv, m1=m1, m2=m2) == pytest.approx(mv.value, abs=1e-9)
 
@@ -457,7 +465,7 @@ def test_bl_matches_transport_oracle_on_shortest_path_metrics(monkeypatch, seed,
     m1, m2 = positive_pair(seed, space)
     mv, lp = bl_with_lp(monkeypatch, m1, m2)
     near = int(np.count_nonzero(np.triu(space.dist < 2.0, 1)))
-    assert len(lp.constraints) < 2 * near  # tight triangles pruned some rows
+    assert len(lp.constraints) < near  # tight triangles pruned some rows
     assert mv.value == pytest.approx(transport_bl(m1, m2), abs=1e-9)
     # the certificate is checked against every pair, pruned or not
     assert evaluate_certificate(mv, m1=m1, m2=m2) == pytest.approx(mv.value, abs=1e-9)
