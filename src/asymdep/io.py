@@ -7,11 +7,13 @@ JSON is written without indentation; indented files load all the same.
 
 A space is written as its labels, its distance matrix "dist" and its
 coordinates "coords", if any. "dist" is left out of an exact line metric
-(see ``spaces._is_exact_line``), which the loader rebuilds bit for bit from
-its 1-D coordinates; every family writes such spaces. Files that carry
-"dist", as all files of earlier versions do, load as before, and every
-loaded space is validated alike. Earlier versions, which require "dist",
-cannot read a file without it.
+(see ``spaces._is_exact_line``), whose 1-D coordinates give it back bit for
+bit; every family writes such spaces. A space without "dist" loads as the
+coordinate line of its coords, checked without building its matrix when a
+certificate allows (see ``spaces._check_line``), with the verdict and the
+message of a check on the built matrix. Files that carry "dist", as all
+files of earlier versions do, load as before. Earlier versions, which
+require "dist", cannot read a file without it.
 """
 from __future__ import annotations
 
@@ -27,7 +29,7 @@ import numpy as np
 from .analysis import DecayReport, SweepRow
 from .errors import InputError
 from .measures import DiscreteMeasure, JointMeasure, Numerators
-from .spaces import FiniteMetricSpace, _is_exact_line, check_line_space_size
+from .spaces import FiniteMetricSpace, _exact_line_space, check_line_space_size
 
 WEIGHT_SUM_TOL = Fraction(1, 10 ** 9)
 
@@ -53,7 +55,7 @@ def parse_value(s: str):
 
 def space_to_dict(space: FiniteMetricSpace) -> dict:
     out = {"labels": list(space.labels)}
-    if not _is_exact_line(space.dist, space.coords):
+    if not _exact_line_space(space):
         out["dist"] = space.dist.tolist()
     if space.coords is not None:
         out["coords"] = space.coords.tolist()
@@ -70,7 +72,7 @@ def _float_array(x, key: str) -> np.ndarray:
 def space_from_dict(d: dict) -> FiniteMetricSpace:
     """The space of a dictionary, checked to be a metric (with matching coords).
 
-    Without "dist", the distances are rebuilt from 1-D coords.
+    Without "dist", the space is the coordinate line of its 1-D coords.
     """
     if not isinstance(d, dict):
         raise InputError(f"a space must be a JSON object, got {type(d).__name__}")
@@ -86,13 +88,10 @@ def space_from_dict(d: dict) -> FiniteMetricSpace:
     elif coords.ndim == 1 or coords.ndim == 2 and coords.shape[1] == 1:
         # The writer leaves "dist" out only when _is_exact_line held: the saved
         # dist[i, j] == |fl(x_i - x_j)| for i <= j, and dist is symmetric, as in
-        # every validated space. fl(x_j - x_i) = -fl(x_i - x_j), so this is the
-        # saved matrix entry for entry. The constructor rejects non-finite coords.
-        x = coords.reshape(-1)
-        check_line_space_size(len(x))
-        with np.errstate(invalid="ignore", over="ignore"):
-            dist = np.subtract.outer(x, x)
-        np.abs(dist, out=dist)
+        # every validated space. fl(x_j - x_i) = -fl(x_i - x_j), so the
+        # coordinate line's dist is the saved matrix entry for entry.
+        check_line_space_size(len(coords))
+        dist = None
     else:
         raise InputError("a space without 'dist' needs 1-D coords to rebuild it from")
     return FiniteMetricSpace(labels, dist, coords=coords)

@@ -224,10 +224,15 @@ def _integral(d: DependenceMatrix, h):
 # ---------------------------------------------------------------------------
 
 def _require_same_space(m1: DiscreteMeasure, m2: DiscreteMeasure) -> None:
-    if m1.space is m2.space:
+    s1, s2 = m1.space, m2.space
+    if s1 is s2:
         return
-    if m1.space.labels == m2.space.labels and np.array_equal(m1.space.dist, m2.space.dist):
-        return
+    if s1.labels == s2.labels:
+        # bit-equal coords of two coordinate lines give bit-equal matrices
+        if s1._line and s2._line and s1.coords.tobytes() == s2.coords.tobytes():
+            return
+        if np.array_equal(s1.dist, s2.dist):
+            return
     raise InputError("both measures must live on the same metric space")
 
 

@@ -5,18 +5,26 @@ matrix; optional Euclidean coordinates enable characteristic-function
 operations. Distances are float64; probability weights elsewhere in the
 package are exact rationals.
 
+A coordinate line (from ``line_space``, or a file that stores 1-D coords
+without "dist") is held by its coordinates x: its distance matrix
+|fl(x_i - x_j)| is built on the first read of ``dist``, read-only, and kept.
+Commands that never read a distance (``gen``, the variation metric) never
+allocate anything n x n for it.
+
 Validation checks that the distances are finite, symmetric, zero on the
 diagonal and positive off it, that they satisfy the triangle inequality up
 to 1e-12, and that coordinates, if given, are finite and reproduce them.
 The triangle check is an O(n^3 / 2) scan, except on an exact line metric:
 1-D coordinates whose differences are all exact floats and a distance
 matrix equal to their absolute values. There the scan provably passes, so
-an O(n^2) test of that form replaces it; every other input runs the scan.
+an O(n^2) test of that form replaces it. A coordinate line is checked in
+O(n) with no n x n array whenever one of two certificates holds (see
+``_check_line``); otherwise its matrix is built and checked like any other.
 """
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, InitVar
+import math
 from numbers import Real
 from typing import Sequence
 
@@ -26,11 +34,12 @@ from .errors import CapabilityError, InputError
 
 COORD_DIST_TOL = 1e-12
 
-# A line space holds n x n float64 distances and a temporary of the same size,
-# 2 x 128 MB at 4096 points, the binary_coding n = 12 space: building that
-# family takes about 0.11 s and 286 MB peak RSS (2-vCPU VM, Python 3.11,
-# two runs). Larger line spaces, from line_space or rebuilt by the loader from
-# coords, are refused before anything n x n is allocated.
+# The cutoff bounds the distance matrix a line space builds on its first read:
+# n x n float64 and a temporary of the same size. At 4096 points, the
+# binary_coding n = 12 space, line_space takes 2 ms and 31 MB peak RSS and the
+# first read of dist 0.08-0.28 s and 287 MB (2-vCPU VM, Python 3.11, two runs).
+# Larger line spaces, from line_space or loaded from coords, are refused at
+# construction, before anything n x n could be allocated.
 LINE_SPACE_MAX_POINTS = 4096
 
 
@@ -41,39 +50,45 @@ class ProductMetricKind(enum.Enum):
     MAX = "max"
 
 
-@dataclass(frozen=True)
 class FiniteMetricSpace:
     """Labeled points with a full pairwise distance matrix.
 
     When given, ``coords`` must reproduce ``dist`` as Euclidean distances.
+    With ``dist=None`` the space is the coordinate line of its 1-D
+    ``coords``: ``dist`` is |fl(x_i - x_j)|, built on its first read.
     """
 
-    labels: tuple[str, ...]
-    dist: np.ndarray
-    coords: np.ndarray | None = None
-    validate: InitVar[bool] = True
+    __slots__ = ("labels", "coords", "_dist", "_line")
 
-    def __post_init__(self, validate: bool) -> None:
-        labels = tuple(str(x) for x in self.labels)
-        dist = np.asarray(self.dist, dtype=float)
-        coords = None if self.coords is None else np.asarray(self.coords, dtype=float)
+    def __init__(self, labels, dist, coords=None, validate: bool = True) -> None:
+        labels = tuple(str(x) for x in labels)
+        coords = None if coords is None else np.asarray(coords, dtype=float)
         if coords is not None and coords.ndim == 1:
             coords = coords[:, None]
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "dist", dist)
-        object.__setattr__(self, "coords", coords)
-        n = len(labels)
-        if dist.shape != (n, n):
-            raise InputError(f"distance matrix shape {dist.shape} does not match {n} labels")
+        n, line = len(labels), dist is None
+        if line and (coords is None or coords.ndim != 2 or coords.shape[1] != 1):
+            raise InputError("a space without a distance matrix needs 1-D coords")
+        dist = None if line else np.asarray(dist, dtype=float)
+        # a coordinate line's matrix would be len(coords) x len(coords)
+        shape = (len(coords),) * 2 if line else dist.shape
+        if shape != (n, n):
+            raise InputError(f"distance matrix shape {shape} does not match {n} labels")
         if coords is not None and coords.ndim != 2:
             raise InputError("coords must be a vector or a matrix with one row per point")
         if coords is not None and coords.shape[0] != n:
             raise InputError("coords length must match label count")
-        if validate:
+        object.__setattr__(self, "labels", labels)
+        if validate and not (line and _check_line(coords[:, 0])):
+            if line:
+                dist = _line_dist(coords[:, 0])
             self._check(dist, coords)
-        dist.setflags(write=False)
+        if dist is not None:
+            dist.setflags(write=False)
         if coords is not None:
             coords.setflags(write=False)
+        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "_dist", dist)
+        object.__setattr__(self, "_line", line)
 
     def _check(self, dist: np.ndarray, coords: np.ndarray | None) -> None:
         n = len(self.labels)
@@ -108,12 +123,113 @@ class FiniteMetricSpace:
                 if np.max(np.abs(g, out=g)) > COORD_DIST_TOL:
                     raise InputError("coords do not reproduce the distance matrix")
 
+    @property
+    def dist(self) -> np.ndarray:
+        if self._dist is None:
+            object.__setattr__(self, "_dist", _line_dist(self.coords[:, 0]))
+        return self._dist
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor without checking
+        # again; a coordinate line travels as its coords alone
+        return type(self), (self.labels, None if self._line else self._dist, self.coords, False)
+
     def __len__(self) -> int:
         return len(self.labels)
 
     @property
     def dim(self) -> int | None:
         return None if self.coords is None else self.coords.shape[1]
+
+
+def _line_dist(x: np.ndarray) -> np.ndarray:
+    """|fl(x_i - x_j)|, read-only."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        dist = np.abs(x[:, None] - x[None, :])
+    dist.setflags(write=False)
+    return dist
+
+
+def _check_line(x: np.ndarray) -> bool:
+    """Check the coordinate line |fl(x_i - x_j)| of x in O(n), without its matrix.
+
+    Raises the InputError that ``FiniteMetricSpace._check`` raises on the
+    built matrix for non-finite coords, a spread fl(max - min) that
+    overflows (so does some distance) and repeated points (a zero distance).
+    Then returns True when one of two certificates shows that the rest of
+    that check passes, and False when neither holds and the caller must
+    build the matrix and run it.
+
+    (a) Exact differences (``_unit_certificate``): every fl(x_i - x_j) is
+        exact, so the argument of ``_is_exact_line`` applies. The coordinate
+        check compares d = |fl(x_i - x_j)| with sqrt(fl(d * d)). In binary
+        floating point the two are equal while d * d is finite and normal;
+        below that both are under 2^-510, so the check fails exactly when
+        fl(spread * spread) overflows, spread being the largest d.
+    (b) Small diameter: fl(max - min) <= 2^11. With u = 2^-53 and r the real
+        distances, d_ij = |fl(x_i - x_j)| = r_ij (1 + e), |e| <= u, so
+        fl(d_ik + d_kj) >= (r_ik + r_kj)(1 - u)^2 >= r_ij (1 - u)^2
+        >= d_ij (1 - u)^2 / (1 + u) >= d_ij (1 - 3u). The scan rejects
+        d_ij > fl(fl(d_ik + d_kj) + 1e-12), which cannot hold while
+        3u d_ij < 1e-12, i.e. d_ij < 3002 (rounding is monotone and d_ij is
+        a float). Every d_ij <= fl(max - min) <= 2^11, and sqrt(fl(d * d))
+        is within an ulp of d <= 2^11, under 1e-12: the coordinate check
+        passes.
+    """
+    if not np.all(np.isfinite(x)):
+        raise InputError("coords must be finite")
+    if len(x) < 2:
+        return True
+    s = np.sort(x)
+    spread = float(s[-1]) - float(s[0])
+    if not math.isfinite(spread):
+        raise InputError("distances must be finite")
+    if np.any(s[1:] == s[:-1]):
+        raise InputError("off-diagonal distances must be strictly positive")
+    if spread <= 2.0 ** 11:
+        return True
+    if not _unit_certificate(x):
+        return False
+    if math.isinf(spread * spread):
+        raise InputError("coords do not reproduce the distance matrix")
+    return True
+
+
+def _unit_certificate(x: np.ndarray) -> bool:
+    """Whether every x_i is an integer multiple of one power of two 2^e with
+    (max - min) / 2^e < 2^53. Then every difference is (k_i - k_j) 2^e with
+    |k_i - k_j| < 2^53, an exact float. O(n).
+
+    2^e is the smallest lowest set bit of a nonzero x_i. fl(max - min) is
+    fl(K) 2^e for the integer K = (max - min) / 2^e, and fl(K) < 2^53
+    implies K < 2^53 (rounding is monotone and 2^53 is a float). A division
+    that overflows fails the test, as do non-finite coords.
+    """
+    if len(x) < 2:
+        return True
+    spread = float(x.max()) - float(x.min())
+    if not math.isfinite(spread):
+        return False
+    mant, exp = np.frexp(x)
+    mant = np.ldexp(mant, 53).astype(np.int64)  # x = mant 2^(exp - 53), |mant| < 2^53
+    low = np.ldexp((mant & -mant).astype(float), exp - 53)  # lowest set bit of each x_i
+    with np.errstate(over="ignore"):
+        return spread / low[low > 0].min(initial=np.inf) < 2.0 ** 53
+
+
+def _exact_line_space(space: FiniteMetricSpace) -> bool:
+    """Whether the 1-D coords of space give its dist back bit for bit.
+
+    For a coordinate line that is whether every difference is exact: by
+    ``_unit_certificate`` in O(n), else by the O(n^2) TwoSum test of
+    ``_is_exact_line``. Any other space takes ``_is_exact_line`` itself.
+    """
+    if space._line:
+        return _unit_certificate(space.coords[:, 0]) or _is_exact_line(None, space.coords)
+    return _is_exact_line(space.dist, space.coords)
 
 
 def _check_triangles(dist: np.ndarray) -> None:
@@ -134,7 +250,7 @@ def _check_triangles(dist: np.ndarray) -> None:
             raise InputError("distance matrix violates the triangle inequality")
 
 
-def _is_exact_line(dist: np.ndarray, coords: np.ndarray | None) -> bool:
+def _is_exact_line(dist: np.ndarray | None, coords: np.ndarray | None) -> bool:
     """Whether the triangle scan provably passes: dist is an exact line metric.
 
     True when the coords are 1-D, every difference fl(x_i - x_j) is exact
@@ -145,7 +261,7 @@ def _is_exact_line(dist: np.ndarray, coords: np.ndarray | None) -> bool:
     1e-12) >= d[i,j]: the scan cannot fail. NaN or inf in coords, or a
     difference that overflows, makes the error term NaN, so such inputs, like
     any inexact difference or any mismatched entry, return False and take
-    the scan.
+    the scan. With ``dist=None`` only the differences are tested.
 
     The test runs over pairs i <= j (fl(x_j - x_i) = -fl(x_i - x_j) and dist
     is already known to be symmetric) in blocks of 64 rows, in three buffers
@@ -170,13 +286,18 @@ def _is_exact_line(dist: np.ndarray, coords: np.ndarray | None) -> bool:
             np.subtract(e, bb, out=e)
             if np.any(e != 0.0):
                 return False
-            if not np.array_equal(np.abs(d, out=d), dist[s:s + 64, s:]):
+            if dist is not None and not np.array_equal(np.abs(d, out=d), dist[s:s + 64, s:]):
                 return False
     return True
 
 
 def line_space(points: Sequence[Real], labels: Sequence[str] | None = None) -> FiniteMetricSpace:
-    """Points on the real line with |x - y| distance; always a valid metric."""
+    """The coordinate line of the points, with distances |fl(x - y)|.
+
+    Checked like a loaded one: points whose rounded distances break the
+    triangle inequality (an InputError) give no space, so every space built
+    here can be saved and loaded back.
+    """
     check_line_space_size(len(points))
     pts = [float(p) for p in points]
     if len(set(pts)) != len(pts):
@@ -185,9 +306,7 @@ def line_space(points: Sequence[Real], labels: Sequence[str] | None = None) -> F
         elabels = tuple(str(p) for p in points)
     else:
         elabels = tuple(labels)
-    arr = np.array(pts, dtype=float)
-    dist = np.abs(arr[:, None] - arr[None, :])
-    return FiniteMetricSpace(elabels, dist, coords=arr[:, None], validate=False)
+    return FiniteMetricSpace(elabels, None, coords=np.array(pts, dtype=float))
 
 
 def check_line_space_size(n: int) -> None:

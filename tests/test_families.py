@@ -8,6 +8,7 @@ from asymdep import (
     CapabilityError,
     ConditionalIndepInstance,
     CouplingInstance,
+    FiniteMetricSpace,
     InputError,
     alpha_coefficient,
     bernoulli_perturbation_family,
@@ -20,6 +21,7 @@ from asymdep import (
     gaussian_family_check,
     h_eval,
     integral_gap,
+    line_space,
     marginals,
     markov_block_family,
     markov_shift_family,
@@ -29,7 +31,7 @@ from asymdep import (
     two_state_chain,
     variation_norm,
 )
-from asymdep import families
+from asymdep import families, spaces
 from asymdep.families import (
     binary_coding_weight,
     matrix_power,
@@ -404,3 +406,37 @@ def test_gaussian_family_with_exploding_moments():
     covs = [(1.0, 1.0, 0.0)] * terms
     bounded, vanishes, _ = gaussian_family_check(means1, means2, covs)
     assert not bounded and vanishes
+
+
+def _spaces_of(obj):
+    if isinstance(obj, FiniteMetricSpace):
+        yield obj
+    for name in ("joint", "space1", "space2", "y_space"):
+        if hasattr(obj, name):
+            yield from _spaces_of(getattr(obj, name))
+    for s in getattr(obj, "pair_spaces", ()):
+        yield s
+
+
+def test_family_and_grid_spaces_are_certified_without_a_matrix(monkeypatch):
+    # certificate (a) (integers) or (b) (diameter <= 2^11) holds for each of
+    # them, so neither the full check nor the triangle scan runs, and no
+    # space builds its distance matrix
+    def never(*args):
+        raise AssertionError("a certified coordinate line took the full check")
+
+    monkeypatch.setattr(FiniteMetricSpace, "_check", never)
+    monkeypatch.setattr(spaces, "_check_triangles", never)
+    built = [
+        *(binary_coding_family(n) for n in range(1, 13)),
+        *(bernoulli_perturbation_family(n) for n in (2, 3, 7, 100, 10 ** 6)),
+        *(markov_shift_family(*two_state_chain(F(1, 3)), n) for n in (0, 1, 5)),
+        markov_block_family(*two_state_chain(F(2, 5)), 3, 3),
+        random_coupling_instance(1), random_conditional_indep_instance(1),
+        families.random_joint(2, 5, 7),
+        # the weak-geometry grids {0, 1/g, ..., (g-1)/g}
+        *(line_space([F(i, g) for i in range(g)]) for g in range(1, 65)),
+    ]
+    found = [s for obj in built for s in _spaces_of(obj)]
+    assert len(found) > 100
+    assert all(s._line and s._dist is None for s in found)

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from asymdep import (
     CapabilityError,
@@ -123,6 +125,105 @@ def test_other_spaces_keep_their_dist(tmp_path, space):
     j = JointMeasure(s, s, tuple(tuple(F(int(r == c), len(s)) for c in range(len(s)))
                                  for r in range(len(s))))
     path = tmp_path / "j.json"
+    io.save_measure(j, str(path))
+    _assert_bit_identical(io.load_measure(str(path)), j)
+
+
+def _checked_on_the_built_matrix(labels, coords):
+    """The space, or the InputError message, of the load path that built the
+    full matrix |fl(x_i - x_j)| from coords and checked it."""
+    x = np.array(coords, dtype=float).reshape(-1)
+    with np.errstate(invalid="ignore", over="ignore"):
+        full = np.abs(np.subtract.outer(x, x))
+    try:
+        with np.errstate(over="ignore"):
+            return FiniteMetricSpace(labels, full, coords=coords)
+    except InputError as exc:
+        return str(exc)
+
+
+_rng = np.random.default_rng(3)
+LOADER_CORPUS = {
+    "ints": list(range(-40, 200, 3)),
+    "ints_wide": [0, 1, 5000, 2 ** 40, -(2 ** 45)],
+    "dyadics": [k / 64 for k in (-900, -3, 0, 1, 77, 2 ** 20)],
+    "tenths": [0.1 * k for k in range(90)],
+    "tenths_wide": [0.1 * k for k in range(90)] + [1e5],
+    "large_spread_inexact": [-0.8122808264515302, 303.18594544552593, 786634.0851152702],
+    "uniform_1e6": list(_rng.uniform(0.0, 1e6, 80)),
+    "uniform_1e4": list(_rng.uniform(0.0, 1e4, 80)),
+    "exact_without_unit": [1.0 - 2.0 ** 53, 2.0 ** 53 - 1.0],
+    "zero_and_2^100": [0.0, 2.0 ** 100],
+    "spread_squared_overflows": [0.0, 2.0 ** 600],
+    "duplicates": [0.0, 1.0, 2.0, 1.0],
+    "signed_zeros": [0.0, -0.0, 3.0],
+    "duplicates_wide": [0.1, 1e6, 0.1],
+    "inf": [0.0, float("inf"), 1.0],
+    "-inf": [float("-inf"), 0.0],
+    "nan": [0.0, float("nan"), 1.0],
+    "nan_and_duplicates": [float("nan"), 1.0, 1.0],
+    "spread_overflows": [-1e308, 1e308],
+    "spread_overflows_with_duplicates": [-1e308, 1e308, 1e308],
+    "single": [5.0],
+    "empty": [],
+    "column": [[0.0], [0.5], [3.0]],
+}
+
+
+@pytest.mark.parametrize("name", LOADER_CORPUS)
+def test_a_coords_only_space_loads_as_the_check_on_its_built_matrix_does(name):
+    coords = LOADER_CORPUS[name]
+    labels = [str(i) for i in range(len(coords))]
+    want = _checked_on_the_built_matrix(tuple(labels), coords)
+    try:
+        got = io.space_from_dict({"labels": labels, "coords": coords})
+    except InputError as exc:
+        got = str(exc)
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert not isinstance(got, str), got
+    assert got._line and got.labels == want.labels
+    assert got.coords.tobytes() == want.coords.tobytes()
+    assert got.dist.tobytes() == want.dist.tobytes()
+
+
+def test_a_coords_only_space_with_fewer_labels_keeps_the_shape_message():
+    with pytest.raises(InputError, match=r"distance matrix shape \(3, 3\) does not match 2 labels"):
+        io.space_from_dict({"labels": ["a", "b"], "coords": [0, 1, 2]})
+
+
+@pytest.mark.parametrize("name", ["ints_wide", "dyadics", "tenths", "exact_without_unit"])
+def test_a_coords_only_space_is_saved_as_the_built_matrix_is(name):
+    coords = LOADER_CORPUS[name]
+    labels = tuple(str(i) for i in range(len(coords)))
+    line = FiniteMetricSpace(labels, None, coords=coords)
+    assert io.space_to_dict(line) == io.space_to_dict(_checked_on_the_built_matrix(labels, coords))
+
+
+def test_the_binary_coding_n12_file_loads_without_a_distance_matrix(tmp_path):
+    path = tmp_path / "bc12.json"
+    io.save_measure(build_family("binary_coding", 12, {}).joint, str(path))
+    tracemalloc.start()
+    try:
+        j = io.load_measure(str(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20  # the 4096-point dist alone takes 128 MB
+    assert j.space2._dist is None and j.space2.dist.shape == (4096, 4096)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(-1e9, 1e9), min_size=1, max_size=12, unique=True))
+def test_every_line_space_built_can_be_saved_and_loaded(tmp_path_factory, points):
+    try:
+        s = line_space(points)
+    except InputError:
+        return
+    j = JointMeasure(s, s, tuple(tuple(F(int(r == c), len(s)) for c in range(len(s)))
+                                 for r in range(len(s))))
+    path = tmp_path_factory.mktemp("line") / "j.json"
     io.save_measure(j, str(path))
     _assert_bit_identical(io.load_measure(str(path)), j)
 

@@ -580,6 +580,35 @@ def test_prokhorov_distance_checks_its_union_support(monkeypatch):
         prokhorov_distance(mixed, delta(s, 2))
 
 
+def test_two_copies_of_a_coordinate_line_are_one_space_without_their_matrices():
+    s, t = line_space(range(50)), line_space(range(50))
+    metrics._require_same_space(uniform(s), uniform(t))
+    assert s._dist is None and t._dist is None
+
+
+@pytest.mark.parametrize("points, same", [
+    ([5.0, 6.0, 7.0], True),    # other coords, the same distances
+    ([-0.0, 1.0, 2.0], True),   # coords equal but not bit for bit
+    ([0.0, 1.0, 3.0], False),
+])
+def test_other_coordinate_lines_are_compared_by_their_matrices(points, same):
+    s, t = line_space([0.0, 1.0, 2.0], labels="abc"), line_space(points, labels="abc")
+    if same:
+        metrics._require_same_space(uniform(s), uniform(t))
+    else:
+        with pytest.raises(InputError, match="same metric space"):
+            metrics._require_same_space(uniform(s), uniform(t))
+    assert s._dist is not None and t._dist is not None
+
+
+def test_a_coordinate_line_and_its_matrix_are_one_space():
+    s = line_space([0.0, 0.5, 2.0], labels="abc")
+    held = FiniteMetricSpace(s.labels, s.dist.copy(), coords=s.coords)
+    metrics._require_same_space(uniform(s), uniform(held))
+    with pytest.raises(InputError, match="same metric space"):
+        metrics._require_same_space(uniform(s), uniform(line_space([0.0, 0.5, 2.0], labels="abd")))
+
+
 def test_product_form_distances_vanish_for_independent_joints():
     s1, s2 = line_space([0.0, 1.0]), line_space([0.0, 2.0])
     p = product_measure(uniform(s1), uniform(s2))

@@ -1,7 +1,12 @@
+import copy
+import math
+import pickle
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from asymdep import (
     CapabilityError, InputError, ProductMetricKind, FiniteMetricSpace, line_space, product_space,
@@ -394,3 +399,179 @@ def test_asymmetric_entry_is_rejected_in_every_block(i, j):
     d[i, j] = 1.5
     with pytest.raises(InputError, match="must be symmetric"):
         FiniteMetricSpace(tuple(range(n)), d)
+
+
+# ---------------------------------------------------------------------------
+# Coordinate lines: dist built on the first read, checked by certificate
+# ---------------------------------------------------------------------------
+
+def _eager(x):
+    """The full-matrix formula |x_i - x_j| of the coordinates."""
+    x = np.asarray(x, dtype=float)
+    return np.abs(x[:, None] - x[None, :])
+
+
+@pytest.mark.parametrize("points", [
+    range(70), [0.1 * k for k in range(70)], [-3.5, 0.0, 0.75, 2.0 ** 40],
+    [-3.5, 0.0, 1e-300, 1e3], [7.25],
+])
+def test_lazy_dist_is_the_eager_matrix_read_only_and_built_once(monkeypatch, points):
+    built = []
+    build = spaces._line_dist
+    monkeypatch.setattr(spaces, "_line_dist", lambda x: built.append(len(x)) or build(x))
+    s = line_space(points)
+    assert built == [] and s._dist is None
+    d = s.dist
+    assert d.dtype == np.float64 and d.tobytes() == _eager(list(points)).tobytes()
+    assert not d.flags.writeable
+    with pytest.raises(ValueError):
+        d[0, 0] = 1.0
+    assert s.dist is d and built == [len(d)]
+
+
+def test_coordinate_line_is_immutable():
+    s = line_space([0.0, 1.0])
+    with pytest.raises(AttributeError):
+        s.dist = np.zeros((2, 2))
+    with pytest.raises(AttributeError):
+        s.labels = ("a", "b")
+
+
+@pytest.mark.parametrize("read_first", [False, True])
+def test_coordinate_line_copies_and_pickles(read_first):
+    s = line_space([0.0, 0.1, 0.25, 3.0], labels="abcd")
+    if read_first:
+        s.dist
+    for again in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+        assert type(again) is FiniteMetricSpace
+        assert again.labels == s.labels and again.coords.tobytes() == s.coords.tobytes()
+        assert again._line and again._dist is None  # travels as coords; rebuilt on a read
+        assert again.dist.tobytes() == s.dist.tobytes() and not again.dist.flags.writeable
+
+
+@pytest.mark.parametrize("read_first", [False, True])
+def test_matrix_space_copies_and_pickles(read_first):
+    d = np.array([[0.0, 1.0, 1.5], [1.0, 0.0, 1.0], [1.5, 1.0, 0.0]])
+    s = FiniteMetricSpace(("a", "b", "c"), d)
+    if read_first:
+        s.dist
+    for again in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+        assert not again._line and again.coords is None
+        assert again.labels == s.labels and again.dist.tobytes() == s.dist.tobytes()
+
+
+def test_a_4096_point_line_allocates_nothing_n_by_n_until_dist_is_read():
+    tracemalloc.start()
+    try:
+        s = line_space(range(4096))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20  # the matrix takes 128 MB
+    assert s._dist is None and s.dist.shape == (4096, 4096)
+
+
+@pytest.mark.parametrize("points", [
+    [-0.8122808264515302, 303.18594544552593, 786634.0851152702],
+    list(np.random.default_rng(0).uniform(0.0, 1e6, 256)),
+])
+def test_line_space_refuses_points_whose_rounded_distances_break_the_triangle(points):
+    assert _triangle_witnesses(_eager(points))
+    with pytest.raises(InputError, match=TRIANGLE_MESSAGE):
+        line_space(points)
+
+
+def test_line_space_refuses_non_finite_points():
+    with pytest.raises(InputError, match="coords must be finite"):
+        line_space([0.0, float("inf")])
+
+
+def test_a_coordinate_line_needs_one_dimensional_coords():
+    for coords in (None, np.zeros((2, 2))):
+        with pytest.raises(InputError, match="needs 1-D coords"):
+            FiniteMetricSpace(("a", "b"), None, coords=coords)
+
+
+def _full_check(x, d):
+    """Check matrix d with 1-D coords x as any given matrix is checked."""
+    FiniteMetricSpace(tuple(map(str, range(len(x)))), d, coords=x)
+
+
+# Coordinates drawn as integers k times one power of two 2^e, so that
+# certificate (a) mostly holds (|k| <= 2^52) or is near its edge (|k| up to
+# 2^60, rounded to floats), or as floats of a bounded spread, so that (b) holds.
+_unit_lines = st.builds(
+    lambda ks, e: np.unique(np.ldexp(np.array(ks, dtype=float), e)),
+    st.one_of(st.lists(st.integers(-2 ** 52, 2 ** 52), min_size=2, max_size=40),
+              st.lists(st.integers(-2 ** 60, 2 ** 60), min_size=2, max_size=40)),
+    st.integers(-1074, 960),
+)
+_small_lines = st.lists(
+    st.floats(-1024.0, 1024.0, allow_nan=False, allow_subnormal=True),
+    min_size=2, max_size=40, unique=True,
+).map(np.array)
+
+
+_any_lines = st.lists(
+    st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=40, unique=True,
+).map(np.array)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_unit_lines, _any_lines))
+def test_unit_certificate_implies_exact_differences(x):
+    assume(math.isfinite(float(x.max()) - float(x.min())))
+    assume(spaces._unit_certificate(x))
+    assert spaces._is_exact_line(_eager(x), x[:, None])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_unit_lines)
+def test_unit_certified_lines_pass_the_full_check_unless_the_spread_squared_overflows(x):
+    assume(len(x) > 1 and spaces._unit_certificate(x))
+    spread = float(x[-1]) - float(x[0])
+    overflows = math.isinf(spread * spread)
+    if overflows:
+        with pytest.raises(InputError, match=COORD_MESSAGE):
+            spaces._check_line(x)
+    else:
+        assert spaces._check_line(x)
+    try:
+        with np.errstate(over="ignore"):
+            _full_check(x, _eager(x))
+        assert not overflows
+    except InputError as exc:
+        assert str(exc) == COORD_MESSAGE and overflows
+
+
+@settings(max_examples=300, deadline=None)
+@given(_small_lines)
+def test_small_diameter_lines_pass_the_triangle_scan(x):
+    assert x.max() - x.min() <= 2.0 ** 11 and spaces._check_line(x)
+    d = _eager(x)
+    spaces._check_triangles(d)
+    _full_check(x, d)  # the coordinate check passes as well
+
+
+def test_sqrt_of_a_rounded_square_gives_the_float_back():
+    # the fact behind certificate (a)'s coordinate check, on every binade
+    rng = np.random.default_rng(0)
+    d = np.ldexp(rng.uniform(1.0, 2.0, (2 ** 12, 1)), np.arange(-511, 511)).ravel()
+    assert np.array_equal(np.sqrt(d * d), d)
+
+
+def test_an_exact_line_without_the_unit_certificate_loads_through_the_full_check(monkeypatch):
+    # +-(2^53 - 1): the difference 2^54 - 2 is exact, but K = 2^54 - 2 >= 2^53
+    x = np.array([1.0 - 2.0 ** 53, 2.0 ** 53 - 1.0])
+    assert not spaces._unit_certificate(x) and spaces._is_exact_line(_eager(x), x[:, None])
+    calls = _scan_calls(monkeypatch)
+    s = FiniteMetricSpace(("a", "b"), None, coords=x)
+    assert s._dist is not None and calls == []  # built to be checked; exact, so no scan
+    assert spaces._exact_line_space(s)
+
+
+def test_zero_and_two_to_the_hundred_hold_the_unit_certificate():
+    # 0 is a multiple of every power of two, so 2^e = 2^100 and K = 1
+    x = np.array([0.0, 2.0 ** 100])
+    assert spaces._unit_certificate(x) and spaces._check_line(x)
+    assert FiniteMetricSpace(("a", "b"), None, coords=x).dist[0, 1] == 2.0 ** 100
