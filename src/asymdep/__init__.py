@@ -43,6 +43,7 @@ from .metrics import (
     integral_gap,
     prokhorov_distance,
     prokhorov_to_product_upper,
+    rectangle_gap,
     variation_norm,
 )
 from .families import (
@@ -60,7 +61,6 @@ from .families import (
     h_eval,
     markov_block_family,
     markov_shift_family,
-    rectangle_gap,
     sign_fn,
     tent,
     two_state_chain,

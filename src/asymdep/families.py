@@ -33,7 +33,6 @@ from .measures import (
     pushforward_joint,
 )
 from .metrics import alpha_coefficient, gaussian_cf_gap, variation_norm, DEFAULT_CF_LATTICE
-from .metrics import rectangle_gap  # noqa: F401 -- families.rectangle_gap before its move
 from .spaces import LINE_SPACE_MAX_POINTS, FiniteMetricSpace, line_space
 
 ZERO = Fraction(0)

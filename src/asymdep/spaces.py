@@ -5,21 +5,20 @@ matrix; optional Euclidean coordinates enable characteristic-function
 operations. Distances are float64; probability weights elsewhere in the
 package are exact rationals.
 
-A coordinate line (from ``line_space``, or a file that stores 1-D coords
-without "dist") is held by its coordinates x: its distance matrix
-|fl(x_i - x_j)| is built on the first read of ``dist``, read-only, and kept.
+A space with 1-D coordinates x is a coordinate line when its distance
+matrix is |fl(x_i - x_j)|: when it is given none (``line_space``, a file
+that stores coords without "dist"), or when the matrix it is given equals
+that one bit for bit. A line keeps x; a line given no matrix builds
+|fl(x_i - x_j)| on the first read of ``dist``, read-only, and keeps it.
 Commands that never read a distance (``gen``, the variation metric) never
 allocate anything n x n for it.
 
 Validation checks that the distances are finite, symmetric, zero on the
 diagonal and positive off it, that they satisfy the triangle inequality up
-to 1e-12, and that coordinates, if given, are finite and reproduce them.
-The triangle check is an O(n^3 / 2) scan, except on an exact line metric:
-1-D coordinates whose differences are all exact floats and a distance
-matrix equal to their absolute values. There the scan provably passes, so
-an O(n^2) test of that form replaces it. A coordinate line is checked in
-O(n) with no n x n array whenever one of two certificates holds (see
-``_check_line``); otherwise its matrix is built and checked like any other.
+to 1e-12 (an O(n^3 / 2) scan), and that coordinates, if given, are finite
+and reproduce them. A coordinate line is checked in O(n) with no n x n
+array whenever one of two certificates holds (see ``_check_line``);
+otherwise its matrix is built and checked like any other.
 """
 from __future__ import annotations
 
@@ -54,8 +53,9 @@ class FiniteMetricSpace:
     """Labeled points with a full pairwise distance matrix.
 
     When given, ``coords`` must reproduce ``dist`` as Euclidean distances.
-    With ``dist=None`` the space is the coordinate line of its 1-D
-    ``coords``: ``dist`` is |fl(x_i - x_j)|, built on its first read.
+    With 1-D ``coords`` x and ``dist`` None or equal to |fl(x_i - x_j)| bit
+    for bit, the space is the coordinate line of x; with ``dist=None`` that
+    matrix is built on its first read.
     """
 
     __slots__ = ("labels", "coords", "_dist", "_line")
@@ -65,21 +65,23 @@ class FiniteMetricSpace:
         coords = None if coords is None else np.asarray(coords, dtype=float)
         if coords is not None and coords.ndim == 1:
             coords = coords[:, None]
-        n, line = len(labels), dist is None
-        if line and (coords is None or coords.ndim != 2 or coords.shape[1] != 1):
+        n = len(labels)
+        if dist is None and (coords is None or coords.ndim != 2 or coords.shape[1] != 1):
             raise InputError("a space without a distance matrix needs 1-D coords")
-        dist = None if line else np.asarray(dist, dtype=float)
+        dist = None if dist is None else np.asarray(dist, dtype=float)
         # a coordinate line's matrix would be len(coords) x len(coords)
-        shape = (len(coords),) * 2 if line else dist.shape
+        shape = (len(coords),) * 2 if dist is None else dist.shape
         if shape != (n, n):
             raise InputError(f"distance matrix shape {shape} does not match {n} labels")
         if coords is not None and coords.ndim != 2:
             raise InputError("coords must be a vector or a matrix with one row per point")
         if coords is not None and coords.shape[0] != n:
             raise InputError("coords length must match label count")
+        line = coords is not None and coords.shape[1] == 1 and (
+            dist is None or _is_line_dist(dist, coords[:, 0]))
         object.__setattr__(self, "labels", labels)
         if validate and not (line and _check_line(coords[:, 0])):
-            if line:
+            if dist is None:
                 dist = _line_dist(coords[:, 0])
             self._check(dist, coords)
         if dist is not None:
@@ -106,8 +108,7 @@ class FiniteMetricSpace:
         # the n diagonal zeros are the only entries allowed to be <= 0
         if np.count_nonzero(dist <= 0.0) != n:
             raise InputError("off-diagonal distances must be strictly positive")
-        if not _is_exact_line(dist, coords):
-            _check_triangles(dist)
+        _check_triangles(dist)
         if coords is not None:
             # per block of 64 rows, so no n x n temporary is built, in two buffers
             # reused across blocks: fresh per-block arrays made loads ~10% slower
@@ -153,6 +154,22 @@ def _line_dist(x: np.ndarray) -> np.ndarray:
     return dist
 
 
+def _is_line_dist(dist: np.ndarray, x: np.ndarray) -> bool:
+    """Whether dist is |fl(x_i - x_j)| bit for bit, in blocks of 64 rows into
+    one reused buffer, so no n x n temporary is built."""
+    n = len(x)
+    buf = np.empty((min(n, 64), n))
+    with np.errstate(invalid="ignore", over="ignore"):
+        for s in range(0, n, 64):
+            b = buf[:min(64, n - s)]
+            np.subtract(x[s:s + 64, None], x[None, :], out=b)
+            np.abs(b, out=b)
+            # as integers: -0.0 == 0.0, but a -0.0 in dist would not load back
+            if not np.array_equal(b.view(np.int64), dist[s:s + 64].view(np.int64)):
+                return False
+    return True
+
+
 def _check_line(x: np.ndarray) -> bool:
     """Check the coordinate line |fl(x_i - x_j)| of x in O(n), without its matrix.
 
@@ -164,7 +181,9 @@ def _check_line(x: np.ndarray) -> bool:
     build the matrix and run it.
 
     (a) Exact differences (``_unit_certificate``): every fl(x_i - x_j) is
-        exact, so the argument of ``_is_exact_line`` applies. The coordinate
+        exact, so d_ij = |x_i - x_j| over the reals and d_ik + d_kj >= d_ij.
+        Rounding is monotone and d_ij is a float, so fl(d_ik + d_kj) >= d_ij,
+        and so is fl(fl(d_ik + d_kj) + 1e-12): the scan passes. The coordinate
         check compares d = |fl(x_i - x_j)| with sqrt(fl(d * d)). In binary
         floating point the two are equal while d * d is finite and normal;
         below that both are under 2^-510, so the check fails exactly when
@@ -220,18 +239,6 @@ def _unit_certificate(x: np.ndarray) -> bool:
         return spread / low[low > 0].min(initial=np.inf) < 2.0 ** 53
 
 
-def _exact_line_space(space: FiniteMetricSpace) -> bool:
-    """Whether the 1-D coords of space give its dist back bit for bit.
-
-    For a coordinate line that is whether every difference is exact: by
-    ``_unit_certificate`` in O(n), else by the O(n^2) TwoSum test of
-    ``_is_exact_line``. Any other space takes ``_is_exact_line`` itself.
-    """
-    if space._line:
-        return _unit_certificate(space.coords[:, 0]) or _is_exact_line(None, space.coords)
-    return _is_exact_line(space.dist, space.coords)
-
-
 def _check_triangles(dist: np.ndarray) -> None:
     # Triangle inequality d[i,j] <= d[i,k] + d[k,j] + 1e-12 for all k, in
     # blocks of 64 rows. dist is exactly symmetric and float addition
@@ -248,47 +255,6 @@ def _check_triangles(dist: np.ndarray) -> None:
             np.minimum(tight, buf, out=tight)
         if np.any(rows[:, s:] > tight + 1e-12):
             raise InputError("distance matrix violates the triangle inequality")
-
-
-def _is_exact_line(dist: np.ndarray | None, coords: np.ndarray | None) -> bool:
-    """Whether the triangle scan provably passes: dist is an exact line metric.
-
-    True when the coords are 1-D, every difference fl(x_i - x_j) is exact
-    (the error term of Knuth's TwoSum is 0) and dist[i,j] == |fl(x_i - x_j)|.
-    Then dist[i,j] = |x_i - x_j| over the reals, so d[i,k] + d[k,j] >= d[i,j]
-    for every k. Round-to-nearest is monotone and d[i,j] is a float, so
-    fl(d[i,k] + d[k,j]) >= d[i,j], and likewise fl(fl(d[i,k] + d[k,j]) +
-    1e-12) >= d[i,j]: the scan cannot fail. NaN or inf in coords, or a
-    difference that overflows, makes the error term NaN, so such inputs, like
-    any inexact difference or any mismatched entry, return False and take
-    the scan. With ``dist=None`` only the differences are tested.
-
-    The test runs over pairs i <= j (fl(x_j - x_i) = -fl(x_i - x_j) and dist
-    is already known to be symmetric) in blocks of 64 rows, in three buffers
-    reused across blocks: O(n^2) time and O(64 n) memory.
-    """
-    if coords is None or coords.shape[1] != 1:
-        return False
-    x = coords[:, 0]
-    n = len(x)
-    diff, back, err = (np.empty((min(n, 64), n)) for _ in range(3))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for s in range(0, n, 64):
-            a, b = x[s:s + 64, None], x[None, s:]
-            d, bb, e = (buf[:len(a), :n - s] for buf in (diff, back, err))
-            # TwoSum(a, -b): d = fl(a - b), bb = fl(d - a), and the error
-            # (a - (d - bb)) + (-b - bb), computed as (a - (d - bb)) - (b + bb)
-            np.subtract(a, b, out=d)
-            np.subtract(d, a, out=bb)
-            np.subtract(d, bb, out=e)
-            np.subtract(a, e, out=e)
-            np.add(b, bb, out=bb)
-            np.subtract(e, bb, out=e)
-            if np.any(e != 0.0):
-                return False
-            if dist is not None and not np.array_equal(np.abs(d, out=d), dist[s:s + 64, s:]):
-                return False
-    return True
 
 
 def line_space(points: Sequence[Real], labels: Sequence[str] | None = None) -> FiniteMetricSpace:

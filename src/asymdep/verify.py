@@ -32,7 +32,6 @@ from .families import (
     random_conditional_indep_instance,
     random_coupling_instance,
     random_joint,
-    rectangle_gap,
     two_state_chain,
 )
 from .measures import (
@@ -50,6 +49,7 @@ from .metrics import (
     integral_gap,
     prokhorov_distance,
     prokhorov_to_product_upper,
+    rectangle_gap,
     variation_norm,
 )
 from .spaces import ProductMetricKind, line_space
@@ -439,16 +439,11 @@ def _bipartite_flow_oracle(supplies, demands, edges, caps) -> float:
 
 def _vertex_enumeration_oracle(objective, a: np.ndarray, b: np.ndarray) -> float:
     """Max objective . x over the vertices of the bounded polytope a x <= b."""
-    nvar = len(objective)
-    best = -math.inf
-    for combo in itertools.combinations(range(len(a)), nvar):
-        sub = a[list(combo)]
-        if abs(np.linalg.det(sub)) < 1e-10:
-            continue
-        x = np.linalg.solve(sub, b[list(combo)])
-        if np.all(a @ x <= b + 1e-9):
-            best = max(best, float(np.dot(objective, x)))
-    return best
+    combos = np.array(list(itertools.combinations(range(len(a)), len(objective))))
+    combos = combos[np.abs(np.linalg.det(a[combos])) >= 1e-10]
+    xs = np.linalg.solve(a[combos], b[combos][..., None])[..., 0]
+    feasible = np.all(xs @ a.T <= b + 1e-9, axis=1)
+    return max((float(np.dot(objective, x)) for x in xs[feasible]), default=-math.inf)
 
 
 def criterion_14_engine_oracles() -> CriterionResult:

@@ -19,7 +19,7 @@ from asymdep import (
     line_space,
     sweep,
 )
-from asymdep import io, metrics
+from asymdep import io, metrics, spaces
 from asymdep.analysis import build_family
 from asymdep.cli import main
 from asymdep.families import bernoulli_perturbation_family, random_joint
@@ -91,6 +91,7 @@ def _dyadic_joint():
     pytest.param(lambda: build_family("binary_coding", 4, {}).joint, id="binary_coding"),
     pytest.param(lambda: build_family("markov_shift", 3, {"p": F(1, 3)}).joint, id="markov_shift"),
     pytest.param(_dyadic_joint, id="dyadic"),
+    pytest.param(_float_distance_joint, id="inexact_difference"),
 ])
 def test_exact_line_spaces_are_written_without_dist(tmp_path, joint):
     j = joint()
@@ -108,20 +109,28 @@ def _nudged_line():
     return FiniteMetricSpace(("a", "b", "c"), d, coords=x)
 
 
+def _tenths_with_a_moved_entry():
+    # one entry of the 0.1 k line metric 1 ulp up, on rows of the first and last blocks of 64
+    x = 0.1 * np.arange(130)
+    d = np.abs(x[:, None] - x[None, :])
+    d[3, 129] = d[129, 3] = np.nextafter(d[3, 129], np.inf)
+    return FiniteMetricSpace(tuple(map(str, range(130))), d, coords=x)
+
+
 def _square():
     d = np.array([[0.0, 1.0, 2 ** 0.5], [1.0, 0.0, 1.0], [2 ** 0.5, 1.0, 0.0]])
     return FiniteMetricSpace(("a", "b", "c"), d, coords=[[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
 
 
 @pytest.mark.parametrize("space", [
-    pytest.param(lambda: _float_distance_joint().space1, id="inexact_difference"),
     pytest.param(_nudged_line, id="mismatched_entry"),
+    pytest.param(_tenths_with_a_moved_entry, id="mismatched_entry_130"),
     pytest.param(_square, id="2d_coords"),
     pytest.param(lambda: FiniteMetricSpace(("a", "b"), [[0.0, 1.0], [1.0, 0.0]]), id="no_coords"),
 ])
 def test_other_spaces_keep_their_dist(tmp_path, space):
     s = space()
-    assert io.space_to_dict(s)["dist"] == s.dist.tolist()
+    assert not s._line and io.space_to_dict(s)["dist"] == s.dist.tolist()
     j = JointMeasure(s, s, tuple(tuple(F(int(r == c), len(s)) for c in range(len(s)))
                                  for r in range(len(s))))
     path = tmp_path / "j.json"
@@ -129,15 +138,19 @@ def test_other_spaces_keep_their_dist(tmp_path, space):
     _assert_bit_identical(io.load_measure(str(path)), j)
 
 
-def _checked_on_the_built_matrix(labels, coords):
-    """The space, or the InputError message, of the load path that built the
-    full matrix |fl(x_i - x_j)| from coords and checked it."""
+def _checked_on_the_built_matrix(labels, coords, scan=False):
+    """The space, or the InputError message, of the constructor given the
+    full matrix |fl(x_i - x_j)| built from coords; with ``scan``, of the full
+    check run on it, scan included, where a certificate would pass it."""
     x = np.array(coords, dtype=float).reshape(-1)
     with np.errstate(invalid="ignore", over="ignore"):
         full = np.abs(np.subtract.outer(x, x))
     try:
         with np.errstate(over="ignore"):
-            return FiniteMetricSpace(labels, full, coords=coords)
+            s = FiniteMetricSpace(labels, full, coords=coords, validate=not scan)
+            if scan:
+                s._check(s.dist, s.coords)
+            return s
     except InputError as exc:
         return str(exc)
 
@@ -188,6 +201,18 @@ def test_a_coords_only_space_loads_as_the_check_on_its_built_matrix_does(name):
     assert got.dist.tobytes() == want.dist.tobytes()
 
 
+@pytest.mark.parametrize("name", LOADER_CORPUS)
+def test_a_line_given_its_matrix_gets_the_verdict_of_the_full_check(name):
+    coords = LOADER_CORPUS[name]
+    labels = tuple(str(i) for i in range(len(coords)))
+    want = _checked_on_the_built_matrix(labels, coords, scan=True)
+    got = _checked_on_the_built_matrix(labels, coords)
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert got._line and got.dist.tobytes() == want.dist.tobytes()
+
+
 def test_a_coords_only_space_with_fewer_labels_keeps_the_shape_message():
     with pytest.raises(InputError, match=r"distance matrix shape \(3, 3\) does not match 2 labels"):
         io.space_from_dict({"labels": ["a", "b"], "coords": [0, 1, 2]})
@@ -235,6 +260,27 @@ def test_a_file_with_the_dist_of_an_exact_line_loads_to_the_same_space():
         d[key] = {"labels": d[key]["labels"], "dist": space.dist.tolist(),
                   "coords": d[key]["coords"]}
     _assert_bit_identical(io.measure_from_dict(d), j)
+
+
+def test_a_file_with_the_dist_of_a_tenths_line_loads_as_that_line(tmp_path, monkeypatch):
+    # a file of an earlier version: 0.1 k, 130 points, with "dist" and 1-D coords
+    x = 0.1 * np.arange(130)
+    d = np.abs(x[:, None] - x[None, :])
+    labels = [str(k) for k in range(130)]
+    space = {"labels": labels, "dist": d.tolist(), "coords": x.tolist()}
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps({"space1": space, "weights": ["1/130"] * 130}), encoding="utf-8")
+    scans = []
+    scan = spaces._check_triangles
+    monkeypatch.setattr(spaces, "_check_triangles", lambda dist: scans.append(1) or scan(dist))
+    m = io.load_measure(str(path))
+    assert m.space._line and scans == []
+    io.save_measure(m, str(path))
+    assert json.loads(path.read_text(encoding="utf-8"))["space1"] == {
+        "labels": labels, "coords": x[:, None].tolist()}
+    back = io.load_measure(str(path)).space
+    assert back._line and back.coords.tobytes() == x.tobytes()
+    assert back.dist.tobytes() == d.tobytes()
 
 
 def test_indented_json_from_earlier_versions_loads(tmp_path):

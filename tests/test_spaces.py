@@ -2,6 +2,7 @@ import copy
 import math
 import pickle
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -254,7 +255,7 @@ def test_coord_check_accepts_a_gap_of_exactly_the_tolerance():
 
 
 # ---------------------------------------------------------------------------
-# Exact line metrics skip the triangle scan; everything else takes it
+# Line metrics are checked by certificate; every other matrix takes the scan
 # ---------------------------------------------------------------------------
 
 def _line_agrees_with_oracle(x, d):
@@ -288,13 +289,28 @@ def _line(x):
     return np.abs(x[:, None] - x[None, :])
 
 
+def _exact_line(d, coords):
+    """Whether coords are 1-D, every difference fl(x_i - x_j) is exact (as
+    Fractions, x_i - x_j == fl(x_i - x_j)) and d is |fl(x_i - x_j)|."""
+    coords = np.asarray(coords, dtype=float).reshape(len(coords), -1)
+    if coords.shape[1] != 1 or not np.all(np.isfinite(coords)):
+        return False
+    x = coords[:, 0].tolist()
+    for i, a in enumerate(x):
+        for b in x[i + 1:]:
+            fl = a - b
+            if not math.isfinite(fl) or Fraction(a) - Fraction(b) != Fraction(fl):
+                return False
+    return np.array_equal(d, _line(coords[:, 0]))
+
+
 @pytest.mark.parametrize("scale", [1.0, 1 / 8])
 @pytest.mark.parametrize("n", ORACLE_SIZES)
 def test_exact_line_skips_the_scan_and_matches_the_oracle(monkeypatch, n, scale):
     # integer and dyadic (k/8) points: every difference is an exact float
     x = np.random.default_rng(n).permutation(3 * n)[:n] * scale
     d = _line(x)
-    assert spaces._is_exact_line(d, x[:, None])
+    assert _exact_line(d, x)
     calls = _scan_calls(monkeypatch)
     assert _line_agrees_with_oracle(x, d)
     assert calls == []
@@ -304,10 +320,31 @@ def test_exact_line_skips_the_scan_and_matches_the_oracle(monkeypatch, n, scale)
 def test_inexact_line_takes_the_scan(monkeypatch, n):
     x = 0.1 * np.arange(n)  # 0.1 k - 0.1 l rounds for some pairs
     d = _line(x)
-    assert not spaces._is_exact_line(d, x[:, None])
+    assert not _exact_line(d, x)
     calls = _scan_calls(monkeypatch)
     assert _line_agrees_with_oracle(x, d)
-    assert calls == [n]
+    # d is still |fl(x_i - x_j)|: the space is the line of x, and certificate
+    # (b) of a spread under 2^11 checks it without the scan
+    assert FiniteMetricSpace(tuple(map(str, range(n))), d, coords=x)._line
+    assert calls == []
+
+
+def test_a_given_matrix_equal_to_the_line_metric_is_that_line(monkeypatch):
+    x = 0.1 * np.arange(130)  # 130 rows cross two block edges
+    calls = _scan_calls(monkeypatch)
+    for d in (_line(x), np.asfortranarray(_line(x)), _line(x).T):
+        s = FiniteMetricSpace(tuple(map(str, range(130))), d, coords=x)
+        assert s._line and s.dist.tobytes() == _line(x).tobytes()
+    assert calls == []
+
+
+def test_a_negative_zero_on_the_diagonal_keeps_a_matrix_space():
+    # -0.0 == 0.0, but the line metric would give +0.0 back
+    x = np.array([0.0, 1.0, 2.5])
+    d = _line(x)
+    d[1, 1] = -0.0
+    s = FiniteMetricSpace(("a", "b", "c"), d, coords=x)
+    assert not s._line and np.signbit(s.dist[1, 1])
 
 
 @pytest.mark.parametrize("step", ["up", "down", "+1e-12", "-1e-12", "+0.9e-12", "-0.9e-12"])
@@ -321,7 +358,7 @@ def test_moved_entry_takes_the_scan_and_matches_the_oracle(monkeypatch, n, step)
     else:
         moved = d[i, j] + float(step)
     d[i, j] = d[j, i] = moved
-    assert not spaces._is_exact_line(d, x[:, None])
+    assert not _exact_line(d, x)
     calls = _scan_calls(monkeypatch)
     _line_agrees_with_oracle(x, d)
     assert calls == [n]
@@ -345,7 +382,7 @@ def test_two_dimensional_coords_take_the_scan(monkeypatch):
     coords = np.array([[0.0, 0.0], [3.0, 0.0], [3.0, 4.0], [0.0, 4.0]])
     diffs = coords[:, None, :] - coords[None, :, :]
     d = np.sqrt((diffs ** 2).sum(axis=-1))
-    assert not spaces._is_exact_line(d, coords)
+    assert not _exact_line(d, coords)
     calls = _scan_calls(monkeypatch)
     FiniteMetricSpace(tuple("abcd"), d, coords=coords)
     assert calls == [4]
@@ -356,7 +393,7 @@ def test_non_finite_coords_are_not_an_exact_line(bad):
     x = np.array([0.0, 1.0, 2.0])
     d = _line(x)
     x[1] = bad
-    assert not spaces._is_exact_line(d, x[:, None])
+    assert not _exact_line(d, x)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -369,7 +406,7 @@ def test_non_finite_coords_are_rejected(bad):
 def test_huge_coords_whose_difference_overflows_are_not_an_exact_line():
     x = np.array([-1e308, 1e308])
     d = np.array([[0.0, 1.0], [1.0, 0.0]])
-    assert not spaces._is_exact_line(d, x[:, None])
+    assert not _exact_line(d, x)
 
 
 def test_coords_of_more_than_two_axes_are_rejected():
@@ -493,8 +530,10 @@ def test_a_coordinate_line_needs_one_dimensional_coords():
 
 
 def _full_check(x, d):
-    """Check matrix d with 1-D coords x as any given matrix is checked."""
-    FiniteMetricSpace(tuple(map(str, range(len(x)))), d, coords=x)
+    """Run the full check of matrix d with 1-D coords x, scan included, even
+    where d is their line metric and the constructor would take a certificate."""
+    s = FiniteMetricSpace(tuple(map(str, range(len(x)))), d, coords=x, validate=False)
+    s._check(s.dist, s.coords)
 
 
 # Coordinates drawn as integers k times one power of two 2^e, so that
@@ -522,7 +561,7 @@ _any_lines = st.lists(
 def test_unit_certificate_implies_exact_differences(x):
     assume(math.isfinite(float(x.max()) - float(x.min())))
     assume(spaces._unit_certificate(x))
-    assert spaces._is_exact_line(_eager(x), x[:, None])
+    assert _exact_line(_eager(x), x)
 
 
 @settings(max_examples=300, deadline=None)
@@ -563,11 +602,11 @@ def test_sqrt_of_a_rounded_square_gives_the_float_back():
 def test_an_exact_line_without_the_unit_certificate_loads_through_the_full_check(monkeypatch):
     # +-(2^53 - 1): the difference 2^54 - 2 is exact, but K = 2^54 - 2 >= 2^53
     x = np.array([1.0 - 2.0 ** 53, 2.0 ** 53 - 1.0])
-    assert not spaces._unit_certificate(x) and spaces._is_exact_line(_eager(x), x[:, None])
+    assert not spaces._unit_certificate(x) and _exact_line(_eager(x), x)
     calls = _scan_calls(monkeypatch)
     s = FiniteMetricSpace(("a", "b"), None, coords=x)
-    assert s._dist is not None and calls == []  # built to be checked; exact, so no scan
-    assert spaces._exact_line_space(s)
+    assert s._dist is not None and calls == [2]  # built to be checked, scan included
+    assert s._line
 
 
 def test_zero_and_two_to_the_hundred_hold_the_unit_certificate():
