@@ -48,11 +48,12 @@ def _markov_shift(n: int, params: dict) -> FamilyInstance:
     return markov_shift_family(transition, stationary, n)
 
 
-# family name -> builder(n, params); the lambdas look the builders up when called
+# family name -> (builder(n, params), the parameter keys it takes); the
+# lambdas look the builders up when called
 FAMILIES = {
-    "binary_coding": lambda n, params: binary_coding_family(n),
-    "bernoulli_perturbation": lambda n, params: bernoulli_perturbation_family(n),
-    "markov_shift": _markov_shift,
+    "binary_coding": (lambda n, params: binary_coding_family(n), ()),
+    "bernoulli_perturbation": (lambda n, params: bernoulli_perturbation_family(n), ()),
+    "markov_shift": (_markov_shift, ("p",)),
 }
 
 FAMILY_NAMES = tuple(FAMILIES)
@@ -144,12 +145,19 @@ def classify_decay(series) -> DecayVerdict:
     INCONCLUSIVE. The thresholds classify slow 1/sqrt(n)-type decay as
     convergent from as few as 4 points while keeping flat series stalled.
     Each fit needs 3 positive points: the power law takes those with n >= 1,
-    the exponential all of them.
+    the exponential all of them. A non-finite value, a repeated n and fewer
+    than 4 points are InputErrors.
     """
-    pts = [(int(n), max(float(v), 0.0)) for n, v in series]
+    pts = sorted((int(n), float(v)) for n, v in series)
+    for n, v in pts:
+        if not math.isfinite(v):
+            raise InputError(f"classify_decay needs finite values, got {v} at n = {n}")
+    for (n, _), (m, _) in zip(pts, pts[1:]):
+        if n == m:
+            raise InputError(f"classify_decay needs distinct n, got n = {n} twice")
     if len(pts) < 4:
         raise InputError("classify_decay needs at least 4 points")
-    pts.sort()
+    pts = [(n, max(v, 0.0)) for n, v in pts]
     values = [v for _, v in pts]
     if values[-1] == 0.0:
         return DecayVerdict(VERDICT_CONVERGES, rate=None, fit_quality=1.0, model="zero-tail")
@@ -178,10 +186,16 @@ def classify_decay(series) -> DecayVerdict:
 
 
 def build_family(name: str, n: int, params: dict | None = None) -> FamilyInstance:
-    builder = FAMILIES.get(name)
-    if builder is None:
+    """The family's instance at n; a parameter key the family does not take is an InputError."""
+    if name not in FAMILIES:
         raise InputError(f"unknown family {name!r}")
-    return builder(n, dict(params or {}))
+    builder, keys = FAMILIES[name]
+    params = dict(params or {})
+    for key in params:
+        if key not in keys:
+            takes = ", ".join(map(repr, keys)) or "no parameters"
+            raise InputError(f"family {name!r} takes no parameter {key!r}; it takes {takes}")
+    return builder(n, params)
 
 
 def metric_row(family: str, n: int, case: JointCase, metric: str) -> SweepRow:

@@ -151,25 +151,9 @@ def _as_fraction_matrix(rows):
     return tuple(tuple(as_fraction(x) for x in row) for row in rows)
 
 
-def _mat_mul(a, b):
-    n, m, p = len(a), len(b), len(b[0])
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(m)) for j in range(p)) for i in range(n)
-    )
-
-
 def matrix_power(t, n: int):
-    size = len(t)
-    result = tuple(
-        tuple(ONE if i == j else ZERO for j in range(size)) for i in range(size)
-    )
-    base = t
-    while n:
-        if n & 1:
-            result = _mat_mul(result, base)
-        base = _mat_mul(base, base)
-        n >>= 1
-    return result
+    """t^n of a square matrix of Fractions as tuples, exact: numpy multiplies the entries as objects."""
+    return tuple(map(tuple, np.linalg.matrix_power(np.array(t, dtype=object), n)))
 
 
 def markov_shift_family(transition, stationary, n: int) -> FamilyInstance:

@@ -3,18 +3,17 @@
 Rationals serialize as "p/q" strings to preserve exactness; floats as
 shortest round-trip decimals. JSON-loaded float weights are accepted when
 they sum to within 1e-9 of 1 and are then exactly renormalized to rationals.
-JSON is written without indentation; indented files load all the same.
+A measure file is one ``json.dumps`` of its mapping, without indentation,
+and a newline; indented files load all the same.
 
 A space is written as its labels, its distance matrix "dist" and its
-coordinates "coords", if any. "dist" is left out of every coordinate line
-(see ``spaces``), whose matrix is |fl(x_i - x_j)| of its 1-D coordinates
-and comes back from them bit for bit; every family writes such spaces. A
-space without "dist" loads as the coordinate line of its coords, checked
-without building its matrix when a certificate allows (see
-``spaces._check_line``), with the verdict and the message of a check on
-the built matrix. A file that carries "dist", as all files of earlier
-versions do, loads as before; when that matrix equals its coords' line
-metric, the space is that line and is written back without "dist".
+coordinates "coords", if any; "dist" is left out of every coordinate line
+(see ``spaces``), whose 1-D coordinates give it back bit for bit. Loading
+turns "dist" and "coords" into arrays, an absent "dist" into None, and
+leaves every other rule to ``FiniteMetricSpace``: a space without "dist"
+needs 1-D coords, is refused above LINE_SPACE_MAX_POINTS and loads as
+their coordinate line. A file of an earlier version, which carries
+"dist", loads as before; a line among them is written back without it.
 Earlier versions, which require "dist", cannot read a file without it.
 """
 from __future__ import annotations
@@ -31,7 +30,7 @@ import numpy as np
 from .analysis import DecayReport, SweepRow
 from .errors import InputError
 from .measures import DiscreteMeasure, JointMeasure, Numerators
-from .spaces import FiniteMetricSpace, check_line_space_size
+from .spaces import FiniteMetricSpace
 
 WEIGHT_SUM_TOL = Fraction(1, 10 ** 9)
 
@@ -65,14 +64,17 @@ def space_to_dict(space: FiniteMetricSpace) -> dict:
 
 
 def _float_array(x, key: str) -> np.ndarray:
+    """x as a fresh float64 array, handed to the space read-only, which holds it without a copy."""
     try:
-        return np.array(x, dtype=float)
+        a = np.array(x, dtype=float)
     except (TypeError, ValueError) as exc:
         raise InputError(f"space {key!r} is not a numeric array: {exc}") from exc
+    a.setflags(write=False)
+    return a
 
 
 def space_from_dict(d: dict) -> FiniteMetricSpace:
-    """The space of a dictionary, checked to be a metric (with matching coords).
+    """The space of a dictionary, as ``FiniteMetricSpace`` checks it.
 
     Without "dist", the space is the coordinate line of its 1-D coords.
     """
@@ -80,21 +82,10 @@ def space_from_dict(d: dict) -> FiniteMetricSpace:
         raise InputError(f"a space must be a JSON object, got {type(d).__name__}")
     if not isinstance(d.get("labels"), list):
         raise InputError("a space needs a 'labels' list")
-    labels = tuple(d["labels"])
     coords = d.get("coords")
     coords = None if coords is None else _float_array(coords, "coords")
-    if "dist" in d:
-        dist = _float_array(d["dist"], "dist")
-    elif coords is None:
-        raise InputError("space dictionary is missing key 'dist'")
-    elif coords.ndim == 1 or coords.ndim == 2 and coords.shape[1] == 1:
-        # the writer leaves "dist" out of a coordinate line only, whose matrix
-        # these coords give back bit for bit
-        check_line_space_size(len(coords))
-        dist = None
-    else:
-        raise InputError("a space without 'dist' needs 1-D coords to rebuild it from")
-    return FiniteMetricSpace(labels, dist, coords=coords)
+    dist = _float_array(d["dist"], "dist") if "dist" in d else None
+    return FiniteMetricSpace(d["labels"], dist, coords=coords)
 
 
 def _parse_weight(x) -> Fraction:
@@ -185,38 +176,10 @@ def load_measure(path: str):
     return measure_from_dict(payload)
 
 
-def _write_json(obj, fh) -> None:
-    """Write exactly ``json.dumps(obj)``, one ``dumps`` per innermost list.
-
-    ``dumps`` without indent runs CPython's C encoder (``json.dump`` never
-    does). One ``dumps`` of a whole payload holds its full text more than
-    once. That matters for a space that keeps its "dist", one that is not a
-    coordinate line: 1024 normal draws in the plane, with their Euclidean
-    distances and 2-D coords, write 20.7 MB, which one ``dumps`` writes with
-    40 MB of peak memory on top of the payload and this function with
-    0.1 MB (tracemalloc, Python 3.11). Row by row it holds one row at a time.
-    """
-    if isinstance(obj, dict):
-        fh.write("{")
-        for n, (key, value) in enumerate(obj.items()):
-            fh.write(f"{', ' if n else ''}{json.dumps(key)}: ")
-            _write_json(value, fh)
-        fh.write("}")
-    elif isinstance(obj, list) and obj and isinstance(obj[0], list):
-        fh.write("[")
-        for n, row in enumerate(obj):
-            fh.write(", " if n else "")
-            _write_json(row, fh)
-        fh.write("]")
-    else:
-        fh.write(json.dumps(obj))
-
-
 def save_measure(obj, path: str) -> None:
     d = joint_to_dict(obj) if isinstance(obj, JointMeasure) else measure_to_dict(obj)
     with open(path, "w", encoding="utf-8") as fh:
-        _write_json(d, fh)
-        fh.write("\n")
+        fh.write(json.dumps(d) + "\n")
 
 
 REPORT_COLUMNS = ("family", "n", "metric", "value", "exact", "mode", "certificate_ref")
@@ -283,6 +246,6 @@ def read_series_csv(path: str) -> list[tuple[int, float]]:
                 n, value = int(row[0]), row[1].strip()
                 if value not in ("-", ""):
                     out.append((n, float(parse_value(value))))
-            except (IndexError, ValueError, ZeroDivisionError) as exc:
+            except (IndexError, ValueError, ZeroDivisionError, OverflowError) as exc:
                 raise InputError(f"{path} line {line} is not an (n, value) row: {exc}") from exc
     return out

@@ -412,8 +412,6 @@ def bl_distance(m1: DiscreteMeasure, m2: DiscreteMeasure) -> MetricValue:
     support = sorted(set(m1.support()) | set(m2.support()))
     n = len(support)
     _require_support(n, BL_SUPPORT_CUTOFF, "bl_distance LP")
-    if n == 0:
-        raise InputError("empty support")
     # int true division rounds correctly, as float() of the Fraction does
     scale = math.lcm(m1.den, m2.den)
     f1, f2 = scale // m1.den, scale // m2.den

@@ -3,15 +3,18 @@
 A FiniteMetricSpace is a labeled point set with a full pairwise distance
 matrix; optional Euclidean coordinates enable characteristic-function
 operations. Distances are float64; probability weights elsewhere in the
-package are exact rationals.
+package are exact rationals. A space holds read-only arrays: it copies an
+array its caller could still write and holds a read-only one as given.
 
 A space with 1-D coordinates x is a coordinate line when its distance
 matrix is |fl(x_i - x_j)|: when it is given none (``line_space``, a file
 that stores coords without "dist"), or when the matrix it is given equals
-that one bit for bit. A line keeps x; a line given no matrix builds
-|fl(x_i - x_j)| on the first read of ``dist``, read-only, and keeps it.
-Commands that never read a distance (``gen``, the variation metric) never
-allocate anything n x n for it.
+that one bit for bit. The constructor owns every rule about a missing
+matrix: a space given none needs 1-D coords and is refused above
+LINE_SPACE_MAX_POINTS before anything n x n is built. A line keeps x; a
+line given no matrix builds |fl(x_i - x_j)| on the first read of
+``dist``, read-only, and keeps it. Commands that never read a distance
+(``gen``, the variation metric) never allocate anything n x n for it.
 
 Validation checks that the distances are finite, symmetric, zero on the
 diagonal and positive off it, that they satisfy the triangle inequality up
@@ -37,8 +40,8 @@ COORD_DIST_TOL = 1e-12
 # n x n float64 and a temporary of the same size. At 4096 points, the
 # binary_coding n = 12 space, line_space takes 2 ms and 31 MB peak RSS and the
 # first read of dist 0.08-0.28 s and 287 MB (2-vCPU VM, Python 3.11, two runs).
-# Larger line spaces, from line_space or loaded from coords, are refused at
-# construction, before anything n x n could be allocated.
+# The constructor refuses a larger space given no matrix, from line_space or
+# loaded from coords, before anything n x n could be allocated.
 LINE_SPACE_MAX_POINTS = 4096
 
 
@@ -55,20 +58,24 @@ class FiniteMetricSpace:
     When given, ``coords`` must reproduce ``dist`` as Euclidean distances.
     With 1-D ``coords`` x and ``dist`` None or equal to |fl(x_i - x_j)| bit
     for bit, the space is the coordinate line of x; with ``dist=None`` that
-    matrix is built on its first read.
+    matrix is built on its first read. ``dist=None`` without 1-D coords is
+    an InputError, and above LINE_SPACE_MAX_POINTS points a CapabilityError.
     """
 
     __slots__ = ("labels", "coords", "_dist", "_line")
 
     def __init__(self, labels, dist, coords=None, validate: bool = True) -> None:
-        labels = tuple(str(x) for x in labels)
-        coords = None if coords is None else np.asarray(coords, dtype=float)
+        coords = None if coords is None else _held(coords)
         if coords is not None and coords.ndim == 1:
             coords = coords[:, None]
+        if dist is None:
+            if coords is None or coords.ndim != 2 or coords.shape[1] != 1:
+                raise InputError("a space without a distance matrix needs 1-D coords")
+            # before the labels and anything n x n: the matrix is built from coords
+            check_line_space_size(len(coords))
+        labels = tuple(str(x) for x in labels)
         n = len(labels)
-        if dist is None and (coords is None or coords.ndim != 2 or coords.shape[1] != 1):
-            raise InputError("a space without a distance matrix needs 1-D coords")
-        dist = None if dist is None else np.asarray(dist, dtype=float)
+        dist = None if dist is None else _held(dist)
         # a coordinate line's matrix would be len(coords) x len(coords)
         shape = (len(coords),) * 2 if dist is None else dist.shape
         if shape != (n, n):
@@ -84,10 +91,6 @@ class FiniteMetricSpace:
             if dist is None:
                 dist = _line_dist(coords[:, 0])
             self._check(dist, coords)
-        if dist is not None:
-            dist.setflags(write=False)
-        if coords is not None:
-            coords.setflags(write=False)
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "_dist", dist)
         object.__setattr__(self, "_line", line)
@@ -101,27 +104,18 @@ class FiniteMetricSpace:
             raise InputError("distances must be finite")
         if np.any(np.diag(dist) != 0.0):
             raise InputError("distance matrix must have zero diagonal")
-        # 64 rows against 64 columns at a time: a strided read of all of dist.T is slower
-        for s in range(0, n, 64):
-            if not np.array_equal(dist[s:s + 64, s:], dist[s:, s:s + 64].T):
-                raise InputError("distance matrix must be symmetric")
+        if not np.array_equal(dist, dist.T):
+            raise InputError("distance matrix must be symmetric")
         # the n diagonal zeros are the only entries allowed to be <= 0
         if np.count_nonzero(dist <= 0.0) != n:
             raise InputError("off-diagonal distances must be strictly positive")
         _check_triangles(dist)
         if coords is not None:
-            # per block of 64 rows, so no n x n temporary is built, in two buffers
-            # reused across blocks: fresh per-block arrays made loads ~10% slower
-            diffs = np.empty((min(n, 64), n, coords.shape[1]))
-            gap = np.empty((min(n, 64), n))
+            # per block of 64 rows, so no n x n temporary is built
             for s in range(0, n, 64):
-                d, g = diffs[:n - s], gap[:n - s]
-                np.subtract(coords[s:s + 64, None, :], coords[None, :, :], out=d)
-                np.square(d, out=d)
-                np.sum(d, axis=-1, out=g)
-                np.sqrt(g, out=g)
-                np.subtract(g, dist[s:s + 64], out=g)
-                if np.max(np.abs(g, out=g)) > COORD_DIST_TOL:
+                diffs = coords[s:s + 64, None, :] - coords[None, :, :]
+                gap = np.sqrt(np.sum(np.square(diffs), axis=-1))
+                if np.max(np.abs(gap - dist[s:s + 64])) > COORD_DIST_TOL:
                     raise InputError("coords do not reproduce the distance matrix")
 
     @property
@@ -144,6 +138,23 @@ class FiniteMetricSpace:
     @property
     def dim(self) -> int | None:
         return None if self.coords is None else self.coords.shape[1]
+
+
+def _held(a) -> np.ndarray:
+    """a as a read-only float64 array that no caller can write through: a
+    itself when it and every array it views are read-only, else a read-only
+    copy. The package hands its own fresh arrays over read-only, so they are
+    held without a copy; a caller's writeable array is copied, and stays
+    writeable."""
+    a = np.asarray(a, dtype=float)
+    base = a
+    while isinstance(base, np.ndarray):
+        if base.flags.writeable:
+            a = a.copy()
+            break
+        base = base.base
+    a.setflags(write=False)
+    return a
 
 
 def _line_dist(x: np.ndarray) -> np.ndarray:
@@ -262,7 +273,8 @@ def line_space(points: Sequence[Real], labels: Sequence[str] | None = None) -> F
 
     Checked like a loaded one: points whose rounded distances break the
     triangle inequality (an InputError) give no space, so every space built
-    here can be saved and loaded back.
+    here can be saved and loaded back. The cap is checked on len(points)
+    before any point is read, so range(2 ** 40) is refused at once.
     """
     check_line_space_size(len(points))
     pts = [float(p) for p in points]
@@ -293,15 +305,18 @@ def product_space(
     no coordinates: neither metric is the Euclidean one of the concatenated
     coordinates, and the cf gap reads the factor spaces' coordinates.
     """
-    n1, n2 = len(s1), len(s2)
-    d1 = s1.dist[:, None, :, None]
-    d2 = s2.dist[None, :, None, :]
     if kind is ProductMetricKind.SUM:
-        dist = (d1 + d2).reshape(n1 * n2, n1 * n2)
+        combine = np.add
     elif kind is ProductMetricKind.MAX:
-        dist = np.maximum(d1, d2).reshape(n1 * n2, n1 * n2)
+        combine = np.maximum
     else:
         raise InputError(f"unknown product metric kind: {kind!r}")
+    n1, n2 = len(s1), len(s2)
+    dist = np.empty((n1 * n2, n1 * n2))
+    # written through a 4-D view of dist, which owns its memory: handed over
+    # read-only, the space holds it without a copy
+    combine(s1.dist[:, None, :, None], s2.dist[None, :, None, :], out=dist.reshape(n1, n2, n1, n2))
+    dist.setflags(write=False)
     labels = tuple(f"({a},{b})" for a in s1.labels for b in s2.labels)
     # triangle inequality is inherited from the factors; skip the O(N^3) check
     return FiniteMetricSpace(labels, dist, validate=False)

@@ -65,6 +65,17 @@ def test_classify_needs_at_least_four_points():
         classify_decay([(1, 1.0), (2, 0.5), (3, 0.25)])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_classify_refuses_a_non_finite_value(bad):
+    with pytest.raises(InputError, match=f"classify_decay needs finite values, got {bad} at n = 2"):
+        classify_decay([(1, 0.5), (2, bad), (3, 0.2), (4, 0.1)])
+
+
+def test_classify_refuses_a_repeated_n():
+    with pytest.raises(InputError, match="classify_decay needs distinct n, got n = 1 twice"):
+        classify_decay([(1, 0.5), (1, 0.4), (2, 0.2), (3, 0.1), (4, 0.05)])
+
+
 # ---------------------------------------------------------------------------
 # Sweeps
 # ---------------------------------------------------------------------------
@@ -80,6 +91,22 @@ def test_build_family_rejects_unknown_name():
     with pytest.raises(InputError):
         build_family("mystery", 3)
     assert set(FAMILY_NAMES) == {"binary_coding", "bernoulli_perturbation", "markov_shift"}
+
+
+@pytest.mark.parametrize("name,params,message", [
+    ("markov_shift", {"P": Fraction(1, 3)}, "family 'markov_shift' takes no parameter 'P'; it takes 'p'"),
+    ("binary_coding", {"p": Fraction(1, 3)},
+     "family 'binary_coding' takes no parameter 'p'; it takes no parameters"),
+    ("bernoulli_perturbation", {"n": 3},
+     "family 'bernoulli_perturbation' takes no parameter 'n'; it takes no parameters"),
+])
+def test_build_family_refuses_a_parameter_the_family_does_not_take(name, params, message):
+    with pytest.raises(InputError) as exc:
+        build_family(name, 2, params)
+    assert str(exc.value) == message
+    with pytest.raises(InputError) as exc:
+        sweep(SweepSpec(name, (2, 3, 4, 5), ("variation",), family_params=params))
+    assert str(exc.value) == message
 
 
 def test_binary_coding_sweep_separates_rectangle_and_integral_scales():

@@ -122,6 +122,54 @@ def _square():
     return FiniteMetricSpace(("a", "b", "c"), d, coords=[[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
 
 
+def _diagonal_joint(s):
+    return JointMeasure(s, s, tuple(tuple(F(int(r == c), len(s)) for c in range(len(s)))
+                                    for r in range(len(s))))
+
+
+def _old_format_tenths_file(path):
+    """A file of an earlier version: a 130-point 0.1 k line written with its "dist"."""
+    x = 0.1 * np.arange(130)
+    space = {"labels": [str(k) for k in range(130)],
+             "dist": np.abs(x[:, None] - x[None, :]).tolist(), "coords": x.tolist()}
+    path.write_text(json.dumps({"space1": space, "space2": space,
+                                "weights": [["1/16900"] * 130] * 130}), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("joint", [
+    pytest.param(lambda path: build_family("binary_coding", 4, {}).joint, id="family_line"),
+    pytest.param(lambda path: _diagonal_joint(_square()), id="2d_coords"),
+    pytest.param(lambda path: io.load_measure(str(_old_format_tenths_file(path))),
+                 id="old_format_line_dist"),
+])
+def test_a_saved_file_is_one_json_dumps_of_its_dict(tmp_path, joint):
+    j = joint(tmp_path / "old.json")
+    path = tmp_path / "j.json"
+    io.save_measure(j, str(path))
+    assert path.read_bytes() == (json.dumps(io.joint_to_dict(j)) + "\n").encode()
+
+
+@pytest.mark.parametrize("space", [
+    {"labels": ["a", "b"]},
+    {"labels": ["a", "b"], "coords": None},
+    {"labels": ["a", "b"], "coords": [[0.0, 0.0], [1.0, 0.0]]},
+])
+def test_a_space_without_dist_or_1d_coords_is_the_constructors_input_error(space):
+    with pytest.raises(InputError) as exc:
+        io.space_from_dict(space)
+    assert str(exc.value) == "a space without a distance matrix needs 1-D coords"
+
+
+def test_a_loaded_matrix_space_holds_the_matrix_read_without_a_copy(monkeypatch):
+    given = []
+    cls = io.FiniteMetricSpace
+    monkeypatch.setattr(io, "FiniteMetricSpace",
+                        lambda labels, dist, **kw: given.append(dist) or cls(labels, dist, **kw))
+    s = io.space_from_dict(io.space_to_dict(_square()))
+    assert s.dist is given[0] and not s.dist.flags.writeable
+
+
 @pytest.mark.parametrize("space", [
     pytest.param(_nudged_line, id="mismatched_entry"),
     pytest.param(_tenths_with_a_moved_entry, id="mismatched_entry_130"),
@@ -131,8 +179,7 @@ def _square():
 def test_other_spaces_keep_their_dist(tmp_path, space):
     s = space()
     assert not s._line and io.space_to_dict(s)["dist"] == s.dist.tolist()
-    j = JointMeasure(s, s, tuple(tuple(F(int(r == c), len(s)) for c in range(len(s)))
-                                 for r in range(len(s))))
+    j = _diagonal_joint(s)
     path = tmp_path / "j.json"
     io.save_measure(j, str(path))
     _assert_bit_identical(io.load_measure(str(path)), j)
@@ -246,8 +293,7 @@ def test_every_line_space_built_can_be_saved_and_loaded(tmp_path_factory, points
         s = line_space(points)
     except InputError:
         return
-    j = JointMeasure(s, s, tuple(tuple(F(int(r == c), len(s)) for c in range(len(s)))
-                                 for r in range(len(s))))
+    j = _diagonal_joint(s)
     path = tmp_path_factory.mktemp("line") / "j.json"
     io.save_measure(j, str(path))
     _assert_bit_identical(io.load_measure(str(path)), j)
@@ -475,7 +521,43 @@ def test_cli_gen_with_a_non_rational_param_is_input_error(tmp_path, capsys, valu
     assert not out.exists()
 
 
-@pytest.mark.parametrize("row", ["1,abc", "x,0.5", "1", "1,1/0"])
+@pytest.mark.parametrize("family,param,takes", [
+    ("markov_shift", "P=1/3", "'p'"),
+    ("binary_coding", "p=1/3", "no parameters"),
+    ("bernoulli_perturbation", "p=1/3", "no parameters"),
+])
+def test_cli_gen_with_a_param_the_family_does_not_take_is_input_error(
+        tmp_path, capsys, family, param, takes):
+    out = tmp_path / "joint.json"
+    assert main(["gen", "--family", family, "--n", "2", "--param", param, "--out", str(out)]) == 1
+    key = param.split("=")[0]
+    assert capsys.readouterr().err == (
+        f"input error: family {family!r} takes no parameter {key!r}; it takes {takes}\n")
+    assert not out.exists()
+
+
+def test_cli_sweep_with_a_param_the_family_does_not_take_is_input_error(capsys):
+    argv = ["sweep", "--family", "markov_shift", "--n-from", "1", "--n-to", "4",
+            "--select", "variation", "--param", "P=1/3"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "input error: family 'markov_shift' takes no parameter 'P'; it takes 'p'\n")
+
+
+@pytest.mark.parametrize("rows,message", [
+    ("1,0.5\n2,nan\n3,0.2\n4,0.1\n", "needs finite values, got nan at n = 2"),
+    ("1,0.5\n1,0.4\n2,0.2\n3,0.1\n4,0.05\n", "needs distinct n, got n = 1 twice"),
+])
+def test_cli_classify_of_a_nan_or_a_repeated_n_is_input_error(tmp_path, capsys, rows, message):
+    path = tmp_path / "series.csv"
+    path.write_text(rows, encoding="utf-8")
+    assert main(["classify", "--in", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("row", ["1,abc", "x,0.5", "1", "1,1/0",
+                                 pytest.param("1," + "9" * 400, id="1,beyond_float")])
 def test_cli_classify_with_an_unparseable_row_is_input_error(tmp_path, capsys, row):
     path = tmp_path / "series.csv"
     path.write_text(f"n,value\n2,0.5\n{row}\n", encoding="utf-8")

@@ -81,6 +81,52 @@ def test_product_space_satisfies_metric_axioms(kind):
                 assert d[i][j] <= d[i][k] + d[k][j] + 1e-12
 
 
+def test_the_callers_arrays_stay_writeable_and_the_space_keeps_its_own():
+    d = np.array([[0.0, 1.0], [1.0, 0.0]])
+    x = np.array([[0.0, 0.0], [1.0, 0.0]])
+    s = FiniteMetricSpace(("a", "b"), d, coords=x)
+    assert d.flags.writeable and x.flags.writeable
+    d[0, 1] = d[1, 0] = 2.0
+    x[1, 0] = 2.0
+    assert s.dist[0, 1] == 1.0 and s.coords[1, 0] == 1.0
+    assert not s.dist.flags.writeable and not s.coords.flags.writeable
+
+
+def test_a_read_only_array_is_held_as_is_and_a_read_only_view_is_copied():
+    d = np.array([[0.0, 1.0], [1.0, 0.0]])
+    view = d.view()
+    view.setflags(write=False)
+    s = FiniteMetricSpace(("a", "b"), view)
+    d[0, 1] = d[1, 0] = 2.0  # through the writeable array the view shows
+    assert s.dist[0, 1] == 1.0
+    d.setflags(write=False)
+    assert FiniteMetricSpace(("a", "b"), d).dist is d
+
+
+@pytest.mark.parametrize("kind", list(ProductMetricKind))
+def test_product_space_holds_the_matrix_it_built(monkeypatch, kind):
+    s1, s2 = line_space([0.0, 1.0, 3.0]), line_space([0.5, 2.0])
+    built = []
+    cls = spaces.FiniteMetricSpace
+    monkeypatch.setattr(spaces, "FiniteMetricSpace",
+                        lambda labels, dist, **kw: built.append(dist) or cls(labels, dist, **kw))
+    p = product_space(s1, s2, kind)
+    assert len(built) == 1 and np.shares_memory(p.dist, built[0])
+
+
+def test_a_space_without_a_distance_matrix_is_refused_above_the_line_cap():
+    n = LINE_SPACE_MAX_POINTS + 1
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapabilityError) as exc:
+            FiniteMetricSpace(map(str, range(n)), None, coords=np.arange(n, dtype=float))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == "a line space of 4097 points is above LINE_SPACE_MAX_POINTS = 4096"
+    assert peak < 2 ** 20  # the matrix would take 134 MB
+
+
 def test_product_space_carries_no_coords():
     p = product_space(line_space([0.0, 1.0]), line_space([5.0, 7.0]), ProductMetricKind.SUM)
     assert p.coords is None and p.dim is None
@@ -525,8 +571,9 @@ def test_line_space_refuses_non_finite_points():
 
 def test_a_coordinate_line_needs_one_dimensional_coords():
     for coords in (None, np.zeros((2, 2))):
-        with pytest.raises(InputError, match="needs 1-D coords"):
+        with pytest.raises(InputError) as exc:
             FiniteMetricSpace(("a", "b"), None, coords=coords)
+        assert str(exc.value) == "a space without a distance matrix needs 1-D coords"
 
 
 def _full_check(x, d):
