@@ -57,10 +57,11 @@ from .spaces import ProductMetricKind
 # Lipschitz rows kept): ~4.3 s and ~610 MB peak RSS; a line space with every
 # distance < 2 keeps its 1,198 neighbour rows: ~0.55 s and ~108 MB
 BL_SUPPORT_CUTOFF = 600
-# one prokhorov_to_product_upper on binary_coding n=8 (4096 product points):
-# ~0.25 s (the flow scan ~0.12 s) and ~215 MB peak RSS, Python 3.11, 2 vCPUs.
-# The product space's distance matrix is what binds: 134 MB at n=8, ~690 MB
-# at n=9 (9216 points) and 3.3 GB at n=10
+# one prokhorov_to_product_upper at 4096 product points, Python 3.11, 2 vCPUs:
+# binary_coding n=8 stops at eps = 0 by the separation (~0.01 s, 32 MB peak
+# RSS, no product matrix). A scan that must read distances binds: on a 64 x 64
+# grid joint on [0, 1)^2 ~1.0 s and ~170 MB peak RSS, the product matrix
+# 134 MB of it (~690 MB at 9216 points)
 PROKHOROV_SUPPORT_CUTOFF = 4096
 # rows of dist[np.ix_(s1, s2)] per block of Prokhorov's pair scan
 SUPPORT_BLOCK_ROWS = 64
@@ -236,37 +237,64 @@ def _require_same_space(m1: DiscreteMeasure, m2: DiscreteMeasure) -> None:
     raise InputError("both measures must live on the same metric space")
 
 
-def _overlap_flow(dist, s1, s2, cap1, cap2, scale: int, eps: float):
-    """Max coupling mass on pairs with dist <= eps, via exact max flow.
+def _near_pairs(dist, s1, s2, eps: float):
+    """The pairs of the supports at distance <= eps, and the next breakpoint.
 
-    Returns the mass and the pair flows, both scaled by `scale`: the flow
-    (x, y, f) carries f / scale from x to y.
-
-    The capacities are the weights scaled to ints by `scale` (cap1 on s1,
-    cap2 on s2) and `scale` on every pair edge. Dinic's min, add, subtract
-    and compare steps commute with that scaling (its unscaled start bound,
-    total source capacity + 1, exceeds every source edge either way), so
-    the flows divided by `scale` are the ones Fraction capacities give, bit
-    for bit. The pairs come from blocks of SUPPORT_BLOCK_ROWS rows of
-    dist[np.ix_(s1, s2)], never the whole matrix; the same pass finds the
-    next breakpoint, the least distance above eps (inf if there is none).
+    Returns positions a into s1 and b into s2 in row-major order, and the
+    least distance above eps (inf if there is none). They come from blocks
+    of SUPPORT_BLOCK_ROWS rows of dist[np.ix_(s1, s2)], never the whole
+    matrix.
     """
-    n1, n2 = len(s1), len(s2)
-    source, sink = 0, 1 + n1 + n2
     rows, cols, next_eps = [], [], math.inf
-    for start in range(0, n1, SUPPORT_BLOCK_ROWS):
+    for start in range(0, len(s1), SUPPORT_BLOCK_ROWS):
         block = dist[np.ix_(s1[start:start + SUPPORT_BLOCK_ROWS], s2)]
         near = block <= eps
         a, b = np.nonzero(near)
         rows.append(a + start)
         cols.append(b)
         next_eps = min(next_eps, float(np.min(block, where=~near, initial=math.inf)))
-    a, b = np.concatenate(rows), np.concatenate(cols)
+    return np.concatenate(rows), np.concatenate(cols), next_eps
+
+
+def _overlap_flow(a, b, cap1, cap2, scale: int):
+    """Max coupling mass on the pairs (a[k], b[k]), in row-major order, via
+    exact max flow.
+
+    Returns the mass and the pair flows, both scaled by `scale`: the pair k
+    carries flows[k] / scale.
+
+    The capacities are the weights scaled to ints by `scale` (cap1 on the
+    positions of s1, cap2 on those of s2) and `scale` on every pair edge.
+    Dinic's min, add, subtract and compare steps commute with that scaling
+    (its unscaled start bound, total source capacity + 1, exceeds every
+    source edge either way), so the flows divided by `scale` are the ones
+    Fraction capacities give, bit for bit. Pairs that form a matching take
+    the flows Dinic finds in closed form (see _matching_flow).
+    """
+    # a is nondecreasing (row-major pairs), so it repeats iff two neighbours do
+    if np.all(a[1:] != a[:-1]) and np.unique(b).size == b.size:
+        return _matching_flow(a, b, cap1, cap2)
+    n1, n2 = len(cap1), len(cap2)
+    source, sink = 0, 1 + n1 + n2
     edges = [(source, 1 + x, c) for x, c in enumerate(cap1)]
     edges += zip((1 + a).tolist(), (1 + n1 + b).tolist(), itertools.repeat(scale))
     edges += [(1 + n1 + y, sink, c) for y, c in enumerate(cap2)]
     value, flows = max_flow(FlowNetwork(2 + n1 + n2, tuple(edges), source, sink))
-    return value, (s1[a], s2[b], flows[n1 : n1 + len(a)]), next_eps
+    return value, flows[n1 : n1 + len(a)]
+
+
+def _matching_flow(a, b, cap1, cap2):
+    """The max flow and pair flows of _overlap_flow when no position repeats
+    in a or in b, without a flow solve.
+
+    The network is then disjoint paths source -> a[k] -> b[k] -> sink plus
+    dead ends. Dinic's first blocking flow pushes the least capacity on
+    each path, min(cap1[a[k]], cap2[b[k]]), as the pair capacity `scale`
+    is at least every weight times `scale`; that saturates each path, no
+    augmenting path is left, and its flows are these ints.
+    """
+    flows = [min(cap1[x], cap2[y]) for x, y in zip(a.tolist(), b.tolist())]
+    return sum(flows), flows
 
 
 def prokhorov_distance(m1: DiscreteMeasure, m2: DiscreteMeasure) -> MetricValue:
@@ -280,6 +308,15 @@ def prokhorov_distance(m1: DiscreteMeasure, m2: DiscreteMeasure) -> MetricValue:
     run on integer capacities: the weights times the lcm of their
     denominators. A union support above PROKHOROV_SUPPORT_CUTOFF is refused
     before any flow is solved.
+
+    When the space's separation is positive, eps = 0 is settled without
+    reading a distance: the pairs at distance <= 0 are the points of both
+    supports, a matching, and F(0) is their total-variation overlap. Every
+    later breakpoint is a distance between distinct points, at least the
+    separation, so when the separation is at least the eps = 0 candidate
+    the scan stops there: no distance is read, a product space builds no
+    matrix and no flow is solved. The value, epsilon, outside mass and
+    coupling are those of the full scan, bit for bit.
     """
     _require_same_space(m1, m2)
     s1, s2 = m1.support(), m2.support()
@@ -291,12 +328,23 @@ def prokhorov_distance(m1: DiscreteMeasure, m2: DiscreteMeasure) -> MetricValue:
     cap2 = [m2.num[k] * (scale // m2.den) for k in s2]
     s1, s2 = np.array(s1, dtype=np.intp), np.array(s2, dtype=np.intp)
     best, eps = None, 0.0
-    while best is None or eps < best[0]:
-        overlap, flows, next_eps = _overlap_flow(m1.space.dist, s1, s2, cap1, cap2, scale, eps)
+    separation = m1.space.separation
+    if separation > 0.0:
+        # the supports are sorted, so a and b come in row-major order
+        _, a, b = np.intersect1d(s1, s2, assume_unique=True, return_indices=True)
+        overlap, flows = _matching_flow(a, b, cap1, cap2)
         # int true division rounds correctly, as float() of the Fraction does
-        candidate = max(eps, (scale - overlap) / scale)
-        if best is None or candidate < best[0]:
-            best = (candidate, eps, overlap, flows)
+        best = ((scale - overlap) / scale, 0.0, overlap, (s1[a], s2[b], flows))
+        if separation >= best[0]:
+            eps = math.inf
+    while best is None or eps < best[0]:
+        a, b, next_eps = _near_pairs(m1.space.dist, s1, s2, eps)
+        # eps = 0 is solved above when the separation is positive
+        if best is None or eps > 0.0:
+            overlap, flows = _overlap_flow(a, b, cap1, cap2, scale)
+            candidate = max(eps, (scale - overlap) / scale)
+            if best is None or candidate < best[0]:
+                best = (candidate, eps, overlap, (s1[a], s2[b], flows))
         eps = next_eps
     value, eps, overlap, (tails, heads, flows) = best
     coupling = zip(tails.tolist(), heads.tolist(), flows)

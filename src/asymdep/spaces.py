@@ -16,6 +16,15 @@ line given no matrix builds |fl(x_i - x_j)| on the first read of
 ``dist``, read-only, and keeps it. Commands that never read a distance
 (``gen``, the variation metric) never allocate anything n x n for it.
 
+A product space (``product_space``) keeps its two factors and its kind and
+builds its N x N matrix, read-only, on the first read of ``dist``. Copies
+and pickles send a product as its factors and kind and a line as its
+coords, so neither builds a matrix. Every space has a ``separation``, the
+least distance between two distinct points, which a line takes from its
+sorted coords and a product from its factors, again without a matrix:
+``prokhorov_distance`` stops at eps = 0 when the separation shows that no
+later breakpoint can win.
+
 Validation checks that the distances are finite, symmetric, zero on the
 diagonal and positive off it, that they satisfy the triangle inequality up
 to 1e-12 (an O(n^3 / 2) scan), and that coordinates, if given, are finite
@@ -53,7 +62,7 @@ class ProductMetricKind(enum.Enum):
 
 
 class FiniteMetricSpace:
-    """Labeled points with a full pairwise distance matrix.
+    """Labeled points with a full pairwise distance matrix ``dist``.
 
     When given, ``coords`` must reproduce ``dist`` as Euclidean distances.
     With 1-D ``coords`` x and ``dist`` None or equal to |fl(x_i - x_j)| bit
@@ -62,7 +71,7 @@ class FiniteMetricSpace:
     an InputError, and above LINE_SPACE_MAX_POINTS points a CapabilityError.
     """
 
-    __slots__ = ("labels", "coords", "_dist", "_line")
+    __slots__ = ("labels", "coords", "_dist", "_line", "_factors", "_separation")
 
     def __init__(self, labels, dist, coords=None, validate: bool = True) -> None:
         coords = None if coords is None else _held(coords)
@@ -94,6 +103,8 @@ class FiniteMetricSpace:
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "_dist", dist)
         object.__setattr__(self, "_line", line)
+        object.__setattr__(self, "_factors", None)
+        object.__setattr__(self, "_separation", None)
 
     def _check(self, dist: np.ndarray, coords: np.ndarray | None) -> None:
         n = len(self.labels)
@@ -121,16 +132,34 @@ class FiniteMetricSpace:
     @property
     def dist(self) -> np.ndarray:
         if self._dist is None:
-            object.__setattr__(self, "_dist", _line_dist(self.coords[:, 0]))
+            if self._factors is None:
+                dist = _line_dist(self.coords[:, 0])
+            else:
+                dist = _product_dist(*self._factors)
+            object.__setattr__(self, "_dist", dist)
         return self._dist
+
+    @property
+    def separation(self) -> float:
+        """The least distance between two distinct points: inf below two
+        points, and 0.0 when that distance is not positive (NaN included)
+        or some point is not at distance 0 from itself, neither of which a
+        checked space allows. Computed once, without building a line's or a
+        product's matrix: a line from its sorted coords, a product from its
+        factors (see ``_separation_of``)."""
+        if self._separation is None:
+            object.__setattr__(self, "_separation", _separation_of(self))
+        return self._separation
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __reduce__(self):
-        # copy and pickle rebuild through the constructor without checking
-        # again; a coordinate line travels as its coords alone
-        return type(self), (self.labels, None if self._line else self._dist, self.coords, False)
+        # a product travels as its factors and kind, and a coordinate line as
+        # its coords, so neither builds its matrix; the others carry theirs
+        if self._factors is not None:
+            return product_space, self._factors
+        return _rebuilt, (self.labels, None if self._line else self._dist, self.coords)
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -138,6 +167,44 @@ class FiniteMetricSpace:
     @property
     def dim(self) -> int | None:
         return None if self.coords is None else self.coords.shape[1]
+
+
+def _rebuilt(labels, dist, coords) -> FiniteMetricSpace:
+    """The space of a copy or an unpickling, unchecked. Its arrays are fresh
+    ones that no one else holds, so they are marked read-only first and
+    ``_held`` keeps them without a copy."""
+    for a in (dist, coords):
+        if a is not None:
+            a.setflags(write=False)
+    return FiniteMetricSpace(labels, dist, coords, validate=False)
+
+
+def _separation_of(space: FiniteMetricSpace) -> float:
+    """The separation of ``space`` (see ``FiniteMetricSpace.separation``).
+
+    A line's distances are |fl(x_i - x_j)|; rounding is monotone, so for
+    sorted coords s every distance is at least the gap fl(s_k+1 - s_k) of
+    two neighbours between its endpoints, and the least gap is the least
+    distance. A SUM or MAX product of factors with zero diagonals takes the
+    smaller separation of its factors exactly: two distinct points differ
+    in some factor, where their distance is at least that factor's
+    separation, and fl(a + b) >= max(a, b) for a, b >= 0; a pair differing
+    in one factor only attains it. Other spaces read their matrix once.
+    """
+    if space._factors is not None:
+        s1, s2, _ = space._factors
+        return min(s1.separation, s2.separation)
+    if space._line:
+        x = np.sort(space.coords[:, 0])
+        if not np.all(np.isfinite(x)):
+            return 0.0
+        sep = float(np.min(x[1:] - x[:-1], initial=math.inf))
+    else:
+        dist = space.dist
+        if np.any(np.diagonal(dist) != 0.0):
+            return 0.0
+        sep = float(np.min(dist, where=~np.eye(len(dist), dtype=bool), initial=math.inf))
+    return sep if sep > 0.0 else 0.0
 
 
 def _held(a) -> np.ndarray:
@@ -301,22 +368,28 @@ def product_space(
     """Product of two spaces, row-major point order ((x0,y0),(x0,y1),...).
 
     SUM gives the metric d1+d2, MAX gives max(d1,d2); both metrize the
-    product topology and satisfy r <= d <= 2r entrywise. The product carries
-    no coordinates: neither metric is the Euclidean one of the concatenated
+    product topology and satisfy r <= d <= 2r entrywise. The product keeps
+    its factors and kind: its N x N matrix is built on the first read of
+    ``dist``, and its separation and its copies need none. It carries no
+    coordinates: neither metric is the Euclidean one of the concatenated
     coordinates, and the cf gap reads the factor spaces' coordinates.
     """
-    if kind is ProductMetricKind.SUM:
-        combine = np.add
-    elif kind is ProductMetricKind.MAX:
-        combine = np.maximum
-    else:
+    if not isinstance(kind, ProductMetricKind):
         raise InputError(f"unknown product metric kind: {kind!r}")
+    space = object.__new__(FiniteMetricSpace)
+    labels = tuple(f"({a},{b})" for a in s1.labels for b in s2.labels)
+    # the triangle inequality is inherited from the factors: no check
+    for name, value in (("labels", labels), ("coords", None), ("_dist", None), ("_line", False),
+                        ("_factors", (s1, s2, kind)), ("_separation", None)):
+        object.__setattr__(space, name, value)
+    return space
+
+
+def _product_dist(s1: FiniteMetricSpace, s2: FiniteMetricSpace, kind: ProductMetricKind):
+    """d1 + d2 (SUM) or max(d1, d2) (MAX) on the product, read-only."""
+    combine = np.add if kind is ProductMetricKind.SUM else np.maximum
     n1, n2 = len(s1), len(s2)
     dist = np.empty((n1 * n2, n1 * n2))
-    # written through a 4-D view of dist, which owns its memory: handed over
-    # read-only, the space holds it without a copy
     combine(s1.dist[:, None, :, None], s2.dist[None, :, None, :], out=dist.reshape(n1, n2, n1, n2))
     dist.setflags(write=False)
-    labels = tuple(f"({a},{b})" for a in s1.labels for b in s2.labels)
-    # triangle inequality is inherited from the factors; skip the O(N^3) check
-    return FiniteMetricSpace(labels, dist, validate=False)
+    return dist

@@ -40,7 +40,7 @@ from asymdep import (
     uniform,
     variation_norm,
 )
-from asymdep import metrics
+from asymdep import metrics, spaces
 from asymdep.families import random_joint
 from asymdep.measures import joint_and_product_on_product
 from asymdep.verify import _beta_oracle, _random_measure_pair
@@ -310,6 +310,53 @@ def test_prokhorov_equals_the_fraction_capacity_scan(n, max_raw):
 def test_prokhorov_equals_the_fraction_capacity_scan_on_a_grid_joint(kind):
     j = dense_grid_joint()
     assert_same_as_fraction_scan(*joint_and_product_on_product(j, kind))
+
+
+def _counted_max_flow(monkeypatch):
+    calls = []
+    solve = metrics.max_flow
+    monkeypatch.setattr(metrics, "max_flow", lambda net: calls.append(net) or solve(net))
+    return calls
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_binary_coding_prokhorov_to_product_needs_no_flow_and_no_product_matrix(monkeypatch, n):
+    def unbuilt(*factors):
+        raise AssertionError("the product matrix was built")
+
+    calls = _counted_max_flow(monkeypatch)
+    monkeypatch.setattr(spaces, "_product_dist", unbuilt)
+    j = binary_coding_family(n).joint
+    for kind in ProductMetricKind:
+        mv = prokhorov_to_product_upper(j, kind)
+        assert mv.value == 0.5 and mv.certificate["epsilon"] == 0.0
+    assert calls == []
+
+
+@pytest.mark.parametrize("kind", list(ProductMetricKind))
+@pytest.mark.parametrize("n", range(1, 6))
+def test_binary_coding_prokhorov_to_product_equals_the_fraction_capacity_scan(n, kind):
+    assert_same_as_fraction_scan(*joint_and_product_on_product(binary_coding_family(n).joint, kind))
+
+
+def test_a_zero_distance_between_distinct_points_takes_the_flow_at_eps_zero(monkeypatch):
+    d = [[0.0, 0.0, 1.0, 2.0], [0.0, 0.0, 1.0, 1.0], [1.0, 1.0, 0.0, 0.5], [2.0, 1.0, 0.5, 0.0]]
+    s = FiniteMetricSpace("abcd", d, validate=False)
+    assert s.separation == 0.0
+    m1 = DiscreteMeasure(s, (F(1, 2), F(0), F(1, 4), F(1, 4)))
+    m2 = DiscreteMeasure(s, (F(1, 4), F(1, 4), F(1, 2), F(0)))
+    calls = _counted_max_flow(monkeypatch)
+    assert_same_as_fraction_scan(m1, m2)
+    # the first flow is eps = 0, whose 3 pairs (a, a), (a, b), (c, c) are no matching
+    assert calls and len(calls[0].edges) == 3 + 3 + 3
+
+
+def test_a_point_not_at_distance_zero_from_itself_takes_the_scan():
+    s = FiniteMetricSpace("ab", [[0.5, 1.0], [1.0, 0.0]], validate=False)
+    assert s.separation == 0.0
+    m1, m2 = DiscreteMeasure(s, (F(1), F(0))), DiscreteMeasure(s, (F(1, 2), F(1, 2)))
+    assert_same_as_fraction_scan(m1, m2)
+    assert prokhorov_distance(m1, m2).certificate["epsilon"] == 0.5
 
 
 def test_bl_of_point_masses():

@@ -107,11 +107,13 @@ def test_a_read_only_array_is_held_as_is_and_a_read_only_view_is_copied():
 def test_product_space_holds_the_matrix_it_built(monkeypatch, kind):
     s1, s2 = line_space([0.0, 1.0, 3.0]), line_space([0.5, 2.0])
     built = []
-    cls = spaces.FiniteMetricSpace
-    monkeypatch.setattr(spaces, "FiniteMetricSpace",
-                        lambda labels, dist, **kw: built.append(dist) or cls(labels, dist, **kw))
+    build = spaces._product_dist
+    monkeypatch.setattr(spaces, "_product_dist", lambda *a: built.append(build(*a)) or built[-1])
     p = product_space(s1, s2, kind)
-    assert len(built) == 1 and np.shares_memory(p.dist, built[0])
+    assert built == [] and p._dist is None  # nothing is built before the first read
+    d = p.dist
+    assert len(built) == 1 and d is built[0] and not d.flags.writeable
+    assert p.dist is d and len(built) == 1
 
 
 def test_a_space_without_a_distance_matrix_is_refused_above_the_line_cap():
@@ -541,6 +543,77 @@ def test_matrix_space_copies_and_pickles(read_first):
     for again in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
         assert not again._line and again.coords is None
         assert again.labels == s.labels and again.dist.tobytes() == s.dist.tobytes()
+
+
+def _copied_spaces():
+    d = np.array([[0.0, 1.0, 1.5], [1.0, 0.0, 1.0], [1.5, 1.0, 0.0]])
+    d.setflags(write=False)
+    line = line_space([0.0, 0.1, 0.25, 3.0], labels="abcd")
+    return {
+        "matrix": FiniteMetricSpace(("a", "b", "c"), d),
+        "line": line,
+        "sum": product_space(line, line_space([1.0, 2.5]), ProductMetricKind.SUM),
+        "max": product_space(line, line_space([1.0, 2.5]), ProductMetricKind.MAX),
+    }
+
+
+@pytest.mark.parametrize("name", ["matrix", "line", "sum", "max"])
+def test_copies_and_unpickled_spaces_hold_their_arrays_without_a_copy(monkeypatch, name):
+    s = _copied_spaces()[name]
+    given = []
+    held = spaces._held
+    monkeypatch.setattr(spaces, "_held", lambda a: given.append((a, held(a))) or given[-1][1])
+    for again in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+        assert type(again) is FiniteMetricSpace and again.labels == s.labels
+        if name in ("sum", "max"):
+            # a product travels as its factors: the copy builds no matrix
+            assert again._dist is None and again._factors[2] is s._factors[2]
+        assert again.dist.tobytes() == s.dist.tobytes() and not again.dist.flags.writeable
+    # an unpickled array's dtype may not be float64's own object: asarray views it
+    assert given and all(np.shares_memory(a, out) for a, out in given)
+
+
+def _brute_separation(s):
+    d = s.dist
+    off = [d[i, k] for i in range(len(d)) for k in range(len(d)) if i != k]
+    return min(off, default=math.inf)
+
+
+@pytest.mark.parametrize("space", [
+    pytest.param(lambda: line_space([3.0, 0.1, 0.25, 0.0, -7.5]), id="line"),
+    pytest.param(lambda: line_space([5.0]), id="one_point_line"),
+    pytest.param(lambda: line_space([0.1 * k for k in range(40)]), id="tenths_line"),
+    pytest.param(lambda: FiniteMetricSpace("abc", [[0, 2.0, 1.5], [2.0, 0, 1.0], [1.5, 1.0, 0]]),
+                 id="matrix"),
+    pytest.param(lambda: product_space(line_space([0.0, 0.7, 2.0]), line_space([-1.0, 0.4]),
+                                       ProductMetricKind.SUM), id="sum"),
+    pytest.param(lambda: product_space(line_space([0.0, 0.7, 2.0]), line_space([-1.0, 0.4]),
+                                       ProductMetricKind.MAX), id="max"),
+    pytest.param(lambda: product_space(line_space([0.0, 0.3, 1.0]), line_space([4.0]),
+                                       ProductMetricKind.SUM), id="sum_one_point_factor"),
+    pytest.param(lambda: product_space(line_space([4.0]), line_space([0.1, 0.3, 1.0]),
+                                       ProductMetricKind.MAX), id="max_one_point_factor"),
+    pytest.param(lambda: product_space(line_space([4.0]), line_space([1.0]),
+                                       ProductMetricKind.SUM), id="one_point_product"),
+    pytest.param(lambda: product_space(
+        product_space(line_space([0.0, 0.5]), line_space([1.0, 1.2]), ProductMetricKind.MAX),
+        line_space([0.0, 0.05]), ProductMetricKind.SUM), id="product_of_a_product"),
+])
+def test_separation_is_the_least_distance_between_distinct_points(space):
+    s = space()
+    sep = s.separation
+    if s._factors is not None or s._line:
+        assert s._dist is None  # computed without the matrix
+    assert sep == _brute_separation(s)
+
+
+def test_a_zero_distance_between_distinct_points_gives_separation_zero():
+    s = FiniteMetricSpace("abc", [[0, 0.0, 1.0], [0.0, 0, 1.0], [1.0, 1.0, 0]], validate=False)
+    assert s.separation == 0.0
+    p = product_space(s, line_space([0.0, 1.0]), ProductMetricKind.MAX)
+    assert p.separation == 0.0 and p._dist is None
+    # a point not at distance 0 from itself: no metric, so no positive separation
+    assert FiniteMetricSpace("ab", [[0.5, 1.0], [1.0, 0.0]], validate=False).separation == 0.0
 
 
 def test_a_4096_point_line_allocates_nothing_n_by_n_until_dist_is_read():
