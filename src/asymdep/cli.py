@@ -7,8 +7,8 @@ Subcommands:
   verify    run the full verification suite
   classify  classify a (n, value) series from CSV
 
-Exit codes: 0 success, 1 input error, 2 capability error, 3 verification failure,
-4 solver error.
+Exit codes: 0 success, 1 input error (a usage error included), 2 capability
+error, 3 verification failure, 4 solver error.
 """
 from __future__ import annotations
 
@@ -38,13 +38,6 @@ def _parse_params(pairs: list[str]) -> dict:
     return params
 
 
-def _product_kind(name: str) -> ProductMetricKind:
-    try:
-        return ProductMetricKind(name)
-    except ValueError:
-        raise InputError(f"product metric must be 'sum' or 'max', got {name!r}") from None
-
-
 def cmd_gen(args) -> int:
     params = _parse_params(args.param)
     inst = analysis.build_family(args.family, args.n, params)
@@ -58,7 +51,7 @@ def cmd_metrics(args) -> int:
     if not isinstance(j, JointMeasure):
         raise InputError("metrics requires a joint-measure JSON file (two spaces)")
     selected = [m.strip() for m in args.select.split(",") if m.strip()]
-    case = JointCase(j, _product_kind(args.product_metric), None)
+    case = JointCase(j, ProductMetricKind(args.product_metric), None)
     rows = [analysis.metric_row("file", 0, case, metric) for metric in selected]
     for r in rows:
         print(f"{r.metric}: {io.value_to_str(r.value, r.exact)} (exact={r.exact})")
@@ -74,7 +67,7 @@ def cmd_sweep(args) -> int:
         family=args.family,
         n_values=tuple(range(args.n_from, args.n_to + 1)),
         metrics=selected,
-        product_metric=_product_kind(args.product_metric),
+        product_metric=ProductMetricKind(args.product_metric),
         family_params=_parse_params(args.param),
     )
     report = sweep(spec)
@@ -108,8 +101,17 @@ def cmd_classify(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, an input error, not argparse's 2 (a capability
+    error here); subparsers are built from this class, so theirs do too."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="asymdep",
         description="Dependence functionals and counterexample families for "
         "asymptotic independence of finite discrete measures.",

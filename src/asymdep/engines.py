@@ -248,10 +248,11 @@ def solve_lp(lp: LinearProgram) -> LPResult:
 
 @dataclass(frozen=True)
 class BilinearInstance:
-    """Matrix of a bilinear form on the hypercube.
+    """Integer matrix of a bilinear form on the hypercube.
 
-    Integer matrices (any integer dtype, or Python ints of any size) are kept
-    exactly, as Python ints in an object array; anything else becomes float64.
+    Takes any integer dtype, or Python ints of any size in an object array,
+    and keeps the entries exactly, as Python ints in an object array. Any
+    other dtype (float, bool, complex) is an InputError.
     """
 
     matrix: np.ndarray
@@ -260,23 +261,14 @@ class BilinearInstance:
         m = np.asarray(self.matrix)
         if m.ndim != 2:
             raise InputError("bilinear instance needs a 2-D matrix")
-        if m.dtype.kind in "iu" or (
-            m.dtype == object and all(isinstance(x, int) for x in m.flat)
-        ):
-            m = m.astype(object)
-        else:
-            m = m.astype(float)
-            if not np.all(np.isfinite(m)):
-                raise InputError("matrix entries must be finite")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def is_integer(self) -> bool:
-        return self.matrix.dtype == object
+        held = m.astype(object)
+        if m.dtype.kind not in "iuO" or not all(isinstance(x, int) for x in held.flat):
+            raise InputError(f"bilinear instance needs an integer matrix, got dtype {m.dtype}")
+        held.setflags(write=False)
+        object.__setattr__(self, "matrix", held)
 
 
-def hypercube_bilinear_max(inst: BilinearInstance) -> tuple[int | float, np.ndarray, np.ndarray]:
+def hypercube_bilinear_max(inst: BilinearInstance) -> tuple[int, np.ndarray, np.ndarray]:
     """max over a in {-1,1}^m, b in {-1,1}^k of |a^T M b|; returns (value, a, b).
 
     The maximum of the convex function |a^T M b| over the cube is attained at
@@ -285,9 +277,9 @@ def hypercube_bilinear_max(inst: BilinearInstance) -> tuple[int | float, np.ndar
     sign fixed (sign vector a of mask t has a_i = +1 where bit i of t is set)
     and returns the lowest mask of largest value.
 
-    Integer instances are exact: the value is a Python int re-derived from
-    the sign vectors, and a and b are float arrays. The kernel screens every
-    sign vector in float64 and re-ranks the survivors in Python ints. With
+    The value is exact, a Python int re-derived from the sign vectors, and
+    a and b are float arrays. The kernel screens every sign vector in
+    float64 and re-ranks the survivors in Python ints. With
     S = sum |M| and s = max(0, bitlength(S) - 1000), the screen scores
     v^(a) = sum_j |fl(a^T F)_j| for F = fl(M / 2^s) (Python's int / int
     division rounds correctly), and every score satisfies
@@ -328,18 +320,14 @@ def hypercube_bilinear_max(inst: BilinearInstance) -> tuple[int | float, np.ndar
             f"exact hypercube enumeration needs the smaller side "
             f"<= {BILINEAR_EXACT_CUTOFF}, got {m}"
         )
-    fm, err = _float_screen(M) if inst.is_integer else (M, 0.0)
+    fm, err = _float_screen(M)
     masks = _screen(fm, err)
     if err:
         masks = _exact_best(M, masks)
     a = _sign_vectors(masks, m)[0]
-    if inst.is_integer:
-        row = a.astype(int).astype(object) @ M
-        b = np.array([1.0 if x >= 0 else -1.0 for x in row])
-        value = int(sum(abs(x) for x in row))
-    else:
-        b = np.where(a @ M >= 0, 1.0, -1.0)
-        value = float(abs(a @ M @ b))
+    row = a.astype(int).astype(object) @ M
+    b = np.array([1.0 if x >= 0 else -1.0 for x in row])
+    value = sum(map(abs, row))
     if transposed:
         a, b = b, a
     return value, a, b
@@ -373,8 +361,8 @@ def _sign_vectors(masks: np.ndarray, m: int) -> np.ndarray:
 def _screen(fm: np.ndarray, err: float) -> np.ndarray:
     """Masks, ascending, whose float score is within 2 err of the largest.
 
-    With err = 0 (exact integer scores, or a float instance) only the lowest
-    mask of largest score is returned.
+    With err = 0 (exact integer scores) only the lowest mask of largest
+    score is returned.
     """
     m, k = fm.shape
     total = 1 << max(m - 1, 0)

@@ -114,7 +114,7 @@ def binary_coding_h_matrix(n: int):
 def binary_coding_sign_matrix(n: int) -> np.ndarray:
     """The 2^n x n matrix with entries sign(i,j) (rows j, columns i)."""
     return np.array(
-        [[sign_fn(i, j) for i in range(n)] for j in range(2 ** n)], dtype=float
+        [[sign_fn(i, j) for i in range(n)] for j in range(2 ** n)], dtype=int
     )
 
 

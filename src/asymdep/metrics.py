@@ -135,7 +135,8 @@ def alpha_coefficient(j: JointMeasure, mode: str = "exact") -> MetricValue:
 
 
 def _require_exact(mode: str) -> None:
-    # kept only because the benchmark's trace hook binds `mode` by name
+    # the kernel has one path, exact on integer matrices, so `mode` selects
+    # nothing; it stays only because the benchmark's trace hook binds it by name
     if mode != "exact":
         raise InputError(f"mode must be 'exact', got {mode!r}")
 
@@ -271,8 +272,9 @@ def _overlap_flow(a, b, cap1, cap2, scale: int):
     Fraction capacities give, bit for bit. Pairs that form a matching take
     the flows Dinic finds in closed form (see _matching_flow).
     """
-    # a is nondecreasing (row-major pairs), so it repeats iff two neighbours do
-    if np.all(a[1:] != a[:-1]) and np.unique(b).size == b.size:
+    # a is nondecreasing (row-major pairs), so it repeats iff two neighbours do;
+    # b goes through a set, as np.unique loads numpy.ma (~1 MB) on first use
+    if np.all(a[1:] != a[:-1]) and len(set(b.tolist())) == len(b):
         return _matching_flow(a, b, cap1, cap2)
     n1, n2 = len(cap1), len(cap2)
     source, sink = 0, 1 + n1 + n2
@@ -309,14 +311,15 @@ def prokhorov_distance(m1: DiscreteMeasure, m2: DiscreteMeasure) -> MetricValue:
     denominators. A union support above PROKHOROV_SUPPORT_CUTOFF is refused
     before any flow is solved.
 
-    When the space's separation is positive, eps = 0 is settled without
-    reading a distance: the pairs at distance <= 0 are the points of both
-    supports, a matching, and F(0) is their total-variation overlap. Every
-    later breakpoint is a distance between distinct points, at least the
-    separation, so when the separation is at least the eps = 0 candidate
-    the scan stops there: no distance is read, a product space builds no
-    matrix and no flow is solved. The value, epsilon, outside mass and
-    coupling are those of the full scan, bit for bit.
+    When the space's separation is positive, the eps = 0 step reads no
+    distance: its pairs are the points of both supports, a matching whose
+    flows _overlap_flow writes in closed form, and its next breakpoint is
+    the separation, a lower bound on every distance between distinct
+    points (a step there that is no breakpoint has the eps = 0 pairs and
+    cannot win). When the separation is at least the eps = 0 candidate, the
+    loop's own stop ends the scan there: no distance is read and a product
+    space builds no matrix. The value, epsilon, outside mass and coupling
+    are those of the scan over every breakpoint, bit for bit.
     """
     _require_same_space(m1, m2)
     s1, s2 = m1.support(), m2.support()
@@ -329,22 +332,18 @@ def prokhorov_distance(m1: DiscreteMeasure, m2: DiscreteMeasure) -> MetricValue:
     s1, s2 = np.array(s1, dtype=np.intp), np.array(s2, dtype=np.intp)
     best, eps = None, 0.0
     separation = m1.space.separation
-    if separation > 0.0:
-        # the supports are sorted, so a and b come in row-major order
-        _, a, b = np.intersect1d(s1, s2, assume_unique=True, return_indices=True)
-        overlap, flows = _matching_flow(a, b, cap1, cap2)
-        # int true division rounds correctly, as float() of the Fraction does
-        best = ((scale - overlap) / scale, 0.0, overlap, (s1[a], s2[b], flows))
-        if separation >= best[0]:
-            eps = math.inf
     while best is None or eps < best[0]:
-        a, b, next_eps = _near_pairs(m1.space.dist, s1, s2, eps)
-        # eps = 0 is solved above when the separation is positive
-        if best is None or eps > 0.0:
-            overlap, flows = _overlap_flow(a, b, cap1, cap2, scale)
-            candidate = max(eps, (scale - overlap) / scale)
-            if best is None or candidate < best[0]:
-                best = (candidate, eps, overlap, (s1[a], s2[b], flows))
+        if eps == 0.0 and separation > 0.0:
+            # the supports are sorted, so a and b come in row-major order
+            _, a, b = np.intersect1d(s1, s2, assume_unique=True, return_indices=True)
+            next_eps = separation
+        else:
+            a, b, next_eps = _near_pairs(m1.space.dist, s1, s2, eps)
+        overlap, flows = _overlap_flow(a, b, cap1, cap2, scale)
+        # int true division rounds correctly, as float() of the Fraction does
+        candidate = max(eps, (scale - overlap) / scale)
+        if best is None or candidate < best[0]:
+            best = (candidate, eps, overlap, (s1[a], s2[b], flows))
         eps = next_eps
     value, eps, overlap, (tails, heads, flows) = best
     coupling = zip(tails.tolist(), heads.tolist(), flows)
@@ -620,13 +619,13 @@ def _prokhorov_from(cert, dep, m1, m2):
 
 def _bl_from(cert, dep, m1, m2):
     support, h = cert["support"], cert["h"]
-    dist = m1.space.dist
-    for a in range(len(support)):
-        if abs(h[a]) > 1 + LP_TOL:
-            raise InputError("BL certificate violates the bound |h| <= 1")
-        for b in range(a + 1, len(support)):
-            if abs(h[a] - h[b]) > float(dist[support[a], support[b]]) + LP_TOL:
-                raise InputError("BL certificate violates the Lipschitz constraint")
+    hv = np.asarray(h, dtype=float)
+    if np.any(np.abs(hv) > 1 + LP_TOL):
+        raise InputError("BL certificate violates the bound |h| <= 1")
+    a_idx, b_idx = np.triu_indices(len(support), k=1)
+    d = m1.space.dist[np.ix_(support, support)]
+    if np.any(np.abs(hv[a_idx] - hv[b_idx]) > d[a_idx, b_idx] + LP_TOL):
+        raise InputError("BL certificate violates the Lipschitz constraint")
     return sum(h[a] * float(m1.weights[i] - m2.weights[i]) for a, i in enumerate(support))
 
 

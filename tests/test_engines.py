@@ -361,22 +361,42 @@ def test_import_does_not_load_scipy_solvers():
 
 def full_enumeration_max(mat):
     m, k = mat.shape
-    best = -np.inf
-    for a in itertools.product((-1.0, 1.0), repeat=m):
+    best = 0
+    for a in itertools.product((-1, 1), repeat=m):
         row = np.asarray(a) @ mat
-        best = max(best, np.abs(row).sum())
+        best = max(best, int(np.abs(row).sum()))
     return best
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_exact_bilinear_matches_full_enumeration(seed):
     rng = np.random.default_rng(seed)
-    mat = rng.standard_normal((rng.integers(2, 6), rng.integers(2, 6)))
+    mat = rng.integers(-1000, 1000, size=(rng.integers(2, 6), rng.integers(2, 6)))
     inst = BilinearInstance(mat)
     value, a, b = hypercube_bilinear_max(inst)
-    assert value == pytest.approx(full_enumeration_max(mat), abs=1e-9)
-    assert float(a @ mat @ b) == pytest.approx(value, abs=1e-9)
+    assert type(value) is int and value == full_enumeration_max(mat)
+    assert a @ mat @ b == value
     assert set(np.unique(a)) <= {-1.0, 1.0} and set(np.unique(b)) <= {-1.0, 1.0}
+
+
+@pytest.mark.parametrize(
+    "mat",
+    [
+        np.ones((2, 2)),
+        np.ones((2, 2), dtype=bool),
+        np.ones((2, 2), dtype=complex),
+        np.array([[1, 2.0]], dtype=object),
+    ],
+)
+def test_bilinear_instance_refuses_non_integer_matrices(mat):
+    with pytest.raises(InputError, match=f"got dtype {mat.dtype}"):
+        BilinearInstance(mat)
+
+
+def test_bilinear_instance_holds_python_ints():
+    inst = BilinearInstance(np.array([[1, -2], [3, 4]], dtype=np.int8))
+    assert inst.matrix.dtype == object and not inst.matrix.flags.writeable
+    assert {type(x) for x in inst.matrix.flat} == {int}
 
 
 def test_the_bilinear_kernel_has_one_exact_path():
@@ -388,11 +408,12 @@ def test_sign_matrix_bilinear_value_and_bound():
     # the 8x3 matrix of signed binary digits attains exactly 12 at level 3, and
     # the squared maximum never exceeds 4^n * n at any level
     mat = binary_coding_sign_matrix(3)
+    assert mat.dtype.kind == "i"
     value, _, _ = hypercube_bilinear_max(BilinearInstance(mat))
-    assert value == pytest.approx(12.0, abs=1e-9)
+    assert value == 12
     for n in range(1, 9):
         v, _, _ = hypercube_bilinear_max(BilinearInstance(binary_coding_sign_matrix(n)))
-        assert round(v) ** 2 <= 4 ** n * n
+        assert v ** 2 <= 4 ** n * n
 
 
 def lowest_mask_maximiser(rows):

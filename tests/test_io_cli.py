@@ -450,6 +450,33 @@ def test_cli_missing_file_is_input_error(tmp_path, capsys):
     assert "input error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen", "--family", "binary_coding", "--n", "abc", "--out", "x.json"],
+    ["metrics", "--joint", "x.json", "--product-metric", "foo"],
+    ["sweep", "--family", "binary_coding", "--n-from", "1", "--n-to", "2",
+     "--product-metric", "foo"],
+    ["gen", "--family", "binary_coding", "--n", "3"],  # no --out
+    ["frobnicate"],
+    [],
+])
+def test_cli_usage_errors_exit_one(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert "error: " in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["gen", "--help"], ["metrics", "--help"]])
+def test_cli_help_exits_zero(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert "usage: asymdep" in capsys.readouterr().out
+
+
 def test_cli_malformed_json_is_input_error(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("[1, 2", encoding="utf-8")

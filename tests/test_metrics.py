@@ -14,6 +14,7 @@ from asymdep import (
     FiniteMetricSpace,
     InputError,
     JointMeasure,
+    MetricValue,
     ProductMetricKind,
     alpha_coefficient,
     bernoulli_perturbation_family,
@@ -339,6 +340,27 @@ def test_binary_coding_prokhorov_to_product_equals_the_fraction_capacity_scan(n,
     assert_same_as_fraction_scan(*joint_and_product_on_product(binary_coding_family(n).joint, kind))
 
 
+@pytest.mark.parametrize("kind", list(ProductMetricKind))
+def test_a_positive_separation_settles_eps_zero_without_a_pair_scan(monkeypatch, kind):
+    g = 9
+    line = line_space([F(i, g) for i in range(g)])
+    raw = [[g if i == k else 1 for k in range(g)] for i in range(g)]
+    total = sum(map(sum, raw))
+    j = JointMeasure(line, line, tuple(tuple(F(x, total) for x in row) for row in raw))
+    mu, nu = joint_and_product_on_product(j, kind)
+    assert mu.space.separation == pytest.approx(1 / g)
+    seen = []
+    near = metrics._near_pairs
+    monkeypatch.setattr(
+        metrics, "_near_pairs", lambda dist, s1, s2, eps: seen.append(eps) or near(dist, s1, s2, eps)
+    )
+    mv = prokhorov_distance(mu, nu)
+    # the scan goes past eps = 0, and reads distances only above it
+    assert mv.certificate["epsilon"] > 0.0
+    assert seen and min(seen) > 0.0
+    assert_same_as_fraction_scan(mu, nu)
+
+
 def test_a_zero_distance_between_distinct_points_takes_the_flow_at_eps_zero(monkeypatch):
     d = [[0.0, 0.0, 1.0, 2.0], [0.0, 0.0, 1.0, 1.0], [1.0, 1.0, 0.0, 0.5], [2.0, 1.0, 0.5, 0.0]]
     s = FiniteMetricSpace("abcd", d, validate=False)
@@ -385,6 +407,26 @@ def test_bl_certificate_reevaluates():
     m2 = DiscreteMeasure(s, (F(1, 2), F(0), F(1, 2)))
     mv = bl_distance(m1, m2)
     assert evaluate_certificate(mv, m1=m1, m2=m2) == pytest.approx(mv.value, abs=1e-9)
+
+
+@pytest.mark.parametrize("h, message", [
+    # h(1.5) leaves the box by 1e-6; every pair keeps its Lipschitz bound
+    ((1.0, 0.5, 1.000001), "the bound"),
+    # |h(0) - h(0.7)| = 0.8 > 0.7 inside the box
+    ((1.0, 0.2, 1.0), "the Lipschitz constraint"),
+])
+def test_a_tampered_bl_certificate_is_refused_with_its_own_message(h, message):
+    s = line_space([0.0, 0.7, 1.5])
+    m1 = DiscreteMeasure(s, (F(1, 3), F(1, 3), F(1, 3)))
+    m2 = DiscreteMeasure(s, (F(1, 2), F(0), F(1, 2)))
+    mv = MetricValue("bl", 0.0, {"support": (0, 1, 2), "h": h})
+    with pytest.raises(InputError, match=f"BL certificate violates {message}"):
+        evaluate_certificate(mv, m1=m1, m2=m2)
+    # within LP_TOL of both bounds the certificate is accepted
+    tol = metrics.LP_TOL / 4
+    ok = MetricValue("bl", 0.0, {"support": (0, 1, 2), "h": (1 + tol, 0.3 - tol, 1.0)})
+    want = -(1 + tol) / 6 + (0.3 - tol) / 3 - 1 / 6
+    assert evaluate_certificate(ok, m1=m1, m2=m2) == pytest.approx(want)
 
 
 def transport_bl(m1, m2):
