@@ -46,6 +46,7 @@ from .measures import (
     DependenceMatrix,
     DiscreteMeasure,
     JointMeasure,
+    Numerators,
     dependence_matrix,
     joint_and_product_on_product,
     marginals,
@@ -299,6 +300,16 @@ def _matching_flow(a, b, cap1, cap2):
     return sum(flows), flows
 
 
+class Coupling(NamedTuple):
+    """The pairs (tails[k], heads[k]) of a Prokhorov certificate, indices
+    into the space in the scan's row-major order, each carrying mass
+    flows.num[k] / flows.den > 0."""
+
+    tails: tuple[int, ...]
+    heads: tuple[int, ...]
+    flows: Numerators
+
+
 def prokhorov_distance(m1: DiscreteMeasure, m2: DiscreteMeasure) -> MetricValue:
     """Levy-Prokhorov distance via Strassen's coupling characterization.
 
@@ -318,8 +329,14 @@ def prokhorov_distance(m1: DiscreteMeasure, m2: DiscreteMeasure) -> MetricValue:
     points (a step there that is no breakpoint has the eps = 0 pairs and
     cannot win). When the separation is at least the eps = 0 candidate, the
     loop's own stop ends the scan there: no distance is read and a product
-    space builds no matrix. The value, epsilon, outside mass and coupling
-    are those of the scan over every breakpoint, bit for bit.
+    space builds no matrix. A breakpoint that adds no pair solves no flow.
+    The value, epsilon, outside mass and coupling are those of the scan
+    over every breakpoint, bit for bit.
+
+    The certificate holds ``epsilon``, ``outside_mass`` (a Fraction) and a
+    ``coupling``: the pairs within epsilon that carry positive flow, with
+    their flows as ints over the flow scale (the lcm above), which are the
+    recursive search's flows times that scale.
     """
     _require_same_space(m1, m2)
     s1, s2 = m1.support(), m2.support()
@@ -330,7 +347,7 @@ def prokhorov_distance(m1: DiscreteMeasure, m2: DiscreteMeasure) -> MetricValue:
     cap1 = [m1.num[i] * (scale // m1.den) for i in s1]
     cap2 = [m2.num[k] * (scale // m2.den) for k in s2]
     s1, s2 = np.array(s1, dtype=np.intp), np.array(s2, dtype=np.intp)
-    best, eps = None, 0.0
+    best, eps, n_pairs = None, 0.0, -1
     separation = m1.space.separation
     while best is None or eps < best[0]:
         if eps == 0.0 and separation > 0.0:
@@ -339,19 +356,23 @@ def prokhorov_distance(m1: DiscreteMeasure, m2: DiscreteMeasure) -> MetricValue:
             next_eps = separation
         else:
             a, b, next_eps = _near_pairs(m1.space.dist, s1, s2, eps)
-        overlap, flows = _overlap_flow(a, b, cap1, cap2, scale)
-        # int true division rounds correctly, as float() of the Fraction does
-        candidate = max(eps, (scale - overlap) / scale)
-        if best is None or candidate < best[0]:
-            best = (candidate, eps, overlap, (s1[a], s2[b], flows))
+        # the pairs only grow with eps: as many as before are the same pairs,
+        # whose overlap at a larger eps cannot beat the candidate kept
+        if len(a) > n_pairs:
+            n_pairs = len(a)
+            overlap, flows = _overlap_flow(a, b, cap1, cap2, scale)
+            # int true division rounds correctly, as float() of the Fraction does
+            candidate = max(eps, (scale - overlap) / scale)
+            if best is None or candidate < best[0]:
+                best = (candidate, eps, overlap, (s1[a], s2[b], flows))
         eps = next_eps
     value, eps, overlap, (tails, heads, flows) = best
-    coupling = zip(tails.tolist(), heads.tolist(), flows)
-    cert = {
-        "epsilon": eps,
-        "outside_mass": Fraction(scale - overlap, scale),
-        "coupling": tuple(((a, b), Fraction(w, scale)) for a, b, w in coupling if w > 0),
-    }
+    keep = [k for k, w in enumerate(flows) if w > 0]
+    coupling = Coupling(
+        tuple(tails[keep].tolist()), tuple(heads[keep].tolist()),
+        Numerators(tuple(flows[k] for k in keep), scale),
+    )
+    cert = {"epsilon": eps, "outside_mass": Fraction(scale - overlap, scale), "coupling": coupling}
     return MetricValue("prokhorov", value, cert)
 
 
@@ -608,12 +629,33 @@ def _cov_sup_from(cert, dep, m1, m2):
 
 
 def _prokhorov_from(cert, dep, m1, m2):
+    """max(eps, 1 - the coupling's mass within eps), after checking that the
+    coupling is one (positive int flows over a positive int scale, no point
+    sending more than its m1 weight or receiving more than its m2 weight)
+    and that 1 minus that mass is the certificate's outside_mass. Only the
+    coupling's own pair distances are read, so no matrix is built."""
     eps = cert["epsilon"]
-    dist = m1.space.dist
-    outside = Fraction(1)
-    for (i, k), flow in cert["coupling"]:
-        if float(dist[i, k]) <= eps:
-            outside -= flow
+    tails, heads, (flows, scale) = cert["coupling"]
+    if not len(tails) == len(heads) == len(flows):
+        raise InputError("Prokhorov coupling has pair and flow tuples of different lengths")
+    if type(scale) is not int or scale <= 0:
+        raise InputError("Prokhorov coupling scale must be a positive int")
+    if any(type(w) is not int or w <= 0 for w in flows):
+        raise InputError("Prokhorov coupling flows must be positive ints")
+    for m, ends, role in ((m1, tails, "sends"), (m2, heads, "receives")):
+        n = len(m.space)
+        if any(type(x) is not int or not 0 <= x < n for x in ends):
+            raise InputError("Prokhorov coupling pairs must be point indices of the space")
+        total = [0] * n
+        for x, w in zip(ends, flows):
+            total[x] += w
+        if any(t * m.den > p * scale for t, p in zip(total, m.num)):
+            raise InputError(f"Prokhorov coupling {role} more than a point's weight")
+    near = m1.space.pair_distances(np.array(tails, dtype=np.intp), np.array(heads, dtype=np.intp))
+    outside = Fraction(scale - sum(w for w, d in zip(flows, near.tolist()) if d <= eps), scale)
+    if outside != cert["outside_mass"]:
+        raise InputError(f"Prokhorov coupling leaves {outside} outside epsilon, not the "
+                         f"certificate's outside_mass {cert['outside_mass']}")
     return max(eps, float(outside))
 
 

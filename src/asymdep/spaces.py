@@ -23,7 +23,9 @@ coords, so neither builds a matrix. Every space has a ``separation``, the
 least distance between two distinct points, which a line takes from its
 sorted coords and a product from its factors, again without a matrix:
 ``prokhorov_distance`` stops at eps = 0 when the separation shows that no
-later breakpoint can win.
+later breakpoint can win. ``pair_distances`` reads the distances of given
+pairs the same way, so a Prokhorov certificate is re-checked without a
+matrix.
 
 Validation checks that the distances are finite, symmetric, zero on the
 diagonal and positive off it, that they satisfy the triangle inequality up
@@ -150,6 +152,22 @@ class FiniteMetricSpace:
         if self._separation is None:
             object.__setattr__(self, "_separation", _separation_of(self))
         return self._separation
+
+    def pair_distances(self, i: np.ndarray, k: np.ndarray) -> np.ndarray:
+        """dist[i, k] for index arrays i and k, bit for bit, without building a
+        matrix that is not built yet: a built matrix is indexed, a line
+        computes |fl(x_i - x_k)|, and a product combines its factors' pair
+        distances (d1 + d2 or max(d1, d2)) as its matrix does."""
+        if self._dist is not None:
+            return self._dist[i, k]
+        if self._factors is not None:
+            s1, s2, kind = self._factors
+            combine = np.add if kind is ProductMetricKind.SUM else np.maximum
+            n2 = len(s2)
+            return combine(s1.pair_distances(i // n2, k // n2), s2.pair_distances(i % n2, k % n2))
+        x = self.coords[:, 0]
+        with np.errstate(invalid="ignore", over="ignore"):
+            return np.abs(x[i] - x[k])
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")

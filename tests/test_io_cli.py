@@ -353,6 +353,23 @@ def test_badly_normalized_weights_are_rejected(tmp_path):
         io.measure_from_dict(d)
 
 
+def test_float_weights_off_by_rounding_are_renormalized_to_sum_exactly_one():
+    s = line_space([0.0, 1.0])
+    d = io.measure_to_dict(DiscreteMeasure(s, (F(1, 3), F(2, 3))))
+    d["weights"] = ["1/3", 0.6666666666666666]
+    assert sum(map(F, d["weights"])) != 1  # the float is not 2/3
+    m = io.measure_from_dict(d)
+    assert sum(m.weights) == 1 and m.den == sum(m.num)
+
+
+def test_float_weights_off_by_more_than_the_tolerance_are_rejected():
+    s = line_space([0.0, 1.0])
+    d = io.measure_to_dict(DiscreteMeasure(s, (F(1, 2), F(1, 2))))
+    d["weights"] = [0.5, 0.5000001]
+    with pytest.raises(InputError, match="not 1"):
+        io.measure_from_dict(d)
+
+
 def test_malformed_json_raises_input_error(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json", encoding="utf-8")
@@ -546,6 +563,23 @@ def test_cli_gen_with_a_non_rational_param_is_input_error(tmp_path, capsys, valu
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith("input error: ")
     assert not out.exists()
+
+
+def test_cli_gen_with_a_param_without_a_value_is_input_error(tmp_path, capsys):
+    out = tmp_path / "joint.json"
+    argv = ["gen", "--family", "markov_shift", "--n", "2", "--param", "p", "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == "input error: --param expects key=value, got 'p'\n"
+    assert not out.exists()
+
+
+def test_cli_metrics_on_a_one_space_measure_file_is_input_error(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    io.save_measure(DiscreteMeasure(line_space([0.0, 1.0]), (F(1, 2), F(1, 2))), str(path))
+    assert main(["metrics", "--joint", str(path), "--select", "variation"]) == 1
+    err = capsys.readouterr().err
+    assert err == "input error: metrics requires a joint-measure JSON file (two spaces)\n"
 
 
 @pytest.mark.parametrize("family,param,takes", [

@@ -15,6 +15,7 @@ from asymdep import (
     InputError,
     JointMeasure,
     MetricValue,
+    Numerators,
     ProductMetricKind,
     alpha_coefficient,
     bernoulli_perturbation_family,
@@ -220,12 +221,19 @@ def test_prokhorov_bounded_by_half_total_variation():
     assert prokhorov_distance(m1, m2).value <= float(tv) / 2 + 1e-12
 
 
-def test_prokhorov_certificate_reevaluates():
+def _half_shift():
+    """pi = 1/2, with eps = 0 and the coupling (1, 1) of mass 1/2 over the scale 2."""
     s = line_space([0.0, 0.5, 1.0])
     m1 = DiscreteMeasure(s, (F(1, 2), F(1, 2), F(0)))
     m2 = DiscreteMeasure(s, (F(0), F(1, 2), F(1, 2)))
-    mv = prokhorov_distance(m1, m2)
-    assert evaluate_certificate(mv, m1=m1, m2=m2) == pytest.approx(mv.value, abs=1e-9)
+    return m1, m2, prokhorov_distance(m1, m2)
+
+
+def test_prokhorov_certificate_reevaluates():
+    m1, m2, mv = _half_shift()
+    assert mv.value == 0.5 and mv.certificate["epsilon"] == 0.0
+    assert mv.certificate["coupling"] == ((1,), (1,), Numerators((1,), 2))
+    assert evaluate_certificate(mv, m1=m1, m2=m2) == mv.value
 
 
 def dense_grid_joint():
@@ -281,9 +289,13 @@ def assert_same_as_fraction_scan(m1, m2):
     assert mv.value.hex() == value.hex()
     assert mv.certificate["epsilon"].hex() == cert["epsilon"].hex()
     assert mv.certificate["outside_mass"] == cert["outside_mass"]
-    assert mv.certificate["coupling"] == cert["coupling"]  # same pairs, same order
-    for (i, k), flow in mv.certificate["coupling"]:
-        assert type(i) is int and type(k) is int and type(flow) is F
+    # the pairs as two flat tuples, the flows as ints over the flow scale
+    tails, heads, (num, den) = mv.certificate["coupling"]
+    assert den == math.lcm(m1.den, m2.den)
+    assert tuple(zip(tails, heads)) == tuple(p for p, _ in cert["coupling"])  # same order
+    assert tuple(F(w, den) for w in num) == tuple(f for _, f in cert["coupling"])
+    assert all(w > 0 for w in num)  # zero flows are omitted
+    assert all(type(x) is int for x in tails + heads + num + (den,))
 
 
 def random_weights(rng, n, max_raw):
@@ -293,15 +305,18 @@ def random_weights(rng, n, max_raw):
     return tuple(F(x, total) for x in raw)
 
 
-@pytest.mark.parametrize("max_raw", [1, 9, 2 ** 70])
-@pytest.mark.parametrize("n", [2, 17, 66, 80])  # the pair scan takes 64 rows at a time
-def test_prokhorov_equals_the_fraction_capacity_scan(n, max_raw):
+def _random_line_pair(n, max_raw):
     import random
 
     rng = random.Random(n)
     s = line_space([x / 100 for x in rng.sample(range(300), n)])
-    m1 = DiscreteMeasure(s, random_weights(rng, n, max_raw))
-    m2 = DiscreteMeasure(s, random_weights(rng, n, max_raw))
+    return tuple(DiscreteMeasure(s, random_weights(rng, n, max_raw)) for _ in range(2))
+
+
+@pytest.mark.parametrize("max_raw", [1, 9, 2 ** 70])
+@pytest.mark.parametrize("n", [2, 17, 66, 80])  # the pair scan takes 64 rows at a time
+def test_prokhorov_equals_the_fraction_capacity_scan(n, max_raw):
+    m1, m2 = _random_line_pair(n, max_raw)
     if max_raw > 2 ** 64:  # the lcm of the denominators takes the big-int path
         assert max(w.denominator for w in m1.weights + m2.weights) > 2 ** 64
     assert_same_as_fraction_scan(m1, m2)
@@ -379,6 +394,101 @@ def test_a_point_not_at_distance_zero_from_itself_takes_the_scan():
     m1, m2 = DiscreteMeasure(s, (F(1), F(0))), DiscreteMeasure(s, (F(1, 2), F(1, 2)))
     assert_same_as_fraction_scan(m1, m2)
     assert prokhorov_distance(m1, m2).certificate["epsilon"] == 0.5
+
+
+def test_a_breakpoint_that_adds_no_pair_solves_no_flow(monkeypatch):
+    # the separation 0.1 is no support pair's distance: its pairs are those of eps = 0
+    s = line_space([0, 0.1, 1, 1.1])
+    m1 = DiscreteMeasure(s, (F(1, 2), F(0), F(1, 2), F(0)))
+    m2 = DiscreteMeasure(s, (F(0), F(0), F(1, 2), F(1, 2)))
+    steps = []
+    flow = metrics._overlap_flow
+    monkeypatch.setattr(
+        metrics, "_overlap_flow", lambda a, b, *rest: steps.append(len(a)) or flow(a, b, *rest)
+    )
+    assert_same_as_fraction_scan(m1, m2)
+    assert steps == [1, 2]
+
+
+def _with_coupling(mv, tails, heads, flows):
+    cert = dict(mv.certificate, coupling=metrics.Coupling(tails, heads, flows))
+    return MetricValue("prokhorov", mv.value, cert)
+
+
+@pytest.mark.parametrize("tails, heads, flows, message", [
+    ((1,), (1,), Numerators((0,), 2), "flows must be positive ints"),
+    ((1,), (1,), Numerators((-1,), 2), "flows must be positive ints"),
+    ((1,), (1,), Numerators((1.0,), 2), "flows must be positive ints"),
+    ((1,), (1,), Numerators((True,), 2), "flows must be positive ints"),
+    ((1,), (1,), Numerators((F(1),), 2), "flows must be positive ints"),
+    ((1,), (1,), Numerators((1,), 0), "scale must be a positive int"),
+    ((1,), (1,), Numerators((1,), 2.0), "scale must be a positive int"),
+    ((1,), (1, 2), Numerators((1,), 2), "different lengths"),
+    ((3,), (1,), Numerators((1,), 2), "point indices"),
+    ((-1,), (1,), Numerators((1,), 2), "point indices"),
+    ((1,), (1.0,), Numerators((1,), 2), "point indices"),
+    # 3/4 out of a point of weight 1/2, over a scale other than the weights' 2
+    ((1,), (1,), Numerators((3,), 4), "sends more than a point's weight"),
+    # twice 1/2 out of the points 0 and 1 into the point 1, of weight 1/2
+    ((0, 1), (1, 1), Numerators((1, 1), 2), "receives more than a point's weight"),
+    # a coupling that is one, but leaves 3/4 outside, not the stated 1/2
+    ((1,), (1,), Numerators((1,), 4), "leaves 3/4 outside epsilon"),
+])
+def test_a_tampered_prokhorov_coupling_is_an_input_error(tails, heads, flows, message):
+    m1, m2, mv = _half_shift()
+    with pytest.raises(InputError, match=message):
+        evaluate_certificate(_with_coupling(mv, tails, heads, flows), m1=m1, m2=m2)
+
+
+def _mutants(coupling):
+    """Every coupling with one flow numerator one up or one down, or one pair dropped."""
+    tails, heads, (num, den) = coupling
+    for k in range(len(num)):
+        for step in (-1, 1):
+            yield tails, heads, Numerators(num[:k] + (num[k] + step,) + num[k + 1:], den)
+        kept_tails, kept_heads, kept_num = (t[:k] + t[k + 1:] for t in (tails, heads, num))
+        yield kept_tails, kept_heads, Numerators(kept_num, den)
+
+
+@pytest.mark.parametrize("pair", [
+    pytest.param(lambda: _half_shift()[:2], id="half_shift"),
+    pytest.param(lambda: _random_line_pair(17, 9), id="random_line"),
+    pytest.param(lambda: joint_and_product_on_product(dense_grid_joint(), ProductMetricKind.SUM),
+                 id="grid_sum"),
+    pytest.param(lambda: joint_and_product_on_product(dense_grid_joint(), ProductMetricKind.MAX),
+                 id="grid_max"),
+    pytest.param(lambda: joint_and_product_on_product(binary_coding_family(3).joint,
+                                                      ProductMetricKind.SUM), id="binary_coding"),
+])
+def test_a_mutated_prokhorov_coupling_disagrees_or_raises(pair):
+    m1, m2 = pair()
+    mv = prokhorov_distance(m1, m2)
+    assert evaluate_certificate(mv, m1=m1, m2=m2) == mv.value
+    mutants = list(_mutants(mv.certificate["coupling"]))
+    assert len(mutants) == 3 * len(mv.certificate["coupling"].tails) > 0
+    for tails, heads, flows in mutants:
+        try:
+            again = evaluate_certificate(_with_coupling(mv, tails, heads, flows), m1=m1, m2=m2)
+        except InputError:
+            continue
+        assert again != mv.value
+
+
+@pytest.mark.parametrize("kind", list(ProductMetricKind))
+def test_a_product_certificate_rechecks_without_the_product_matrix(monkeypatch, kind):
+    def unbuilt(*factors):
+        raise AssertionError("the product matrix was built")
+
+    # the grid's scan reads the product matrix, so the re-check gets fresh measures
+    mv = prokhorov_distance(*joint_and_product_on_product(dense_grid_joint(), kind))
+    assert mv.certificate["epsilon"] > 0.0
+    mu, nu = joint_and_product_on_product(dense_grid_joint(), kind)
+    bc = prokhorov_to_product_upper(binary_coding_family(8).joint, kind)
+    bc_mu, bc_nu = joint_and_product_on_product(binary_coding_family(8).joint, kind)
+    monkeypatch.setattr(spaces, "_product_dist", unbuilt)
+    assert evaluate_certificate(mv, m1=mu, m2=nu) == mv.value
+    assert evaluate_certificate(bc, m1=bc_mu, m2=bc_nu) == bc.value == 0.5
+    assert mu.space._dist is None and bc_mu.space._dist is None
 
 
 def test_bl_of_point_masses():

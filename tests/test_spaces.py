@@ -579,7 +579,7 @@ def _brute_separation(s):
     return min(off, default=math.inf)
 
 
-@pytest.mark.parametrize("space", [
+SPACES = [
     pytest.param(lambda: line_space([3.0, 0.1, 0.25, 0.0, -7.5]), id="line"),
     pytest.param(lambda: line_space([5.0]), id="one_point_line"),
     pytest.param(lambda: line_space([0.1 * k for k in range(40)]), id="tenths_line"),
@@ -598,13 +598,31 @@ def _brute_separation(s):
     pytest.param(lambda: product_space(
         product_space(line_space([0.0, 0.5]), line_space([1.0, 1.2]), ProductMetricKind.MAX),
         line_space([0.0, 0.05]), ProductMetricKind.SUM), id="product_of_a_product"),
-])
+]
+
+
+@pytest.mark.parametrize("space", SPACES)
 def test_separation_is_the_least_distance_between_distinct_points(space):
     s = space()
     sep = s.separation
     if s._factors is not None or s._line:
         assert s._dist is None  # computed without the matrix
     assert sep == _brute_separation(s)
+
+
+@pytest.mark.parametrize("space", SPACES)
+def test_pair_distances_equal_the_matrix_bit_for_bit(space):
+    s = space()
+    n = len(s)
+    i, k = np.divmod(np.arange(n * n), n)
+    i, k = i[::-1], k[::-1]  # any order, not only row-major
+    got = s.pair_distances(i, k)
+    if s._factors is not None or s._line:
+        assert s._dist is None  # computed without the matrix
+    want = space().dist[i, k]
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    # once the matrix is built, it is indexed
+    assert s.dist[i, k].tobytes() == s.pair_distances(i, k).tobytes()
 
 
 def test_a_zero_distance_between_distinct_points_gives_separation_zero():
