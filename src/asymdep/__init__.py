@@ -20,13 +20,10 @@ from .measures import (
 from .engines import (
     BilinearInstance,
     FlowNetwork,
-    LinearProgram,
-    LPResult,
-    LPStatus,
-    SparseRows,
+    HubFlow,
+    hub_transshipment,
     hypercube_bilinear_max,
     max_flow,
-    solve_lp,
 )
 from .metrics import (
     MetricValue,

@@ -1,22 +1,24 @@
-"""Reusable optimization kernels: max-flow, sparse LP, hypercube bilinear max.
+"""Reusable optimization kernels: max-flow, hub transshipment, hypercube bilinear max.
 
 The max-flow solver is a Dinic-style layered augmenting-path implementation
 that works over any exact numeric type (Fraction capacities stay exact).
 Its DFS keeps the path on an explicit stack, so the depth of the level
 graph is not bounded by Python's recursion limit.
-Linear programs are held as arrays in HiGHS's own form, two-sided rows
-lower <= A x <= upper, and go to HiGHS as one sparse matrix; scipy is
-imported on the first solve, so importing the package does not load it.
+The transshipment kernel is a primal network simplex in Python ints for an
+uncapacitated network in which every node is joined to a hub both ways at
+one cost; it returns the optimal flow and the optimal potentials, so the
+optimum is exact and certified by both sides. No kernel loads scipy.
 The hypercube kernel enumerates sign vectors exactly for integer matrices of
 any size: a float64 screen with a proven rounding bound keeps every sign
 vector that may be optimal, and the survivors are re-ranked in Python ints.
 """
 from __future__ import annotations
 
-import enum
+import math
 import operator
 from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -143,107 +145,154 @@ def max_flow(net: FlowNetwork) -> tuple[object, list[object]]:
     return total, flows
 
 
-class LPStatus(enum.Enum):
-    OPTIMAL = "optimal"
-    INFEASIBLE = "infeasible"
-    UNBOUNDED = "unbounded"
+# smallest block of arcs that the network simplex prices at a time
+PRICING_BLOCK_MIN = 32
 
 
-def _hold_vectors(obj, **dtypes) -> list[np.ndarray]:
-    """Hold the named fields of a frozen dataclass as 1-D arrays of the given dtypes."""
-    out = []
-    for name, dtype in dtypes.items():
-        x = np.asarray(getattr(obj, name), dtype=dtype)
-        if x.ndim != 1:
-            raise InputError(f"{name} must be a 1-D array")
-        object.__setattr__(obj, name, x)
-        out.append(x)
-    return out
+class HubFlow(NamedTuple):
+    """An optimal flow of hub_transshipment and its dual, in Python ints."""
+
+    cost: int  # sum of cost * flow over every arc, the hub's included
+    flows: tuple[int, ...]  # on the given arcs, in their order
+    to_hub: tuple[int, ...]  # on i -> hub
+    from_hub: tuple[int, ...]  # on hub -> i
+    potentials: tuple[int, ...]  # pi(i); pi(hub) = 0
 
 
-@dataclass(frozen=True, eq=False)
-class SparseRows:
-    """Rows lower <= A x <= upper, A in coordinate form: entry k adds coeff[k]
-    to A[row[k], col[k]]. A bound may be infinite, for a one-sided row.
-    len() is the number of rows."""
-
-    row: np.ndarray
-    col: np.ndarray
-    coeff: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
-
-    def __post_init__(self) -> None:
-        if any(np.size(x) and np.asarray(x).dtype.kind not in "iu" for x in (self.row, self.col)):
-            raise InputError("constraint rows and columns must be integer arrays")
-        row, col, coeff, lower, upper = _hold_vectors(
-            self, row=np.intp, col=np.intp, coeff=float, lower=float, upper=float
-        )
-        if not (len(row) == len(col) == len(coeff) and len(lower) == len(upper)):
-            raise InputError("constraint array lengths differ")
-        if not (np.all((0 <= row) & (row < len(lower))) and np.all(col >= 0)):
-            raise InputError(f"constraint rows must lie in range({len(lower)}), columns >= 0")
-        if not np.all(lower <= upper):
-            raise InputError("a lower bound exceeds its upper bound")
-
-    def __len__(self) -> int:
-        return len(self.lower)
+def _ints(name: str, values) -> list[int]:
+    try:
+        return list(map(operator.index, values))
+    except TypeError:
+        raise InputError(f"{name} must be integers") from None
 
 
-@dataclass(frozen=True, eq=False)
-class LinearProgram:
-    """Maximize objective . x subject to the rows and var_lower <= x <= var_upper.
+def hub_transshipment(supplies, tails, heads, costs, hub_cost) -> HubFlow:
+    """Min-cost flow from the supplies over uncapacitated arcs and a hub.
 
-    The objective and the variable bounds are held as float arrays; bounds
-    left out are infinite.
+    Node i < n = len(supplies) sends out supplies[i] more than it receives;
+    the hub, node n, takes up the balance -sum(supplies). Arc k runs from
+    tails[k] to heads[k] at costs[k] per unit, and every node is also joined
+    to the hub both ways at hub_cost, so a flow always exists. Flows are
+    nonnegative with no upper bound. Returns the least cost, the flows, and
+    potentials pi with pi(hub) = 0 and every reduced cost
+    c(i, j) - pi(i) + pi(j) >= 0, hub arcs included: the dual optimum
+    sum_i supplies[i] pi(i) equals the cost.
+
+    Primal network simplex in Python ints, so the optimum is exact. The
+    first tree is the star at the hub: i -> hub where supplies[i] > 0,
+    hub -> i otherwise, each carrying |supplies[i]|. That tree is strongly
+    feasible: every tree arc with zero flow points away from the hub.
+    Pricing takes blocks of about sqrt(arcs) arcs in turn and enters the
+    most negative reduced cost of the first block that has one. The leaving
+    arc is the first blocking arc met going round the cycle from its apex
+    (where the two tree paths of the entering arc's ends meet) in the
+    entering arc's direction. That keeps the tree strongly feasible, so
+    degenerate pivots cannot cycle (Cunningham's rule; Ahuja, Magnanti and
+    Orlin, Network Flows, 1993, section 11.5). A cycle with no arc to
+    block it has negative cost, and is a SolverError.
     """
-
-    objective: np.ndarray
-    constraints: SparseRows = SparseRows((), (), (), (), ())
-    var_lower: np.ndarray | None = None
-    var_upper: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        (obj,) = _hold_vectors(self, objective=float)
-        for name, inf in (("var_lower", -np.inf), ("var_upper", np.inf)):
-            if getattr(self, name) is None:
-                object.__setattr__(self, name, np.full(len(obj), inf))
-        lower, upper = _hold_vectors(self, var_lower=float, var_upper=float)
-        if not len(lower) == len(upper) == len(obj):
-            raise InputError("bounds dimension mismatch")
-        if not np.all(self.constraints.col < len(obj)):
-            raise InputError(f"constraint columns must lie in range({len(obj)})")
-        if not np.all(lower <= upper):
-            raise InputError("a lower bound exceeds its upper bound")
-
-
-@dataclass(frozen=True)
-class LPResult:
-    status: LPStatus
-    value: float | None
-    solution: tuple[float, ...] | None
-
-
-def solve_lp(lp: LinearProgram) -> LPResult:
-    """Solve the (maximization) LP with HiGHS's default tolerances: scipy's
-    milp without integer variables, the rows as one sparse matrix."""
-    from scipy.optimize import Bounds, LinearConstraint, milp
-    from scipy.sparse import csc_array
-
-    c = lp.constraints
-    a = csc_array((c.coeff, (c.row, c.col)), shape=(len(c), len(lp.objective)))
-    res = milp(
-        -lp.objective,
-        constraints=LinearConstraint(a, c.lower, c.upper),
-        bounds=Bounds(lp.var_lower, lp.var_upper),
-    )
-    if res.status == 0:
-        return LPResult(LPStatus.OPTIMAL, float(-res.fun), tuple(res.x.tolist()))
-    if res.status == 2:
-        return LPResult(LPStatus.INFEASIBLE, None, None)
-    if res.status == 3:
-        return LPResult(LPStatus.UNBOUNDED, None, None)
-    raise SolverError(f"LP solver failed: {res.message}")
+    supply = _ints("supplies", supplies)
+    tail, head, cost = _ints("tails", tails), _ints("heads", heads), _ints("costs", costs)
+    (hub_cost,) = _ints("hub_cost", (hub_cost,))
+    n, m = len(supply), len(cost)
+    if not len(tail) == len(head) == m:
+        raise InputError("arc array lengths differ")
+    if m and not (0 <= min(min(tail), min(head)) and max(max(tail), max(head)) < n):
+        raise InputError(f"arc endpoints must lie in range({n})")
+    hub, nodes = n, range(n)
+    tail += [*nodes, *[hub] * n]
+    head += [*[hub] * n, *nodes]
+    cost += [hub_cost] * (2 * n)
+    flow = [0] * m + [max(b, 0) for b in supply] + [max(-b, 0) for b in supply]
+    # the tree: each node's parent, the arc joining them, and its children
+    parent = [hub] * n + [-1]
+    parc = [m + i if b > 0 else m + n + i for i, b in enumerate(supply)] + [-1]
+    children = [set() for _ in nodes] + [set(nodes)]
+    pi = [hub_cost if b > 0 else -hub_cost for b in supply] + [0]
+    mark, kmark = [0] * (n + 1), 0  # the nodes each pivot's climbs have reached
+    arcs = len(cost)
+    block = max(PRICING_BLOCK_MIN, math.isqrt(arcs))
+    start = 0
+    while True:
+        best, enter, scanned = 0, -1, 0
+        while enter < 0 and scanned < arcs:
+            stop = min(start + block, arcs)
+            for a in range(start, stop):
+                r = cost[a] - pi[tail[a]] + pi[head[a]]
+                if r < best:
+                    best, enter = r, a
+            scanned += stop - start
+            start = stop % arcs
+        if enter < 0:
+            break
+        k, l = tail[enter], head[enter]
+        # the tree paths from k and from l up to the apex, bottom first: climb
+        # from both ends in turn, marking the nodes each side reaches, until
+        # one side steps on the other's mark, at the apex
+        kmark += 2
+        lmark = kmark + 1
+        kpath, lpath, u, v = [], [], k, l
+        mark[u], mark[v] = kmark, lmark
+        while u != v:
+            if u != hub:
+                kpath.append(u)
+                u = parent[u]
+                if mark[u] == lmark:
+                    if u in lpath:
+                        del lpath[lpath.index(u):]
+                    break
+                mark[u] = kmark
+            if v != hub:
+                lpath.append(v)
+                v = parent[v]
+                if mark[v] == kmark:
+                    if v in kpath:
+                        del kpath[kpath.index(v):]
+                    break
+                mark[v] = lmark
+        # going round from the apex: down to k (where arcs pointing up are
+        # backward), then k -> l, then up from l (where arcs pointing down are)
+        delta, leave, k_side = 0, -1, False
+        for x in reversed(kpath):
+            a = parc[x]
+            if tail[a] == x and (leave < 0 or flow[a] < delta):
+                delta, leave, k_side = flow[a], x, True
+        for x in lpath:
+            a = parc[x]
+            if head[a] == x and (leave < 0 or flow[a] < delta):
+                delta, leave, k_side = flow[a], x, False
+        if leave < 0:
+            raise SolverError("transshipment is unbounded: a cycle has negative cost")
+        if delta:
+            for x in kpath:
+                a = parc[x]
+                flow[a] += -delta if tail[a] == x else delta
+            for x in lpath:
+                a = parc[x]
+                flow[a] += delta if tail[a] == x else -delta
+        flow[enter] = delta
+        # hang the subtree cut off by the leaving arc from the entering one:
+        # reverse its tree path from the entering arc's end up to the cut
+        x, y, shift = (k, l, best) if k_side else (l, k, -best)
+        v, up, arc = x, y, enter
+        while True:
+            old_up, old_arc = parent[v], parc[v]
+            children[old_up].remove(v)
+            parent[v], parc[v] = up, arc
+            children[up].add(v)
+            if v == leave:
+                break
+            v, up, arc = old_up, v, old_arc
+        # one shift of the subtree's potentials makes the entering arc's
+        # reduced cost 0 and keeps every other tree arc's
+        sub = [x]
+        for v in sub:
+            sub.extend(children[v])
+        for v in sub:
+            pi[v] += shift
+    total = sum(map(operator.mul, cost, flow))
+    to_hub, from_hub = tuple(flow[m:m + n]), tuple(flow[m + n:])
+    return HubFlow(total, tuple(flow[:m]), to_hub, from_hub, tuple(pi[:n]))
 
 
 @dataclass(frozen=True)

@@ -34,14 +34,11 @@ import numpy as np
 from .engines import (
     BilinearInstance,
     FlowNetwork,
-    LinearProgram,
-    LPStatus,
-    SparseRows,
+    hub_transshipment,
     hypercube_bilinear_max,
     max_flow,
-    solve_lp,
 )
-from .errors import CapabilityError, InputError, SolverError
+from .errors import CapabilityError, InputError
 from .measures import (
     DependenceMatrix,
     DiscreteMeasure,
@@ -53,10 +50,11 @@ from .measures import (
 )
 from .spaces import ProductMetricKind
 
-# one bl_distance at 600 support points, Python 3.11, 2 vCPUs: the worst case
-# is the uniform metric (every distance 1, no triangle tight, all 359,400
-# Lipschitz rows kept): ~4.3 s and ~610 MB peak RSS; a line space with every
-# distance < 2 keeps its 1,198 neighbour rows: ~0.55 s and ~108 MB
+# one bl_distance at 600 support points in a fresh process, Python 3.11, 2
+# vCPUs: the worst case is 600 random points of the Euclidean unit square (no
+# triangle tight, all 179,700 pairs kept, distance numerators near 2^62):
+# ~2.6 s and ~118 MB peak RSS; the uniform metric (every distance 1, all pairs
+# kept) ~1.1 s and ~85 MB; a line keeps its 599 neighbour pairs: ~0.1 s, 70 MB
 BL_SUPPORT_CUTOFF = 600
 # one prokhorov_to_product_upper at 4096 product points, Python 3.11, 2 vCPUs:
 # binary_coding n=8 stops at eps = 0 by the separation (~0.01 s, 32 MB peak
@@ -458,9 +456,18 @@ def _nearest_witness(d: np.ndarray) -> np.ndarray:
 def bl_distance(m1: DiscreteMeasure, m2: DiscreteMeasure) -> MetricValue:
     """Bounded-Lipschitz distance: max of integral gaps over |h|<=1, Lip(h)<=1.
 
-    Solved as an LP in the values h of the witness on the union support, with
-    the box |h| <= 1 and one two-sided row -d(a, b) <= h(a) - h(b) <= d(a, b)
-    for each essential pair (see _essential_pairs).
+    The LP in the values h of the witness on the union support has the box
+    |h| <= 1 and one two-sided row -d(a, b) <= h(a) - h(b) <= d(a, b) for
+    each essential pair (see _essential_pairs). It is solved through its
+    dual (Kantorovich-Rubinstein): a hub node with h(hub) = 0 turns the box
+    into |h(a) - h(hub)| <= 1, so every row bounds a difference of two
+    potentials, and the dual is the min-cost transshipment of mu - nu over
+    the essential pairs, both ways at cost d(a, b), and to or from the hub
+    at cost 1 (the route a -> hub -> b costs 2, the bound of the box).
+    hub_transshipment solves it exactly in ints: the distances, floats
+    num / 2^k, are scaled by 2^K, the largest of their denominators, and
+    the masses by the lcm of the two denominators. The value is the LP's
+    optimum correctly rounded, and h the optimal potentials over 2^K.
 
     The rows of the other pairs are implied, so the feasible set is the one
     with a row for every pair. At d(a, b) >= 2 the box gives
@@ -480,21 +487,23 @@ def bl_distance(m1: DiscreteMeasure, m2: DiscreteMeasure) -> MetricValue:
     support = sorted(set(m1.support()) | set(m2.support()))
     n = len(support)
     _require_support(n, BL_SUPPORT_CUTOFF, "bl_distance LP")
-    # int true division rounds correctly, as float() of the Fraction does
     scale = math.lcm(m1.den, m2.den)
     f1, f2 = scale // m1.den, scale // m2.den
-    c = [(m1.num[i] * f1 - m2.num[i] * f2) / scale for i in support]
+    supply = [m1.num[i] * f1 - m2.num[i] * f2 for i in support]
     a_idx, b_idx, d_ab = _essential_pairs(m1.space.dist[np.ix_(support, support)])
-    # row k is -d_ab[k] <= h(a_idx[k]) - h(b_idx[k]) <= d_ab[k]
-    rows, cols = np.arange(len(d_ab)).repeat(2), np.column_stack((a_idx, b_idx)).ravel()
-    pairs = SparseRows(rows, cols, np.tile((1.0, -1.0), len(d_ab)), -d_ab, d_ab)
-    res = solve_lp(LinearProgram(np.array(c), pairs, np.full(n, -1.0), np.full(n, 1.0)))
-    # h = 0 is feasible and the box bounds the objective: only the solver can fail
-    if res.status is not LPStatus.OPTIMAL:
-        raise SolverError(f"BL linear program was {res.status.value}")
-    # 0.0 first: max returns the first of equal items, so -0.0 reads 0.0
-    value = max(0.0, res.value)
-    cert = {"support": tuple(support), "h": res.solution}
+    if np.any(d_ab < 0):
+        raise InputError("bl_distance needs nonnegative distances")
+    # each distinct distance d = num / den exactly, den a power of two
+    dists, pair_dist = np.unique(d_ab, return_inverse=True)
+    ratios = [d.as_integer_ratio() for d in dists.tolist()]
+    two_k = max((den for _, den in ratios), default=1)
+    cost = np.array([num * (two_k // den) for num, den in ratios], dtype=object)
+    cost = cost[pair_dist].tolist()
+    a, b = a_idx.tolist(), b_idx.tolist()
+    flow = hub_transshipment(supply, a + b, b + a, cost + cost, two_k)
+    # int true division rounds correctly, as float() of the Fraction does
+    value = flow.cost / (scale * two_k)
+    cert = {"support": tuple(support), "h": tuple(p / two_k for p in flow.potentials)}
     return MetricValue("bl", value, cert)
 
 

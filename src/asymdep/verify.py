@@ -4,22 +4,26 @@ Each criterion returns a CriterionResult with the expected value, computed
 value, tolerance, and status; run_all() executes the whole battery. Exact
 criteria compare rationals for equality (tolerance 0); geometric criteria
 carry their stated float tolerances. Oracles used here (brute-force LP for
-flows, vertex enumeration for LPs, full sign enumeration for the bilinear
+flows and transshipments, full sign enumeration for the bilinear
 engine, row-subset enumeration for alpha and cov_sup, partition enumeration
 for beta) are independent of the code paths they check.
 """
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .engines import BilinearInstance, FlowNetwork, hypercube_bilinear_max, max_flow
-from .engines import LinearProgram, LPStatus, SparseRows, solve_lp
+from .engines import (
+    BilinearInstance,
+    FlowNetwork,
+    hub_transshipment,
+    hypercube_bilinear_max,
+    max_flow,
+)
 from .families import (
     _random_prob_vector,
     bernoulli_perturbation_family,
@@ -436,13 +440,45 @@ def _bipartite_flow_oracle(supplies, demands, edges, caps) -> float:
     return float(-res.fun)
 
 
-def _vertex_enumeration_oracle(objective, a: np.ndarray, b: np.ndarray) -> float:
-    """Max objective . x over the vertices of the bounded polytope a x <= b."""
-    combos = np.array(list(itertools.combinations(range(len(a)), len(objective))))
-    combos = combos[np.abs(np.linalg.det(a[combos])) >= 1e-10]
-    xs = np.linalg.solve(a[combos], b[combos][..., None])[..., 0]
-    feasible = np.all(xs @ a.T <= b + 1e-9, axis=1)
-    return max((float(np.dot(objective, x)) for x in xs[feasible]), default=-math.inf)
+def _transshipment_oracle(supplies, arcs, hub_cost) -> float:
+    """Brute-force LP value of the hub transshipment: min cost . x over x >= 0
+    with node-arc incidence x = supplies, the hub arcs written out."""
+    from scipy.optimize import linprog
+
+    n = len(supplies)
+    arcs = [*arcs, *((i, n, hub_cost) for i in range(n)), *((n, i, hub_cost) for i in range(n))]
+    incidence = np.zeros((n + 1, len(arcs)))
+    for e, (t, h, _) in enumerate(arcs):
+        incidence[t, e] += 1.0
+        incidence[h, e] -= 1.0
+    res = linprog(
+        [float(c) for _, _, c in arcs],
+        A_eq=incidence,
+        b_eq=[*map(float, supplies), -float(sum(supplies))],
+        bounds=(0.0, None),
+        method="highs",
+    )
+    return float(res.fun)
+
+
+def _transshipment_is_optimal(supplies, arcs, hub_cost, sol) -> bool:
+    """In ints: the flows are nonnegative and conserve the supplies, every
+    reduced cost is >= 0, and the cost equals the dual objective."""
+    n = len(supplies)
+    pi = (*sol.potentials, 0)
+    arcs = [*arcs, *((i, n, hub_cost) for i in range(n)), *((n, i, hub_cost) for i in range(n))]
+    flows = (*sol.flows, *sol.to_hub, *sol.from_hub)
+    out = [0] * (n + 1)
+    for (t, h, _), f in zip(arcs, flows):
+        out[t] += f
+        out[h] -= f
+    return (
+        min(flows, default=0) >= 0
+        and out[:n] == list(supplies)
+        and all(c - pi[t] + pi[h] >= 0 for t, h, c in arcs)
+        and sol.cost == sum(c * f for (_, _, c), f in zip(arcs, flows))
+        == sum(b * p for b, p in zip(supplies, pi))
+    )
 
 
 def criterion_14_engine_oracles() -> CriterionResult:
@@ -467,25 +503,20 @@ def criterion_14_engine_oracles() -> CriterionResult:
         oracle = _bipartite_flow_oracle(supplies, demands, edges, caps)
         if abs(float(value) - oracle) > 1e-10:
             bad.append((t, "flow", float(value), oracle))
-    # solve_lp vs vertex enumeration on random bounded LPs
+    # hub_transshipment vs LP on random transshipments, and exact primal = dual
     for t in range(50):
-        nvar = rng.randint(2, 6)
-        x0 = np.array([rng.uniform(-0.5, 0.5) for _ in range(nvar)])
-        rows, upper = [], []
-        for _ in range(nvar + 2):
-            rows.append(np.array([rng.uniform(-1, 1) for _ in range(nvar)]))
-            upper.append(float(rows[-1] @ x0 + rng.uniform(0.1, 1.0)))
-        objective = np.array([rng.uniform(-1, 1) for _ in range(nvar)])
-        a, box, eye = np.array(rows), np.ones(nvar), np.eye(nvar)
-        i, j = np.indices(a.shape)
-        sparse = SparseRows(i.ravel(), j.ravel(), a.ravel(), np.full(len(a), -np.inf), upper)
-        res = solve_lp(LinearProgram(objective, sparse, -box, box))
-        # the box -1 <= x <= 1 joins the rows as x <= 1 and -x <= 1
-        oracle = _vertex_enumeration_oracle(
-            objective, np.vstack((a, eye, -eye)), np.array(upper + [1.0] * 2 * nvar)
-        )
-        if res.status is not LPStatus.OPTIMAL or abs(res.value - oracle) > 1e-8:
-            bad.append((t, "lp", res.value, oracle))
+        n = rng.randint(1, 7)
+        supplies = [rng.randint(-8, 8) for _ in range(n)]
+        arcs = [(rng.randrange(n), rng.randrange(n), rng.randint(0, 12))
+                for _ in range(rng.randint(0, 3 * n))]
+        hub_cost = rng.randint(0, 12)
+        tails, heads, costs = zip(*arcs) if arcs else ((), (), ())
+        sol = hub_transshipment(supplies, tails, heads, costs, hub_cost)
+        oracle = _transshipment_oracle(supplies, arcs, hub_cost)
+        if abs(sol.cost - oracle) > 1e-8 or not _transshipment_is_optimal(
+            supplies, arcs, hub_cost, sol
+        ):
+            bad.append((t, "transshipment", sol.cost, oracle))
     # exact bilinear max vs Python-int enumeration over both sign vectors; entries
     # up to 2^70 take the float screen that is not exact, and the int re-rank
     for t in range(10):
@@ -499,10 +530,11 @@ def criterion_14_engine_oracles() -> CriterionResult:
         if not val == oracle == attained:
             bad.append((t, "bilinear", val, oracle))
     return _result(
-        "14 engine oracles: max-flow vs LP, solve_lp vs vertices, bilinear vs enumeration",
+        "14 engine oracles: max-flow vs LP, transshipment vs LP and primal = dual, "
+        "bilinear vs enumeration",
         "all engines match their oracles",
         "all match" if not bad else f"failures: {bad}",
-        "1e-10 / 1e-8 / exact",
+        "1e-10 / 1e-8 and exact / exact",
         not bad,
     )
 

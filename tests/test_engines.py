@@ -1,5 +1,6 @@
 import inspect
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -16,16 +17,14 @@ import asymdep
 from asymdep import (
     BilinearInstance,
     FlowNetwork,
+    HubFlow,
     InputError,
-    LinearProgram,
-    LPStatus,
-    SparseRows,
+    SolverError,
+    hub_transshipment,
     hypercube_bilinear_max,
     max_flow,
-    solve_lp,
 )
 from asymdep.families import binary_coding_sign_matrix
-from asymdep.verify import _vertex_enumeration_oracle
 from flow_oracle import max_flow as oracle_max_flow
 
 F = Fraction
@@ -189,157 +188,194 @@ def test_max_flow_matches_the_recursive_dinic_oracle(network):
 
 
 # ---------------------------------------------------------------------------
-# Linear programming
+# Hub transshipment (network simplex)
 # ---------------------------------------------------------------------------
 
-def sparse_rows(a, lower=None, upper=None):
-    """Every entry of the dense matrix a, zeros included, as SparseRows."""
-    a = np.asarray(a, dtype=float)
-    i, j = np.indices(a.shape)
-    free = np.full(len(a), np.inf)
-    lower = -free if lower is None else np.asarray(lower, dtype=float)
-    upper = free if upper is None else np.asarray(upper, dtype=float)
-    return SparseRows(i.ravel(), j.ravel(), a.ravel(), lower, upper)
+def optimality_failures(supplies, tails, heads, costs, hub_cost, sol):
+    """The conditions of an exact optimality check that sol breaks, in ints:
+    nonnegative flows that conserve the supplies, every reduced cost >= 0,
+    and sum cost * flow == sum supply * potential == sol.cost."""
+    n = len(supplies)
+    arcs = [*zip(tails, heads, costs), *((i, n, hub_cost) for i in range(n)),
+            *((n, i, hub_cost) for i in range(n))]
+    flows = (*sol.flows, *sol.to_hub, *sol.from_hub)
+    pi = (*sol.potentials, 0)
+    out = [0] * (n + 1)
+    for (t, h, _), f in zip(arcs, flows):
+        out[t] += f
+        out[h] -= f
+    primal = sum(c * f for (_, _, c), f in zip(arcs, flows))
+    dual = sum(b * p for b, p in zip(supplies, pi))
+    checks = {
+        "lengths": (len(flows), len(pi)) == (len(arcs), n + 1),
+        "nonnegative": min(flows, default=0) >= 0,
+        "conservation": out[:n] == list(supplies),
+        "reduced costs": all(c - pi[t] + pi[h] >= 0 for t, h, c in arcs),
+        "primal = dual": primal == dual == sol.cost,
+    }
+    return [name for name, ok in checks.items() if not ok]
 
 
-def test_solve_lp_known_optimum():
-    # max x + y  s.t.  x + 2y <= 4, 3x + y <= 6, x, y >= 0  ->  (8/5, 6/5)
-    lp = LinearProgram(
-        objective=(1.0, 1.0),
-        constraints=sparse_rows([[1.0, 2.0], [3.0, 1.0]], upper=[4.0, 6.0]),
-        var_lower=(0.0, 0.0),
-    )
-    res = solve_lp(lp)
-    assert res.status is LPStatus.OPTIMAL
-    assert res.value == pytest.approx(2.8, abs=1e-9)
-    assert res.solution[0] == pytest.approx(1.6, abs=1e-9)
-    assert res.solution[1] == pytest.approx(1.2, abs=1e-9)
+@st.composite
+def transshipments(draw):
+    """Supplies, arcs (zero costs, parallel arcs and loops included) and a hub cost."""
+    n = draw(st.integers(1, 7))
+    supplies = draw(st.lists(st.integers(-20, 20), min_size=n, max_size=n))
+    if draw(st.booleans()):  # balanced: the hub carries no net flow
+        supplies[-1] -= sum(supplies)
+    node = st.integers(0, n - 1)
+    cost = st.one_of(st.integers(0, 3), st.integers(0, 2 ** 70))
+    arcs = draw(st.lists(st.tuples(node, node, cost), max_size=25))
+    tails, heads, costs = (list(x) for x in zip(*arcs)) if arcs else ([], [], [])
+    return supplies, tails, heads, costs, draw(st.integers(0, 2 ** 70))
 
 
-def test_solve_lp_infeasible():
-    lp = LinearProgram(
-        objective=(1.0,),
-        constraints=sparse_rows([[1.0]], upper=[-1.0]),
-        var_lower=(0.0,),
-    )
-    assert solve_lp(lp).status is LPStatus.INFEASIBLE
+@settings(max_examples=400, deadline=None)
+@given(transshipments())
+def test_transshipment_passes_the_exact_optimality_check(instance):
+    sol = hub_transshipment(*instance)
+    assert optimality_failures(*instance, sol) == []
 
 
-def test_solve_lp_infeasible_two_sided_row():
-    # 1 <= x - y <= 2 cannot hold inside the box 0 <= x, y <= 1/2
-    rows = sparse_rows([[1.0, -1.0]], lower=[1.0], upper=[2.0])
-    lp = LinearProgram((1.0, 1.0), rows, (0.0, 0.0), (0.5, 0.5))
-    assert solve_lp(lp).status is LPStatus.INFEASIBLE
+@pytest.mark.parametrize(
+    "instance",
+    [
+        ([0, 0, 0], [0, 1], [1, 2], [5, 5], 3),  # zero supplies
+        ([3, -1, -2, 0], [0, 0, 1, 2, 3], [1, 2, 3, 3, 0], [4, 4, 4, 4, 4], 4),  # equal costs
+        ([2, -2, 1, -1], [0, 1, 2, 3], [1, 2, 3, 0], [0, 0, 0, 0], 5),  # zero-cost cycle
+        ([7], [], [], [], 2),  # one node: its supply goes to the hub
+        ([7], [0], [0], [0], 2),  # one node with a zero-cost loop
+        ([], [], [], [], 1),  # no node
+    ],
+    ids=["zero-supplies", "equal-costs", "zero-cost-cycle", "one-node", "one-node-loop",
+         "empty"],
+)
+def test_transshipment_corner_cases(instance):
+    sol = hub_transshipment(*instance)
+    assert optimality_failures(*instance, sol) == []
 
 
-def test_solve_lp_unbounded():
-    # no rows at all
-    lp = LinearProgram(objective=(1.0,), var_lower=(0.0,))
-    assert len(lp.constraints) == 0 and len(lp.objective) == 1
-    assert solve_lp(lp).status is LPStatus.UNBOUNDED
+def test_transshipment_one_node_sends_its_supply_to_the_hub():
+    sol = hub_transshipment([7], [], [], [], 2)
+    assert sol == HubFlow(14, (), (7,), (0,), (2,))
 
 
-def test_solve_lp_without_rows_is_the_corner_of_the_box():
-    lp = LinearProgram((1.0, -2.0, 0.5), var_lower=(-1.0, -1.0, 0.0), var_upper=(1.0, 1.0, 4.0))
-    res = solve_lp(lp)
-    assert len(lp.constraints) == 0
-    assert res.status is LPStatus.OPTIMAL
-    assert res.value == pytest.approx(5.0, abs=1e-9)
-    assert res.solution == pytest.approx((1.0, -1.0, 4.0), abs=1e-9)
+def test_transshipment_routes_through_the_hub_only_when_cheaper():
+    # 0 -> 1 costs 5, through the hub 2 + 2: the flow goes through the hub
+    sol = hub_transshipment([1, -1], [0], [1], [5], 2)
+    assert (sol.cost, sol.flows, sol.to_hub, sol.from_hub) == (4, (0,), (1, 0), (0, 1))
+    sol = hub_transshipment([1, -1], [0], [1], [3], 2)
+    assert (sol.cost, sol.flows, sol.to_hub, sol.from_hub) == (3, (1,), (0, 0), (0, 0))
 
 
-def test_solve_lp_unbounded_despite_a_constraint():
-    # x - y <= 1 leaves x = y -> infinity open
-    lp = LinearProgram(
-        objective=(1.0, 1.0),
-        constraints=sparse_rows([[1.0, -1.0]], upper=[1.0]),
-        var_lower=(0.0, 0.0),
-    )
-    assert solve_lp(lp).status is LPStatus.UNBOUNDED
+@pytest.mark.parametrize("seed", range(5))
+def test_moving_one_potential_or_one_flow_fails_the_optimality_check(seed):
+    rng = random.Random(seed)
+    n = 6
+    supplies = [rng.randint(-9, 9) for _ in range(n)]
+    supplies[0] = 0  # a zero supply: only one of its two moves can fail
+    pairs = [(a, b) for a in range(n) for b in range(n) if a != b and rng.random() < 0.5]
+    tails, heads = [a for a, _ in pairs], [b for _, b in pairs]
+    costs = [rng.randint(0, 9) for _ in pairs]
+    instance = (supplies, tails, heads, costs, 5)
+    sol = hub_transshipment(*instance)
+    assert optimality_failures(*instance, sol) == []
+    for i in range(n):
+        moved = [sol._replace(potentials=tuple(p + s * (j == i) for j, p in enumerate(
+            sol.potentials))) for s in (1, -1)]
+        fails = [bool(optimality_failures(*instance, m)) for m in moved]
+        # a potential on a tree arc cannot move both ways; a supply prices it
+        assert all(fails) if supplies[i] else any(fails)
+    for field in ("flows", "to_hub", "from_hub"):
+        for e in range(len(getattr(sol, field))):
+            for s in (1, -1):
+                values = list(getattr(sol, field))
+                values[e] += s
+                assert optimality_failures(*instance, sol._replace(**{field: tuple(values)}))
 
 
-def test_solve_lp_zero_coefficients_change_nothing():
-    # max x + 2y - z  s.t.  x + y + z <= 3, x - z <= 1, y <= 1: the optimum is 3
-    a = [[1.0, 1.0, 1.0], [1.0, 0.0, -1.0], [0.0, 1.0, 0.0]]
-    upper = [3.0, 1.0, 1.0]
-    bounds = (0.0,) * 3, (2.0,) * 3
-    rows = sparse_rows(a, upper=upper)
-    res = solve_lp(LinearProgram((1.0, 2.0, -1.0), rows, *bounds))
-    assert res.status is LPStatus.OPTIMAL
-    assert res.value == pytest.approx(3.0, abs=1e-9)
-    keep = rows.coeff != 0
-    nonzero = SparseRows(rows.row[keep], rows.col[keep], rows.coeff[keep], rows.lower, rows.upper)
-    assert solve_lp(LinearProgram((1.0, 2.0, -1.0), nonzero, *bounds)) == res
-
-
-def test_repeated_coordinates_add_up():
-    # (0, 0) is given as 0.25 + 0.75 and (0, 1) as 3 - 4: the row x - y <= 1/2
-    rows = SparseRows((0, 0, 0, 0), (0, 1, 0, 1), (0.25, 3.0, 0.75, -4.0), (-np.inf,), (0.5,))
-    res = solve_lp(LinearProgram((1.0, 0.0), rows, (0.0, 0.0), (1.0, 0.25)))
-    assert res.status is LPStatus.OPTIMAL
-    assert res.value == pytest.approx(0.75, abs=1e-9)
+@pytest.mark.parametrize(
+    "instance",
+    [
+        ([1, -1], [0, 1], [1, 0], [-1, 0], 5),  # a two-arc cycle of cost -1
+        ([0], [0], [0], [-1], 5),  # a loop of cost -1
+        ([1, -1], [], [], [], -1),  # i -> hub -> i costs -2
+    ],
+    ids=["two-arc-cycle", "loop", "hub-cycle"],
+)
+def test_a_negative_cycle_is_a_solver_error(instance):
+    with pytest.raises(SolverError, match="unbounded"):
+        hub_transshipment(*instance)
 
 
 @pytest.mark.parametrize("seed", range(25))
 def test_two_sided_rows_match_vertex_enumeration(seed):
-    # finite lower and upper bounds around a point x0 inside the box; the
-    # oracle reads each row lower <= a x <= upper as a x <= upper, -a x <= -lower
+    # the dual of the transshipment is an LP in the potentials with one
+    # two-sided row -d <= h(a) - h(b) <= d per pair given both ways and the
+    # box |h| <= hub cost; the oracle enumerates that polytope's vertices
     rng = np.random.default_rng(seed)
-    nvar = int(rng.integers(2, 5))
-    nrow = int(rng.integers(1, nvar + 3))
-    x0 = rng.uniform(-0.5, 0.5, nvar)
-    a = rng.uniform(-1, 1, (nrow, nvar))
-    lower = a @ x0 - rng.uniform(0.05, 0.5, nrow)
-    upper = a @ x0 + rng.uniform(0.05, 0.5, nrow)
-    objective = rng.uniform(-1, 1, nvar)
-    box = np.ones(nvar)
-    res = solve_lp(LinearProgram(objective, sparse_rows(a, lower, upper), -box, box))
-    eye = np.eye(nvar)
-    oracle = _vertex_enumeration_oracle(
-        objective, np.vstack((a, -a, eye, -eye)), np.concatenate((upper, -lower, box, box))
-    )
-    assert res.status is LPStatus.OPTIMAL
-    assert res.value == pytest.approx(oracle, abs=1e-8)
-    x = np.array(res.solution)
-    assert np.all(a @ x <= upper + 1e-8) and np.all(a @ x >= lower - 1e-8)
+    n = int(rng.integers(2, 5))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < 0.7]
+    d = rng.integers(1, 9, len(pairs)).tolist()
+    supplies = rng.integers(-9, 10, n).tolist()
+    hub_cost = int(rng.integers(1, 9))
+    tails = [a for a, _ in pairs] + [b for _, b in pairs]
+    heads = [b for _, b in pairs] + [a for a, _ in pairs]
+    sol = hub_transshipment(supplies, tails, heads, d + d, hub_cost)
+    rows, upper = [], []
+    for (a, b), dab in zip(pairs, d):
+        row = np.zeros(n)
+        row[a], row[b] = 1.0, -1.0
+        rows += [row, -row]
+        upper += [dab, dab]
+    eye = np.eye(n)
+    a = np.vstack([*rows, eye, -eye]) if rows else np.vstack([eye, -eye])
+    oracle = _vertex_enumeration_oracle(supplies, a, np.array(upper + [hub_cost] * 2 * n, float))
+    assert sol.cost == pytest.approx(oracle, abs=1e-8)
 
 
 @pytest.mark.parametrize("col", [2, -1, 1.0])
 def test_constraint_column_outside_range_raises(col):
-    with pytest.raises(InputError, match="integer arrays|range"):
-        LinearProgram((1.0, 1.0), SparseRows((0,), (col,), (1.0,), (-np.inf,), (1.0,)))
-
-
-ROW = {"row": (0,), "col": (0,), "coeff": (1.0,), "lower": (0.0,), "upper": (1.0,)}
+    # each arc is one column of the node-arc incidence matrix, with +1 at
+    # its tail and -1 at its head: an endpoint outside the nodes has no row
+    with pytest.raises(InputError, match="integers|range"):
+        hub_transshipment([1, -1], [0], [col], [1], 1)
 
 
 @pytest.mark.parametrize(
-    "rows, bounds, message",
+    "instance, message",
     [
-        ({**ROW, "row": (1,)}, {}, "range"),
-        ({**ROW, "row": (-1,)}, {}, "range"),
-        ({**ROW, "row": (0.0,)}, {}, "integer arrays"),
-        ({**ROW, "coeff": (1.0, 2.0)}, {}, "lengths differ"),
-        ({**ROW, "col": (0, 1)}, {}, "lengths differ"),
-        ({**ROW, "upper": (1.0, 2.0)}, {}, "lengths differ"),
-        ({**ROW, "lower": (2.0,)}, {}, "lower bound exceeds"),
-        ({**ROW, "lower": (np.nan,)}, {}, "lower bound exceeds"),
-        (ROW, {"var_lower": (0.0,)}, "bounds dimension mismatch"),
-        (ROW, {"var_upper": (1.0, 1.0, 1.0)}, "bounds dimension mismatch"),
-        (ROW, {"var_lower": (0.0, 2.0), "var_upper": (1.0, 1.0)}, "lower bound exceeds"),
-        ({**ROW, "coeff": ((1.0,),)}, {}, "1-D"),
+        (([1, -1], [0, 1], [1], [1, 1], 1), "lengths differ"),
+        (([1, -1], [0], [1], [1, 1], 1), "lengths differ"),
+        (([1, -1], [0], [1], [1.5], 1), "costs must be integers"),
+        (([0.5, -0.5], [0], [1], [1], 1), "supplies must be integers"),
+        (([1, -1], [0], [1], [1], 1.0), "hub_cost must be integers"),
     ],
-    ids=["row-past-the-end", "negative-row", "float-row", "coeff-length", "col-length",
-         "upper-length", "lower-above-upper", "nan-bound", "short-var-lower",
-         "long-var-upper", "var-lower-above-var-upper", "2-d-coeff"],
+    ids=["heads-short", "costs-long", "float-cost", "float-supply", "float-hub-cost"],
 )
-def test_lp_arrays_that_do_not_fit_raise(rows, bounds, message):
+def test_transshipment_arrays_that_do_not_fit_raise(instance, message):
     with pytest.raises(InputError, match=message):
-        LinearProgram(objective=(1.0, 1.0), constraints=SparseRows(**rows), **bounds)
+        hub_transshipment(*instance)
+
+
+def test_transshipment_takes_numpy_integers():
+    sol = hub_transshipment(np.array([2, -2]), np.array([0]), np.array([1]), np.array([3]),
+                            np.int64(2))
+    assert sol.cost == 6 and type(sol.cost) is int and type(sol.potentials[0]) is int
+
+
+def _vertex_enumeration_oracle(objective, a: np.ndarray, b: np.ndarray) -> float:
+    """Max objective . x over the vertices of the bounded polytope a x <= b."""
+    combos = np.array(list(itertools.combinations(range(len(a)), len(objective))))
+    combos = combos[np.abs(np.linalg.det(a[combos])) >= 1e-10]
+    xs = np.linalg.solve(a[combos], b[combos][..., None])[..., 0]
+    feasible = np.all(xs @ a.T <= b + 1e-9, axis=1)
+    return max((float(np.dot(objective, x)) for x in xs[feasible]), default=-math.inf)
 
 
 def test_import_does_not_load_scipy_solvers():
-    # scipy.optimize and scipy.sparse load on the first solve_lp call
+    # no runtime path loads scipy.optimize or scipy.sparse; only the
+    # verify oracles and the tests import them
     src = str(Path(asymdep.__file__).resolve().parents[1])
     code = (
         "import sys, asymdep; "
@@ -353,6 +389,39 @@ def test_import_does_not_load_scipy_solvers():
         env={**os.environ, "PYTHONPATH": src},
     )
     assert out.stdout.strip() == "[]"
+
+
+BL_ON_A_GRID_JOINT = """
+from fractions import Fraction
+from asymdep import JointMeasure, ProductMetricKind, bl_to_product, line_space
+s = line_space([Fraction(i, 3) for i in range(3)])
+raw = [[1, 5, 2], [4, 1, 3], [2, 2, 7]]
+joint = JointMeasure(s, s, tuple(tuple(Fraction(x, 27) for x in row) for row in raw))
+for kind in ProductMetricKind:
+    assert 0 < bl_to_product(joint, kind).value < 2
+"""
+
+BL_THROUGH_THE_CLI = """
+import os, tempfile
+from asymdep.cli import main
+path = os.path.join(tempfile.mkdtemp(), "joint.json")
+assert main(["gen", "--family", "bernoulli_perturbation", "--n", "3", "--out", path]) == 0
+assert main(["metrics", "--joint", path, "--select", "bl"]) == 0
+"""
+
+
+@pytest.mark.parametrize("code", [BL_ON_A_GRID_JOINT, BL_THROUGH_THE_CLI], ids=["api", "cli"])
+def test_bl_leaves_scipy_unloaded(code):
+    src = str(Path(asymdep.__file__).resolve().parents[1])
+    check = "\nimport sys\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run(
+        [sys.executable, "-c", code + check],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip().splitlines()[-1] == "[]"
 
 
 # ---------------------------------------------------------------------------

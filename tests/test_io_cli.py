@@ -13,8 +13,7 @@ from asymdep import (
     FiniteMetricSpace,
     InputError,
     JointMeasure,
-    LPResult,
-    LPStatus,
+    SolverError,
     SweepSpec,
     line_space,
     sweep,
@@ -715,7 +714,11 @@ def test_cli_bl_of_an_independent_joint_prints_zero(tmp_path, capsys):
 def test_cli_solver_failure_is_exit_code_four(tmp_path, capsys, monkeypatch):
     joint_path = tmp_path / "joint.json"
     main(["gen", "--family", "bernoulli_perturbation", "--n", "2", "--out", str(joint_path)])
-    monkeypatch.setattr(metrics, "solve_lp", lambda lp: LPResult(LPStatus.INFEASIBLE, None, None))
+
+    def unbounded(*args):
+        raise SolverError("transshipment is unbounded: a cycle has negative cost")
+
+    monkeypatch.setattr(metrics, "hub_transshipment", unbounded)
     assert main(["metrics", "--joint", str(joint_path), "--select", "bl"]) == 4
     assert "solver error" in capsys.readouterr().err
 

@@ -592,19 +592,23 @@ def positive_pair(seed, space):
     return pair
 
 
-def bl_with_lp(monkeypatch, m1, m2):
-    """bl_distance and the LP it handed to solve_lp."""
+def bl_with_pairs(monkeypatch, m1, m2):
+    """bl_distance and the essential pairs (a, b, cost) it handed to
+    hub_transshipment, each pair given both ways at one cost."""
     seen = []
-    solve = metrics.solve_lp
+    solve = metrics.hub_transshipment
 
-    def spy(lp):
-        seen.append(lp)
-        return solve(lp)
+    def spy(supplies, tails, heads, costs, hub_cost):
+        seen.append((tails, heads, costs, hub_cost))
+        return solve(supplies, tails, heads, costs, hub_cost)
 
-    monkeypatch.setattr(metrics, "solve_lp", spy)
+    monkeypatch.setattr(metrics, "hub_transshipment", spy)
     mv = bl_distance(m1, m2)
-    (lp,) = seen
-    return mv, lp
+    ((tails, heads, costs, hub_cost),) = seen
+    half = len(costs) // 2
+    assert (tails[half:], heads[half:], costs[half:]) == (heads[:half], tails[:half], costs[:half])
+    pairs = [(a, b, Fraction(c, hub_cost)) for a, b, c in zip(tails[:half], heads[:half], costs)]
+    return mv, pairs
 
 
 def uniform_metric_space(n):
@@ -631,26 +635,19 @@ def test_bl_on_integer_grid_keeps_only_the_neighbour_rows(monkeypatch, g):
     line = line_space(range(g))
     grid = product_space(line, line, ProductMetricKind.SUM)
     m1, m2 = positive_pair(g, grid)
-    mv, lp = bl_with_lp(monkeypatch, m1, m2)
-    # one two-sided row per 4-neighbour edge; the diagonal pairs sit at d = 2
-    assert len(lp.constraints) == 2 * g * (g - 1)
-    assert np.all(lp.constraints.lower == -1.0) and np.all(lp.constraints.upper == 1.0)
+    mv, pairs = bl_with_pairs(monkeypatch, m1, m2)
+    # one pair per 4-neighbour edge, at distance 1; the diagonal pairs sit at d = 2
+    assert len(pairs) == 2 * g * (g - 1)
+    assert {d for _, _, d in pairs} == {1}
     assert mv.value == pytest.approx(transport_bl(m1, m2), abs=1e-9)
 
 
 @pytest.mark.parametrize("n", [2, 3, 7])
 def test_bl_on_uniform_metric_keeps_every_row(monkeypatch, n):
     m1, m2 = positive_pair(n, uniform_metric_space(n))
-    mv, lp = bl_with_lp(monkeypatch, m1, m2)
-    assert len(lp.constraints) == n * (n - 1) // 2
-    # each row is -1 <= h(a) - h(b) <= 1 for one pair a < b
-    c = lp.constraints
-    rows = [[] for _ in range(len(c))]
-    for r, col, v in zip(c.row.tolist(), c.col.tolist(), c.coeff.tolist()):
-        rows[r].append((col, v))
-    pairs = itertools.combinations(range(n), 2)
-    assert sorted(sorted(row) for row in rows) == [[(a, 1.0), (b, -1.0)] for a, b in pairs]
-    assert np.all(c.lower == -1.0) and np.all(c.upper == 1.0)
+    mv, pairs = bl_with_pairs(monkeypatch, m1, m2)
+    # every pair a < b, at distance 1
+    assert sorted(pairs) == [(a, b, 1) for a, b in itertools.combinations(range(n), 2)]
     assert mv.value == pytest.approx(transport_bl(m1, m2), abs=1e-9)
     assert evaluate_certificate(mv, m1=m1, m2=m2) == pytest.approx(mv.value, abs=1e-9)
 
@@ -662,9 +659,11 @@ def test_bl_matches_transport_oracle_on_shortest_path_metrics(monkeypatch, seed,
     monkeypatch.setattr(metrics, "ESSENTIAL_CHUNK", chunk)
     space = shortest_path_space(seed, 9)
     m1, m2 = positive_pair(seed, space)
-    mv, lp = bl_with_lp(monkeypatch, m1, m2)
+    mv, pairs = bl_with_pairs(monkeypatch, m1, m2)
     near = int(np.count_nonzero(np.triu(space.dist < 2.0, 1)))
-    assert len(lp.constraints) < near  # tight triangles pruned some rows
+    assert len(pairs) < near  # tight triangles pruned some pairs
+    # each cost is the pair's distance, read exactly
+    assert all(d == Fraction(space.dist[a, b]) for a, b, d in pairs)
     assert mv.value == pytest.approx(transport_bl(m1, m2), abs=1e-9)
     # the certificate is checked against every pair, pruned or not
     assert evaluate_certificate(mv, m1=m1, m2=m2) == pytest.approx(mv.value, abs=1e-9)
@@ -678,6 +677,22 @@ def test_bl_keeps_rows_whose_float_witness_has_a_leg_as_long_as_the_pair():
     s = FiniteMetricSpace(("a", "b", "c"), d)
     far = DiscreteMeasure(s, (F(0), F(1, 2), F(1, 2)))
     assert bl_distance(delta(s, 0), far).value == pytest.approx(1.0, abs=1e-9)
+
+
+def test_a_negative_distance_is_an_input_error_before_solving(monkeypatch):
+    # validate=False keeps the negative entry; no transshipment is solved
+    d = [[0.0, -0.5, 1.0], [-0.5, 0.0, 1.0], [1.0, 1.0, 0.0]]
+    s = FiniteMetricSpace("abc", d, validate=False)
+    monkeypatch.setattr(metrics, "hub_transshipment", lambda *args: pytest.fail("solved"))
+    with pytest.raises(InputError, match="nonnegative distances"):
+        bl_distance(delta(s, 0), delta(s, 1))
+
+
+def test_a_zero_distance_between_distinct_points_costs_nothing():
+    d = [[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [1.0, 1.0, 0.0]]
+    s = FiniteMetricSpace("abc", d, validate=False)
+    assert bl_distance(delta(s, 0), delta(s, 1)).value == 0.0
+    assert bl_distance(delta(s, 0), delta(s, 2)).value == 1.0
 
 
 def essential_pairs_oracle(d):
