@@ -38,6 +38,14 @@ def _parse_params(pairs: list[str]) -> dict:
     return params
 
 
+def _parse_select(text: str) -> tuple[str, ...]:
+    selected = tuple(m.strip() for m in text.split(",") if m.strip())
+    repeated = sorted({m for m in selected if selected.count(m) > 1})
+    if repeated:
+        raise InputError(f"--select names a metric more than once: {', '.join(repeated)}")
+    return selected
+
+
 def cmd_gen(args) -> int:
     params = _parse_params(args.param)
     inst = analysis.build_family(args.family, args.n, params)
@@ -47,10 +55,10 @@ def cmd_gen(args) -> int:
 
 
 def cmd_metrics(args) -> int:
+    selected = _parse_select(args.select)
     j = io.load_measure(args.joint)
     if not isinstance(j, JointMeasure):
         raise InputError("metrics requires a joint-measure JSON file (two spaces)")
-    selected = [m.strip() for m in args.select.split(",") if m.strip()]
     case = JointCase(j, ProductMetricKind(args.product_metric), None)
     rows = [analysis.metric_row("file", 0, case, metric) for metric in selected]
     for r in rows:
@@ -62,7 +70,7 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    selected = tuple(m.strip() for m in args.select.split(",") if m.strip())
+    selected = _parse_select(args.select)
     spec = SweepSpec(
         family=args.family,
         n_values=tuple(range(args.n_from, args.n_to + 1)),

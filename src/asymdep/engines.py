@@ -14,6 +14,7 @@ vector that may be optimal, and the survivors are re-ranked in Python ints.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from collections import deque
@@ -171,8 +172,9 @@ def hub_transshipment(supplies, tails, heads, costs, hub_cost) -> HubFlow:
 
     Node i < n = len(supplies) sends out supplies[i] more than it receives;
     the hub, node n, takes up the balance -sum(supplies). Arc k runs from
-    tails[k] to heads[k] at costs[k] per unit, and every node is also joined
-    to the hub both ways at hub_cost, so a flow always exists. Flows are
+    tails[k] to heads[k] at costs[k] per unit; the three may be any
+    iterables of ints, and each is read once. Every node is also joined to
+    the hub both ways at hub_cost, so a flow always exists. Flows are
     nonnegative with no upper bound. Returns the least cost, the flows, and
     potentials pi with pi(hub) = 0 and every reduced cost
     c(i, j) - pi(i) + pi(j) >= 0, hub arcs included: the dual optimum
@@ -291,8 +293,10 @@ def hub_transshipment(supplies, tails, heads, costs, hub_cost) -> HubFlow:
         for v in sub:
             pi[v] += shift
     total = sum(map(operator.mul, cost, flow))
+    del tail, head, cost  # the arc lists go before the flows are copied out
+    flows = tuple(itertools.islice(flow, m))
     to_hub, from_hub = tuple(flow[m:m + n]), tuple(flow[m + n:])
-    return HubFlow(total, tuple(flow[:m]), to_hub, from_hub, tuple(pi[:n]))
+    return HubFlow(total, flows, to_hub, from_hub, tuple(pi[:n]))
 
 
 @dataclass(frozen=True)

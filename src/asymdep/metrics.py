@@ -53,8 +53,10 @@ from .spaces import ProductMetricKind
 # one bl_distance at 600 support points in a fresh process, Python 3.11, 2
 # vCPUs: the worst case is 600 random points of the Euclidean unit square (no
 # triangle tight, all 179,700 pairs kept, distance numerators near 2^62):
-# ~2.6 s and ~118 MB peak RSS; the uniform metric (every distance 1, all pairs
-# kept) ~1.1 s and ~85 MB; a line keeps its 599 neighbour pairs: ~0.1 s, 70 MB
+# ~1.7-1.8 s and ~73 MB peak RSS; the uniform metric (every distance 1, all
+# pairs kept) ~0.9-1.0 s and ~60 MB; a line keeps its 599 neighbour pairs:
+# ~0.06 s, 42 MB. The process holds 36-45 MB before the call (imports, the
+# space); the rest is mostly the kernel's arc lists, which grow with the pairs.
 BL_SUPPORT_CUTOFF = 600
 # one prokhorov_to_product_upper at 4096 product points, Python 3.11, 2 vCPUs:
 # binary_coding n=8 stops at eps = 0 by the separation (~0.01 s, 32 MB peak
@@ -64,8 +66,13 @@ BL_SUPPORT_CUTOFF = 600
 PROKHOROV_SUPPORT_CUTOFF = 4096
 # rows of dist[np.ix_(s1, s2)] per block of Prokhorov's pair scan
 SUPPORT_BLOCK_ROWS = 64
-# elements of the distance matrix per chunk of the BL essential-pair test
-ESSENTIAL_CHUNK = 1 << 20
+# elements per step of the BL essential-pair pruning (a block of rows times
+# the screen's witnesses, or a chunk of pairs times every witness) and of the
+# BL certificate check (a block of rows). 2^15 keeps each float buffer at
+# 256 KB: the 12 x 12 grid joint's BL op peaks at ~1.2 MB (tracemalloc; 5.6 MB
+# with 2^20), and at 600 points the pruning is at least as fast as with larger
+# steps
+ESSENTIAL_CHUNK = 1 << 15
 # witnesses per pair (a, b) that the essential-pair screen tries: a's nearest points
 ESSENTIAL_NEAREST = 8
 LP_TOL = 1e-9
@@ -386,71 +393,104 @@ def _product_support(j: JointMeasure) -> int:
     return len(m1.support()) * len(m2.support())
 
 
+def _mass_gaps(m1: DiscreteMeasure, m2: DiscreteMeasure, support):
+    """The common scale lcm(den1, den2) and the ints scale (mu - nu)(i) for i
+    in support."""
+    scale = math.lcm(m1.den, m2.den)
+    f1, f2 = scale // m1.den, scale // m2.den
+    return scale, [m1.num[i] * f1 - m2.num[i] * f2 for i in support]
+
+
 def _essential_pairs(d: np.ndarray):
     """The pairs a < b of the distance matrix d that keep a Lipschitz row.
 
     A pair is essential when d(a, b) < 2 and no witness c has
     fl(d(a, c) + d(c, b)) <= d(a, b) with both legs d(a, c) and d(c, b)
-    strictly shorter than d(a, b); the legs condition rules out c = a and
-    c = b, where one leg is d(a, b) itself. Returns the essential a, b and
-    d(a, b) in np.triu_indices order.
+    strictly shorter than d(a, b); in a metric the legs condition rules out
+    c = a and c = b, where one leg is d(a, b) itself. d(a, c) is read from
+    row a of d and d(c, b) from row b, which matters only for a matrix that
+    is not symmetric (a validate=False space). Returns the essential a, b
+    and d(a, b) in np.triu_indices order.
 
-    A screen first tries as witnesses only the ESSENTIAL_NEAREST points
-    nearest to a (see _nearest_witness). Only the pairs it leaves open take
-    the full test against every c, over about ESSENTIAL_CHUNK elements of d
-    at a time.
+    One pass over blocks of rows a. In each block a screen first tries as
+    witnesses only the ESSENTIAL_NEAREST points nearest to a (see
+    _nearest_witness), and only the pairs a < b it leaves open take the full
+    test against every c, a chunk of pairs at a time. Each step works on
+    about ESSENTIAL_CHUNK elements of d, so apart from the kept pairs the
+    working memory does not grow with the number of pairs.
     """
     n = len(d)
-    a_idx, b_idx = np.triu_indices(n, k=1)
-    d_ab = d[a_idx, b_idx]
-    open_ = d_ab < 2.0
-    open_ &= ~_nearest_witness(d)[a_idx, b_idx]
-    a_idx, b_idx, d_ab = a_idx[open_], b_idx[open_], d_ab[open_]
-    keep = np.empty(len(d_ab), dtype=bool)
-    step = max(1, min(len(d_ab), ESSENTIAL_CHUNK // n))
+    rows = max(1, ESSENTIAL_CHUNK // (ESSENTIAL_NEAREST * n))
+    step = max(1, min(ESSENTIAL_CHUNK // n, n * (n - 1) // 2))  # pairs per chunk
     leg_ac, leg_cb = np.empty((step, n)), np.empty((step, n))
     witness, test = np.empty((step, n), dtype=bool), np.empty((step, n), dtype=bool)
-    for s in range(0, len(d_ab), step):
-        e = min(s + step, len(d_ab))
-        ac, cb, w, t = leg_ac[: e - s], leg_cb[: e - s], witness[: e - s], test[: e - s]
-        dab = d_ab[s:e, None]
-        # the indices are in range; mode="clip" avoids the buffered out= path
-        np.take(d, a_idx[s:e], axis=0, out=ac, mode="clip")
-        np.take(d, b_idx[s:e], axis=0, out=cb, mode="clip")  # d(c, b) = d(b, c)
-        np.less(ac, dab, out=w)
-        np.less(cb, dab, out=t)
-        w &= t
-        np.less_equal(np.add(ac, cb, out=ac), dab, out=t)
-        w &= t
-        keep[s:e] = ~w.any(axis=1)
-    return a_idx[keep], b_idx[keep], d_ab[keep]
+    cols = np.arange(n)
+    kept_a, kept_b = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+    for s in range(0, n, rows):
+        e = min(s + rows, n)
+        open_ = d[s:e] < 2.0
+        open_ &= cols > np.arange(s, e)[:, None]
+        open_ &= ~_nearest_witness(d, s, e)
+        a_open, b_open = np.nonzero(open_)
+        a_open += s
+        for t in range(0, len(a_open), step):
+            a, b = a_open[t:t + step], b_open[t:t + step]
+            ac, cb, w, u = leg_ac[:len(a)], leg_cb[:len(a)], witness[:len(a)], test[:len(a)]
+            dab = d[a, b][:, None]
+            # the indices are in range; mode="clip" avoids the buffered out= path
+            np.take(d, a, axis=0, out=ac, mode="clip")
+            np.take(d, b, axis=0, out=cb, mode="clip")  # d(c, b), read from row b
+            np.less(ac, dab, out=w)
+            np.less(cb, dab, out=u)
+            w &= u
+            np.less_equal(np.add(ac, cb, out=ac), dab, out=u)
+            w &= u
+            keep = ~w.any(axis=1)
+            kept_a.append(a[keep])
+            kept_b.append(b[keep])
+    a, b = np.concatenate(kept_a), np.concatenate(kept_b)
+    return a, b, d[a, b]
 
 
-def _nearest_witness(d: np.ndarray) -> np.ndarray:
-    """found[a, b]: one of the ESSENTIAL_NEAREST points c nearest to a (by a
-    row argsort of d, a itself among them) is a witness for the pair (a, b).
+def _nearest_witness(d: np.ndarray, s: int, e: int) -> np.ndarray:
+    """found[a - s, b] for the rows s <= a < e of d: one of the
+    ESSENTIAL_NEAREST points c nearest to a (by an argsort of row a, a itself
+    among them) is a witness for the pair (a, b).
 
     The test is the full scan's, in the same float operations, with d(c, b)
     read from row b of d, so every witness found here is one the full scan
-    finds. It runs over about ESSENTIAL_CHUNK elements at a time: rows a,
-    their nearest c, and every b.
+    finds.
     """
-    n = len(d)
-    nearest = np.argsort(d, axis=1)[:, :ESSENTIAL_NEAREST]
-    k = nearest.shape[1]
-    by_c = np.ascontiguousarray(d.T)  # by_c[c, b] = d(b, c)
-    found = np.empty((n, n), dtype=bool)
-    step = max(1, ESSENTIAL_CHUNK // (k * n))
-    for s in range(0, n, step):
-        c = nearest[s:s + step]
-        ac = np.take_along_axis(d[s:s + step], c, axis=1)[:, :, None]
-        cb = by_c[c]
-        dab = d[s:s + step, None, :]
-        w = np.less(ac, dab)
-        w &= np.less(cb, dab)
-        w &= np.less_equal(np.add(ac, cb, out=cb), dab)
-        np.any(w, axis=1, out=found[s:s + step])
-    return found
+    nearest = np.argsort(d[s:e], axis=1)[:, :ESSENTIAL_NEAREST]
+    ac = np.take_along_axis(d[s:e], nearest, axis=1)[:, :, None]
+    cb = d.T[nearest]  # cb[a, j, b] = d(b, c_j), gathered from the columns c_j
+    dab = d[s:e, None, :]
+    w = np.less(ac, dab)
+    w &= np.less(cb, dab)
+    w &= np.less_equal(np.add(ac, cb, out=cb), dab)
+    return w.any(axis=1)
+
+
+def _essential_arcs(d: np.ndarray):
+    """bl_distance's arcs on the distance matrix d of the support: each
+    essential pair (see _essential_pairs) both ways, a -> b then b -> a, at
+    cost d(a, b) 2^K, with 2^K the largest denominator of those distances
+    (floats num / 2^k), so every cost is an int. Returns the tails, heads
+    and costs as iterables read once, with one int object per node and one
+    per distinct cost, and 2^K. A NaN distance, or a negative essential one,
+    is an InputError."""
+    if math.isnan(d.min()):  # min propagates a NaN
+        raise InputError("bl_distance needs distances that are not NaN")
+    a_idx, b_idx, d_ab = _essential_pairs(d)
+    if np.any(d_ab < 0):
+        raise InputError("bl_distance needs nonnegative distances")
+    dists, pair_dist = np.unique(d_ab, return_inverse=True)
+    two_k = max((x.as_integer_ratio()[1] for x in dists.tolist()), default=1)
+    ints = [num * (two_k // den) for num, den in map(float.as_integer_ratio, dists.tolist())]
+    cost = np.array(ints, dtype=object)[pair_dist]
+    node = np.arange(len(d)).astype(object)
+    a, b = node[a_idx], node[b_idx]
+    return itertools.chain(a, b), itertools.chain(b, a), itertools.chain(cost, cost), two_k
 
 
 def bl_distance(m1: DiscreteMeasure, m2: DiscreteMeasure) -> MetricValue:
@@ -481,26 +521,28 @@ def bl_distance(m1: DiscreteMeasure, m2: DiscreteMeasure) -> MetricValue:
     implied bounds are within n^2 u of d(a, b) relative: 4e-11 at n = 600,
     and about 1e-13 on a line or grid, where the depth is below n. Bounds
     loosened by a factor 1 + delta raise the value, at most 2, by at most
-    2 delta. evaluate_certificate still checks every pair.
+    2 delta. evaluate_certificate still checks every pair. A NaN distance
+    on the support would be read as implied, and a negative one breaks the
+    induction, so each is an InputError (a NaN anywhere on the support, a
+    negative one on an essential pair); an infinite distance is implied by
+    the box, as any at least 2 is.
+
+    Working memory grows with the kept pairs, not with all n^2 / 2: the
+    support's distances are the space's own matrix when the support is the
+    whole space, the pruning works in blocks (see _essential_pairs), and the
+    arcs reach the kernel as iterables of shared ints (see _essential_arcs),
+    so its own arc lists are the largest transient.
     """
     _require_same_space(m1, m2)
     support = sorted(set(m1.support()) | set(m2.support()))
     n = len(support)
     _require_support(n, BL_SUPPORT_CUTOFF, "bl_distance LP")
-    scale = math.lcm(m1.den, m2.den)
-    f1, f2 = scale // m1.den, scale // m2.den
-    supply = [m1.num[i] * f1 - m2.num[i] * f2 for i in support]
-    a_idx, b_idx, d_ab = _essential_pairs(m1.space.dist[np.ix_(support, support)])
-    if np.any(d_ab < 0):
-        raise InputError("bl_distance needs nonnegative distances")
-    # each distinct distance d = num / den exactly, den a power of two
-    dists, pair_dist = np.unique(d_ab, return_inverse=True)
-    ratios = [d.as_integer_ratio() for d in dists.tolist()]
-    two_k = max((den for _, den in ratios), default=1)
-    cost = np.array([num * (two_k // den) for num, den in ratios], dtype=object)
-    cost = cost[pair_dist].tolist()
-    a, b = a_idx.tolist(), b_idx.tolist()
-    flow = hub_transshipment(supply, a + b, b + a, cost + cost, two_k)
+    scale, supply = _mass_gaps(m1, m2, support)
+    dist = m1.space.dist
+    tails, heads, costs, two_k = _essential_arcs(
+        dist if n == len(dist) else dist[np.ix_(support, support)]
+    )
+    flow = hub_transshipment(supply, tails, heads, costs, two_k)
     # int true division rounds correctly, as float() of the Fraction does
     value = flow.cost / (scale * two_k)
     cert = {"support": tuple(support), "h": tuple(p / two_k for p in flow.potentials)}
@@ -669,15 +711,27 @@ def _prokhorov_from(cert, dep, m1, m2):
 
 
 def _bl_from(cert, dep, m1, m2):
+    """The integral gap of h, after checking |h| <= 1 and |h(a) - h(b)| <=
+    d(a, b) for every pair a < b of the support, both within LP_TOL. The
+    pairs are read a block of rows at a time (about ESSENTIAL_CHUNK
+    distances), and a NaN fails either check."""
     support, h = cert["support"], cert["h"]
     hv = np.asarray(h, dtype=float)
-    if np.any(np.abs(hv) > 1 + LP_TOL):
+    if not np.all(np.abs(hv) <= 1 + LP_TOL):
         raise InputError("BL certificate violates the bound |h| <= 1")
-    a_idx, b_idx = np.triu_indices(len(support), k=1)
-    d = m1.space.dist[np.ix_(support, support)]
-    if np.any(np.abs(hv[a_idx] - hv[b_idx]) > d[a_idx, b_idx] + LP_TOL):
-        raise InputError("BL certificate violates the Lipschitz constraint")
-    return sum(h[a] * float(m1.weights[i] - m2.weights[i]) for a, i in enumerate(support))
+    idx = np.asarray(support, dtype=np.intp)
+    n = len(idx)
+    rows = max(1, ESSENTIAL_CHUNK // max(n, 1))
+    for s in range(0, n, rows):
+        e = min(s + rows, n)
+        d = m1.space.dist[np.ix_(idx[s:e], idx)]
+        ok = np.abs(hv[s:e, None] - hv) <= d + LP_TOL
+        ok |= np.arange(n) <= np.arange(s, e)[:, None]  # only the pairs a < b
+        if not ok.all():
+            raise InputError("BL certificate violates the Lipschitz constraint")
+    scale, gaps = _mass_gaps(m1, m2, support)
+    # int true division rounds correctly, as float() of the Fraction does
+    return sum(h[a] * (gap / scale) for a, gap in enumerate(gaps))
 
 
 def _cf_from(cert, dep, m1, m2):

@@ -753,6 +753,22 @@ def test_cli_rejects_unknown_metric(tmp_path, capsys):
     assert main(["metrics", "--joint", str(joint_path), "--select", "entropy"]) == 1
 
 
+@pytest.mark.parametrize("command", [
+    ["sweep", "--family", "bernoulli_perturbation", "--n-from", "2", "--n-to", "3"],
+    ["metrics", "--joint", "joint.json"],
+])
+def test_cli_refuses_a_repeated_metric_before_computing_anything(
+    command, tmp_path, capsys, monkeypatch
+):
+    monkeypatch.chdir(tmp_path)
+    main(["gen", "--family", "bernoulli_perturbation", "--n", "2", "--out", "joint.json"])
+    capsys.readouterr()
+    monkeypatch.setattr(metrics, "bl_distance", lambda *args: pytest.fail("computed"))
+    assert main([*command, "--select", "bl,variation, bl"]) == 1
+    err = capsys.readouterr().err
+    assert "names a metric more than once: bl" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("n", [20, 30])
 def test_alpha_and_cov_sup_stay_exact_beyond_the_float_range(n, tmp_path, capsys):
     # with p = 1/(2^61 - 1) the dependence matrix's numerators pass 2^1024

@@ -1,6 +1,7 @@
 import cmath
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -524,6 +525,8 @@ def test_bl_certificate_reevaluates():
     ((1.0, 0.5, 1.000001), "the bound"),
     # |h(0) - h(0.7)| = 0.8 > 0.7 inside the box
     ((1.0, 0.2, 1.0), "the Lipschitz constraint"),
+    # a NaN is not within the box
+    ((math.nan, 0.5, 1.0), "the bound"),
 ])
 def test_a_tampered_bl_certificate_is_refused_with_its_own_message(h, message):
     s = line_space([0.0, 0.7, 1.5])
@@ -537,6 +540,17 @@ def test_a_tampered_bl_certificate_is_refused_with_its_own_message(h, message):
     ok = MetricValue("bl", 0.0, {"support": (0, 1, 2), "h": (1 + tol, 0.3 - tol, 1.0)})
     want = -(1 + tol) / 6 + (0.3 - tol) / 3 - 1 / 6
     assert evaluate_certificate(ok, m1=m1, m2=m2) == pytest.approx(want)
+
+
+def test_the_bl_certificate_check_reads_every_row_block(monkeypatch):
+    monkeypatch.setattr(metrics, "ESSENTIAL_CHUNK", 1)  # one row of pairs per block
+    s = line_space([0.0, 0.7, 1.5])
+    m1 = DiscreteMeasure(s, (F(1, 3), F(1, 3), F(1, 3)))
+    m2 = DiscreteMeasure(s, (F(1, 2), F(0), F(1, 2)))
+    # only the pair (1, 2), in the second row, breaks its bound: 1 > 0.8
+    mv = MetricValue("bl", 0.0, {"support": (0, 1, 2), "h": (1.0, 0.5, -0.5)})
+    with pytest.raises(InputError, match="the Lipschitz constraint"):
+        evaluate_certificate(mv, m1=m1, m2=m2)
 
 
 def transport_bl(m1, m2):
@@ -594,11 +608,14 @@ def positive_pair(seed, space):
 
 def bl_with_pairs(monkeypatch, m1, m2):
     """bl_distance and the essential pairs (a, b, cost) it handed to
-    hub_transshipment, each pair given both ways at one cost."""
+    hub_transshipment, each pair given both ways at one cost. The arcs come
+    as iterables that the kernel reads once, with one int object per node."""
     seen = []
     solve = metrics.hub_transshipment
 
     def spy(supplies, tails, heads, costs, hub_cost):
+        tails, heads, costs = list(tails), list(heads), list(costs)
+        assert len({id(x) for x in tails + heads}) == len(set(tails + heads))
         seen.append((tails, heads, costs, hub_cost))
         return solve(supplies, tails, heads, costs, hub_cost)
 
@@ -652,10 +669,20 @@ def test_bl_on_uniform_metric_keeps_every_row(monkeypatch, n):
     assert evaluate_certificate(mv, m1=m1, m2=m2) == pytest.approx(mv.value, abs=1e-9)
 
 
-@pytest.mark.parametrize("chunk", [metrics.ESSENTIAL_CHUNK, 1, 50])
+def test_bl_hands_the_kernel_one_int_object_per_node(monkeypatch):
+    # node ids above 256 are not cached by CPython, so a per-pair int would
+    # show as a second object with the same value in the spy's check
+    m1, m2 = positive_pair(0, line_space(range(300)))
+    mv, pairs = bl_with_pairs(monkeypatch, m1, m2)
+    assert pairs == [(a, a + 1, 1) for a in range(299)]
+    assert evaluate_certificate(mv, m1=m1, m2=m2) == pytest.approx(mv.value, abs=1e-9)
+
+
+@pytest.mark.parametrize("chunk", [1 << 20, metrics.ESSENTIAL_CHUNK, 1, 50])
 @pytest.mark.parametrize("seed", range(8))
 def test_bl_matches_transport_oracle_on_shortest_path_metrics(monkeypatch, seed, chunk):
-    # chunk 1 tests one pair at a time; 50 elements are 5 pairs of 9 points
+    # chunk 2^20 takes all 9 rows in one block; 1 takes one row and one pair
+    # at a time; 50 elements are one row and 5 pairs of 9 points
     monkeypatch.setattr(metrics, "ESSENTIAL_CHUNK", chunk)
     space = shortest_path_space(seed, 9)
     m1, m2 = positive_pair(seed, space)
@@ -686,6 +713,29 @@ def test_a_negative_distance_is_an_input_error_before_solving(monkeypatch):
     monkeypatch.setattr(metrics, "hub_transshipment", lambda *args: pytest.fail("solved"))
     with pytest.raises(InputError, match="nonnegative distances"):
         bl_distance(delta(s, 0), delta(s, 1))
+
+
+def test_a_nan_distance_is_an_input_error_before_solving(monkeypatch):
+    # validate=False keeps the NaN; read as implied, the pair would give 2.0
+    d = [[0.0, math.nan, 1.0], [math.nan, 0.0, 1.0], [1.0, 1.0, 0.0]]
+    s = FiniteMetricSpace("abc", d, validate=False)
+    # a NaN outside the union support is never read
+    assert bl_distance(delta(s, 0), delta(s, 2)).value == 1.0
+    monkeypatch.setattr(metrics, "hub_transshipment", lambda *args: pytest.fail("solved"))
+    with pytest.raises(InputError, match="not NaN"):
+        bl_distance(delta(s, 0), delta(s, 1))
+    # nor does the certificate check accept a NaN distance between two support points
+    forged = MetricValue("bl", 2.0, {"support": (0, 1), "h": (1.0, -1.0)})
+    with pytest.raises(InputError, match="the Lipschitz constraint"):
+        evaluate_certificate(forged, m1=delta(s, 0), m2=delta(s, 1))
+
+
+def test_an_infinite_distance_bounds_nothing():
+    d = [[0.0, math.inf, 1.0], [math.inf, 0.0, 1.0], [1.0, 1.0, 0.0]]
+    s = FiniteMetricSpace("abc", d, validate=False)
+    mv = bl_distance(delta(s, 0), delta(s, 1))
+    assert mv.value == 2.0
+    assert evaluate_certificate(mv, m1=delta(s, 0), m2=delta(s, 1)) == 2.0
 
 
 def test_a_zero_distance_between_distinct_points_costs_nothing():
@@ -729,6 +779,18 @@ def screen_miss_space():
     return FiniteMetricSpace(tuple(map(str, range(n))), d)
 
 
+def asymmetric_space():
+    """validate=False keeps a matrix that is no metric: a shortest-path
+    closure with its lower triangle scaled by up to 30% either way and a
+    nonzero diagonal. d(a, c) is read from row a and d(c, b) from row b."""
+    rng = np.random.default_rng(11)
+    d = shortest_path_space(11, 9).dist.copy()
+    lower = np.tril_indices(9, -1)
+    d[lower] *= rng.uniform(0.7, 1.3, len(lower[0]))
+    d[np.diag_indices(9)] = rng.uniform(0.05, 0.4, 9)
+    return FiniteMetricSpace(tuple(map(str, range(9))), d, validate=False)
+
+
 def grid_space(kind):
     line = line_space([F(i, 9) for i in range(9)])
     return product_space(line, line, kind)
@@ -743,10 +805,11 @@ ESSENTIAL_CASES = {
         ("a", "b", "c"), np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1e-17], [1.0, 1e-17, 0.0]])
     ),
     "screen-miss": screen_miss_space,
+    "asymmetric": asymmetric_space,
 }
 
 
-@pytest.mark.parametrize("chunk", [metrics.ESSENTIAL_CHUNK, 1, 50])
+@pytest.mark.parametrize("chunk", [1 << 20, metrics.ESSENTIAL_CHUNK, 1, 50])
 @pytest.mark.parametrize("case", ESSENTIAL_CASES)
 def test_essential_pairs_match_the_triple_loop_oracle(monkeypatch, case, chunk):
     monkeypatch.setattr(metrics, "ESSENTIAL_CHUNK", chunk)
@@ -757,10 +820,34 @@ def test_essential_pairs_match_the_triple_loop_oracle(monkeypatch, case, chunk):
     assert [x.hex() for x in dab.tolist()] == [x.hex() for x in want_d]
 
 
+def plane_space(n):
+    """n random points of the Euclidean unit square: no triangle is tight."""
+    p = np.random.default_rng(0).random((n, 2))
+    d = np.sqrt(((p[:, None, :] - p[None, :, :]) ** 2).sum(axis=-1))
+    return FiniteMetricSpace(tuple(map(str, range(n))), d, validate=False)
+
+
+@pytest.mark.parametrize("space", [uniform_metric_space, plane_space])
+def test_essential_pairs_work_in_bounded_memory(space):
+    # all 179,700 pairs are kept: their a, b and d(a, b) take 4.3 MB, a, b
+    # once more while their chunks are joined, and the scratch buffers a few
+    # ESSENTIAL_CHUNK elements each (~8 MB in all; ~28 MB with one n x n
+    # screen result and 2^20-element buffers)
+    d = space(600).dist
+    tracemalloc.start()
+    try:
+        a, _, _ = metrics._essential_pairs(d)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(a) == 600 * 599 // 2
+    assert peak < 12 * 2 ** 20
+
+
 def test_the_screen_misses_a_far_witness_and_the_full_scan_finds_it():
     d = screen_miss_space().dist
     assert 2 not in np.argsort(d[0])[: metrics.ESSENTIAL_NEAREST]
-    assert not metrics._nearest_witness(d)[0, 1]
+    assert not metrics._nearest_witness(d, 0, 1)[0, 1]
     a, b, _ = metrics._essential_pairs(d)
     assert (0, 1) not in set(zip(a.tolist(), b.tolist()))
 
