@@ -84,6 +84,9 @@ class SweepSpec:
         unknown = [m for m in mets if m not in METRICS]
         if unknown:
             raise InputError(f"unknown metrics requested: {unknown}")
+        repeated = sorted({m for m in mets if mets.count(m) > 1})
+        if repeated:
+            raise InputError(f"metrics requested more than once: {repeated}")
         object.__setattr__(self, "metrics", mets)
 
 

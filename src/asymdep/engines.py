@@ -4,9 +4,9 @@ The max-flow solver is a Dinic-style layered augmenting-path implementation
 that works over any exact numeric type (Fraction capacities stay exact).
 Its DFS keeps the path on an explicit stack, so the depth of the level
 graph is not bounded by Python's recursion limit.
-The transshipment kernel is a primal network simplex in Python ints for an
-uncapacitated network in which every node is joined to a hub both ways at
-one cost; it returns the optimal flow and the optimal potentials, so the
+The transshipment kernel is a primal network simplex in Python ints over
+undirected edges of nonnegative cost and a hub joined to every node; it
+returns the optimal potentials and its final tree with its flows, so the
 optimum is exact and certified by both sides. No kernel loads scipy.
 The hypercube kernel enumerates sign vectors exactly for integer matrices of
 any size: a float64 screen with a proven rounding bound keeps every sign
@@ -14,7 +14,6 @@ vector that may be optimal, and the survivors are re-ranked in Python ints.
 """
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from collections import deque
@@ -23,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CapabilityError, InputError, SolverError
+from .errors import CapabilityError, InputError
 
 # largest smaller side that exact enumeration accepts (alpha and cov_sup too)
 BILINEAR_EXACT_CUTOFF = 22
@@ -146,18 +145,17 @@ def max_flow(net: FlowNetwork) -> tuple[object, list[object]]:
     return total, flows
 
 
-# smallest block of arcs that the network simplex prices at a time
+# smallest block of edges that the network simplex prices at a time
 PRICING_BLOCK_MIN = 32
 
 
 class HubFlow(NamedTuple):
     """An optimal flow of hub_transshipment and its dual, in Python ints."""
 
-    cost: int  # sum of cost * flow over every arc, the hub's included
-    flows: tuple[int, ...]  # on the given arcs, in their order
-    to_hub: tuple[int, ...]  # on i -> hub
-    from_hub: tuple[int, ...]  # on hub -> i
+    cost: int
     potentials: tuple[int, ...]  # pi(i); pi(hub) = 0
+    # the final basis: node i's tree arc tails[i] -> heads[i] with flows[i]
+    tree: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 
 
 def _ints(name: str, values) -> list[int]:
@@ -167,136 +165,125 @@ def _ints(name: str, values) -> list[int]:
         raise InputError(f"{name} must be integers") from None
 
 
-def hub_transshipment(supplies, tails, heads, costs, hub_cost) -> HubFlow:
-    """Min-cost flow from the supplies over uncapacitated arcs and a hub.
+def hub_transshipment(supplies, ends_a, ends_b, costs, hub_cost) -> HubFlow:
+    """Min-cost flow from the supplies over uncapacitated edges and a hub.
 
     Node i < n = len(supplies) sends out supplies[i] more than it receives;
-    the hub, node n, takes up the balance -sum(supplies). Arc k runs from
-    tails[k] to heads[k] at costs[k] per unit; the three may be any
-    iterables of ints, and each is read once. Every node is also joined to
-    the hub both ways at hub_cost, so a flow always exists. Flows are
-    nonnegative with no upper bound. Returns the least cost, the flows, and
-    potentials pi with pi(hub) = 0 and every reduced cost
-    c(i, j) - pi(i) + pi(j) >= 0, hub arcs included: the dual optimum
-    sum_i supplies[i] pi(i) equals the cost.
+    the hub, node n, takes up the balance -sum(supplies). Edge k joins
+    ends_a[k] and ends_b[k] at costs[k] per unit either way; the three may
+    be any iterables of ints, each read once. Every node is also joined to
+    the hub at hub_cost. A negative cost or hub cost is an InputError.
+    Returns the least cost, potentials pi with pi(hub) = 0 and
+    |pi(a) - pi(b)| <= c on every edge, hub edges included, and the final
+    tree: node i's arc tails[i] -> heads[i] to its parent, with its flow
+    (zero flows kept). Each tree arc has reduced cost c - pi(tail) +
+    pi(head) = 0, so the tree's cost equals sum_i supplies[i] pi(i).
 
-    Primal network simplex in Python ints, so the optimum is exact. The
-    first tree is the star at the hub: i -> hub where supplies[i] > 0,
-    hub -> i otherwise, each carrying |supplies[i]|. That tree is strongly
-    feasible: every tree arc with zero flow points away from the hub.
-    Pricing takes blocks of about sqrt(arcs) arcs in turn and enters the
-    most negative reduced cost of the first block that has one. The leaving
-    arc is the first blocking arc met going round the cycle from its apex
-    (where the two tree paths of the entering arc's ends meet) in the
-    entering arc's direction. That keeps the tree strongly feasible, so
-    degenerate pivots cannot cycle (Cunningham's rule; Ahuja, Magnanti and
-    Orlin, Network Flows, 1993, section 11.5). A cycle with no arc to
-    block it has negative cost, and is a SolverError.
+    Primal network simplex in Python ints, so the optimum is exact. An edge
+    is priced once, as c - |pi(a) - pi(b)|, and enters from its end of
+    larger potential. The first tree is the star at the hub: i -> hub where
+    supplies[i] > 0, hub -> i otherwise, each carrying |supplies[i]|. That
+    tree is strongly feasible: every tree arc with zero flow points away
+    from the hub. Pricing takes blocks of about sqrt(edges) edges in turn
+    and enters the most negative reduced cost of the first block that has
+    one. The leaving arc is the first blocking arc met going round the
+    cycle from its apex (where the two tree paths of the entering arc's
+    ends meet) in the entering arc's direction. That keeps the tree
+    strongly feasible, so degenerate pivots cannot cycle (Cunningham's
+    rule; Ahuja, Magnanti and Orlin, Network Flows, 1993, section 11.5).
+    The cycle costs the entering arc's reduced cost, < 0, and no cost is
+    negative, so some arc on it runs against its direction and blocks it.
     """
     supply = _ints("supplies", supplies)
-    tail, head, cost = _ints("tails", tails), _ints("heads", heads), _ints("costs", costs)
+    ea, eb, cost = _ints("ends_a", ends_a), _ints("ends_b", ends_b), _ints("costs", costs)
     (hub_cost,) = _ints("hub_cost", (hub_cost,))
     n, m = len(supply), len(cost)
-    if not len(tail) == len(head) == m:
-        raise InputError("arc array lengths differ")
-    if m and not (0 <= min(min(tail), min(head)) and max(max(tail), max(head)) < n):
-        raise InputError(f"arc endpoints must lie in range({n})")
+    if not len(ea) == len(eb) == m:
+        raise InputError("edge array lengths differ")
+    if m and not (0 <= min(min(ea), min(eb)) and max(max(ea), max(eb)) < n):
+        raise InputError(f"edge ends must lie in range({n})")
+    if min(cost, default=0) < 0 or hub_cost < 0:
+        raise InputError("costs and hub_cost must be nonnegative")
     hub, nodes = n, range(n)
-    tail += [*nodes, *[hub] * n]
-    head += [*[hub] * n, *nodes]
-    cost += [hub_cost] * (2 * n)
-    flow = [0] * m + [max(b, 0) for b in supply] + [max(-b, 0) for b in supply]
-    # the tree: each node's parent, the arc joining them, and its children
+    ea += nodes
+    eb += [hub] * n
+    cost += [hub_cost] * n
+    # the tree: each node's parent, whether the arc joining them points up
+    # (node -> parent), the arc's flow, each node's children and its depth
     parent = [hub] * n + [-1]
-    parc = [m + i if b > 0 else m + n + i for i, b in enumerate(supply)] + [-1]
+    up = [b > 0 for b in supply]
+    flow = list(map(abs, supply))
     children = [set() for _ in nodes] + [set(nodes)]
     pi = [hub_cost if b > 0 else -hub_cost for b in supply] + [0]
-    mark, kmark = [0] * (n + 1), 0  # the nodes each pivot's climbs have reached
-    arcs = len(cost)
-    block = max(PRICING_BLOCK_MIN, math.isqrt(arcs))
+    depth = [1] * n + [0]
+    edges = len(cost)
+    block = max(PRICING_BLOCK_MIN, math.isqrt(edges))
     start = 0
     while True:
         best, enter, scanned = 0, -1, 0
-        while enter < 0 and scanned < arcs:
-            stop = min(start + block, arcs)
-            for a in range(start, stop):
-                r = cost[a] - pi[tail[a]] + pi[head[a]]
+        while enter < 0 and scanned < edges:
+            stop = min(start + block, edges)
+            for e in range(start, stop):
+                r = cost[e] - abs(pi[ea[e]] - pi[eb[e]])
                 if r < best:
-                    best, enter = r, a
+                    best, enter = r, e
             scanned += stop - start
-            start = stop % arcs
+            start = stop % edges
         if enter < 0:
             break
-        k, l = tail[enter], head[enter]
-        # the tree paths from k and from l up to the apex, bottom first: climb
-        # from both ends in turn, marking the nodes each side reaches, until
-        # one side steps on the other's mark, at the apex
-        kmark += 2
-        lmark = kmark + 1
+        k, l = ea[enter], eb[enter]
+        if pi[k] < pi[l]:  # the arc k -> l has reduced cost best
+            k, l = l, k
+        # the tree paths from k and from l up to the apex, bottom first
         kpath, lpath, u, v = [], [], k, l
-        mark[u], mark[v] = kmark, lmark
         while u != v:
-            if u != hub:
+            if depth[u] >= depth[v]:
                 kpath.append(u)
                 u = parent[u]
-                if mark[u] == lmark:
-                    if u in lpath:
-                        del lpath[lpath.index(u):]
-                    break
-                mark[u] = kmark
-            if v != hub:
+            else:
                 lpath.append(v)
                 v = parent[v]
-                if mark[v] == kmark:
-                    if v in kpath:
-                        del kpath[kpath.index(v):]
-                    break
-                mark[v] = lmark
         # going round from the apex: down to k (where arcs pointing up are
         # backward), then k -> l, then up from l (where arcs pointing down are)
         delta, leave, k_side = 0, -1, False
         for x in reversed(kpath):
-            a = parc[x]
-            if tail[a] == x and (leave < 0 or flow[a] < delta):
-                delta, leave, k_side = flow[a], x, True
+            if up[x] and (leave < 0 or flow[x] < delta):
+                delta, leave, k_side = flow[x], x, True
         for x in lpath:
-            a = parc[x]
-            if head[a] == x and (leave < 0 or flow[a] < delta):
-                delta, leave, k_side = flow[a], x, False
-        if leave < 0:
-            raise SolverError("transshipment is unbounded: a cycle has negative cost")
+            if not up[x] and (leave < 0 or flow[x] < delta):
+                delta, leave, k_side = flow[x], x, False
         if delta:
             for x in kpath:
-                a = parc[x]
-                flow[a] += -delta if tail[a] == x else delta
+                flow[x] += -delta if up[x] else delta
             for x in lpath:
-                a = parc[x]
-                flow[a] += delta if tail[a] == x else -delta
-        flow[enter] = delta
+                flow[x] += delta if up[x] else -delta
         # hang the subtree cut off by the leaving arc from the entering one:
-        # reverse its tree path from the entering arc's end up to the cut
+        # reverse its tree path from the entering arc's end up to the cut, each
+        # arc moving to the node below it and turning round relative to it
         x, y, shift = (k, l, best) if k_side else (l, k, -best)
-        v, up, arc = x, y, enter
+        v, to, v_up, f = x, y, k_side, delta
         while True:
-            old_up, old_arc = parent[v], parc[v]
-            children[old_up].remove(v)
-            parent[v], parc[v] = up, arc
-            children[up].add(v)
+            p, p_up, p_flow = parent[v], up[v], flow[v]
+            children[p].remove(v)
+            parent[v], up[v], flow[v] = to, v_up, f
+            children[to].add(v)
             if v == leave:
                 break
-            v, up, arc = old_up, v, old_arc
+            to, v, v_up, f = v, p, not p_up, p_flow
         # one shift of the subtree's potentials makes the entering arc's
-        # reduced cost 0 and keeps every other tree arc's
+        # reduced cost 0 and keeps every other tree arc's; its parents come
+        # first in sub, so their depths are set before their children's
         sub = [x]
         for v in sub:
             sub.extend(children[v])
         for v in sub:
             pi[v] += shift
-    total = sum(map(operator.mul, cost, flow))
-    del tail, head, cost  # the arc lists go before the flows are copied out
-    flows = tuple(itertools.islice(flow, m))
-    to_hub, from_hub = tuple(flow[m:m + n]), tuple(flow[m + n:])
-    return HubFlow(total, flows, to_hub, from_hub, tuple(pi[:n]))
+            depth[v] = depth[parent[v]] + 1
+    # every tree arc has reduced cost 0, so the tree's cost is the dual's
+    total = sum(map(operator.mul, supply, pi))
+    tails = tuple(v if up[v] else parent[v] for v in nodes)
+    heads = tuple(parent[v] if up[v] else v for v in nodes)
+    return HubFlow(total, tuple(pi[:n]), (tails, heads, tuple(flow)))
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the package.
 
 Exit-code mapping for the CLI: InputError -> 1, CapabilityError -> 2,
-verification failure -> 3, SolverError -> 4.
+verification failure -> 3, SolverError -> 4. No built-in kernel raises
+SolverError any more; it and exit code 4 stay for API stability.
 """
 
 

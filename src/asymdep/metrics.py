@@ -53,10 +53,11 @@ from .spaces import ProductMetricKind
 # one bl_distance at 600 support points in a fresh process, Python 3.11, 2
 # vCPUs: the worst case is 600 random points of the Euclidean unit square (no
 # triangle tight, all 179,700 pairs kept, distance numerators near 2^62):
-# ~1.7-1.8 s and ~73 MB peak RSS; the uniform metric (every distance 1, all
-# pairs kept) ~0.9-1.0 s and ~60 MB; a line keeps its 599 neighbour pairs:
-# ~0.06 s, 42 MB. The process holds 36-45 MB before the call (imports, the
-# space); the rest is mostly the kernel's arc lists, which grow with the pairs.
+# ~0.9-1.0 s and ~72 MB peak RSS; the uniform metric (every distance 1, all
+# pairs kept) ~0.4 s and ~53 MB; a line keeps its 599 neighbour pairs:
+# ~0.04-0.05 s, 42 MB. The process holds 36-45 MB before the call (imports,
+# the space); the rest is mostly the kernel's edge lists, which grow with the
+# pairs.
 BL_SUPPORT_CUTOFF = 600
 # one prokhorov_to_product_upper at 4096 product points, Python 3.11, 2 vCPUs:
 # binary_coding n=8 stops at eps = 0 by the separation (~0.01 s, 32 MB peak
@@ -472,13 +473,12 @@ def _nearest_witness(d: np.ndarray, s: int, e: int) -> np.ndarray:
 
 
 def _essential_arcs(d: np.ndarray):
-    """bl_distance's arcs on the distance matrix d of the support: each
-    essential pair (see _essential_pairs) both ways, a -> b then b -> a, at
-    cost d(a, b) 2^K, with 2^K the largest denominator of those distances
-    (floats num / 2^k), so every cost is an int. Returns the tails, heads
-    and costs as iterables read once, with one int object per node and one
-    per distinct cost, and 2^K. A NaN distance, or a negative essential one,
-    is an InputError."""
+    """bl_distance's edges on the distance matrix d of the support: each
+    essential pair (see _essential_pairs) once, at cost d(a, b) 2^K, with
+    2^K the largest denominator of those distances (floats num / 2^k), so
+    every cost is an int. Returns the ends a and b and the costs as object
+    arrays, with one int object per node and one per distinct cost, and
+    2^K. A NaN distance, or a negative essential one, is an InputError."""
     if math.isnan(d.min()):  # min propagates a NaN
         raise InputError("bl_distance needs distances that are not NaN")
     a_idx, b_idx, d_ab = _essential_pairs(d)
@@ -487,10 +487,8 @@ def _essential_arcs(d: np.ndarray):
     dists, pair_dist = np.unique(d_ab, return_inverse=True)
     two_k = max((x.as_integer_ratio()[1] for x in dists.tolist()), default=1)
     ints = [num * (two_k // den) for num, den in map(float.as_integer_ratio, dists.tolist())]
-    cost = np.array(ints, dtype=object)[pair_dist]
     node = np.arange(len(d)).astype(object)
-    a, b = node[a_idx], node[b_idx]
-    return itertools.chain(a, b), itertools.chain(b, a), itertools.chain(cost, cost), two_k
+    return node[a_idx], node[b_idx], np.array(ints, dtype=object)[pair_dist], two_k
 
 
 def bl_distance(m1: DiscreteMeasure, m2: DiscreteMeasure) -> MetricValue:
@@ -502,11 +500,12 @@ def bl_distance(m1: DiscreteMeasure, m2: DiscreteMeasure) -> MetricValue:
     dual (Kantorovich-Rubinstein): a hub node with h(hub) = 0 turns the box
     into |h(a) - h(hub)| <= 1, so every row bounds a difference of two
     potentials, and the dual is the min-cost transshipment of mu - nu over
-    the essential pairs, both ways at cost d(a, b), and to or from the hub
-    at cost 1 (the route a -> hub -> b costs 2, the bound of the box).
-    hub_transshipment solves it exactly in ints: the distances, floats
-    num / 2^k, are scaled by 2^K, the largest of their denominators, and
-    the masses by the lcm of the two denominators. The value is the LP's
+    the essential pairs, each one edge usable both ways at cost d(a, b),
+    and to or from the hub at cost 1 (the route a -> hub -> b costs 2, the
+    bound of the box). hub_transshipment solves it exactly in ints: the
+    distances, floats num / 2^k, are scaled by 2^K, the largest of their
+    denominators, and the masses by the lcm of the two denominators. Its
+    final tree and potentials certify each other; the value is the LP's
     optimum correctly rounded, and h the optimal potentials over 2^K.
 
     The rows of the other pairs are implied, so the feasible set is the one
@@ -529,9 +528,9 @@ def bl_distance(m1: DiscreteMeasure, m2: DiscreteMeasure) -> MetricValue:
 
     Working memory grows with the kept pairs, not with all n^2 / 2: the
     support's distances are the space's own matrix when the support is the
-    whole space, the pruning works in blocks (see _essential_pairs), and the
-    arcs reach the kernel as iterables of shared ints (see _essential_arcs),
-    so its own arc lists are the largest transient.
+    whole space, the pruning works in blocks (see _essential_pairs), and
+    each pair reaches the kernel once, as arrays of shared ints (see
+    _essential_arcs), so its own edge lists are the largest transient.
     """
     _require_same_space(m1, m2)
     support = sorted(set(m1.support()) | set(m2.support()))
@@ -539,10 +538,10 @@ def bl_distance(m1: DiscreteMeasure, m2: DiscreteMeasure) -> MetricValue:
     _require_support(n, BL_SUPPORT_CUTOFF, "bl_distance LP")
     scale, supply = _mass_gaps(m1, m2, support)
     dist = m1.space.dist
-    tails, heads, costs, two_k = _essential_arcs(
+    ends_a, ends_b, costs, two_k = _essential_arcs(
         dist if n == len(dist) else dist[np.ix_(support, support)]
     )
-    flow = hub_transshipment(supply, tails, heads, costs, two_k)
+    flow = hub_transshipment(supply, ends_a, ends_b, costs, two_k)
     # int true division rounds correctly, as float() of the Fraction does
     value = flow.cost / (scale * two_k)
     cert = {"support": tuple(support), "h": tuple(p / two_k for p in flow.potentials)}

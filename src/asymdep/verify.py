@@ -440,13 +440,15 @@ def _bipartite_flow_oracle(supplies, demands, edges, caps) -> float:
     return float(-res.fun)
 
 
-def _transshipment_oracle(supplies, arcs, hub_cost) -> float:
+def _transshipment_oracle(supplies, edges, hub_cost) -> float:
     """Brute-force LP value of the hub transshipment: min cost . x over x >= 0
-    with node-arc incidence x = supplies, the hub arcs written out."""
+    with node-arc incidence x = supplies, every edge and hub edge written
+    out both ways."""
     from scipy.optimize import linprog
 
     n = len(supplies)
-    arcs = [*arcs, *((i, n, hub_cost) for i in range(n)), *((n, i, hub_cost) for i in range(n))]
+    arcs = [*edges, *((i, n, hub_cost) for i in range(n))]
+    arcs += [(h, t, c) for t, h, c in arcs]
     incidence = np.zeros((n + 1, len(arcs)))
     for e, (t, h, _) in enumerate(arcs):
         incidence[t, e] += 1.0
@@ -461,22 +463,26 @@ def _transshipment_oracle(supplies, arcs, hub_cost) -> float:
     return float(res.fun)
 
 
-def _transshipment_is_optimal(supplies, arcs, hub_cost, sol) -> bool:
-    """In ints: the flows are nonnegative and conserve the supplies, every
-    reduced cost is >= 0, and the cost equals the dual objective."""
+def _transshipment_is_optimal(supplies, edges, hub_cost, sol) -> bool:
+    """In ints: |pi(a) - pi(b)| <= c on every edge, hub edges included; the
+    tree's flows are nonnegative, run along edges and conserve the supplies;
+    and their cost, each arc at its cheapest edge, equals the dual objective
+    and the kernel's cost."""
     n = len(supplies)
     pi = (*sol.potentials, 0)
-    arcs = [*arcs, *((i, n, hub_cost) for i in range(n)), *((n, i, hub_cost) for i in range(n))]
-    flows = (*sol.flows, *sol.to_hub, *sol.from_hub)
+    cost = {}  # the cheapest edge joining each pair, both ways
+    for a, b, c in [*edges, *((i, n, hub_cost) for i in range(n))]:
+        cost[a, b] = cost[b, a] = min(c, cost.get((a, b), c))
+    arcs = list(zip(*sol.tree))
     out = [0] * (n + 1)
-    for (t, h, _), f in zip(arcs, flows):
+    for t, h, f in arcs:
         out[t] += f
         out[h] -= f
     return (
-        min(flows, default=0) >= 0
+        all(abs(pi[a] - pi[b]) <= c for (a, b), c in cost.items())
+        and all(f >= 0 and (t, h) in cost for t, h, f in arcs)
         and out[:n] == list(supplies)
-        and all(c - pi[t] + pi[h] >= 0 for t, h, c in arcs)
-        and sol.cost == sum(c * f for (_, _, c), f in zip(arcs, flows))
+        and sol.cost == sum(cost[t, h] * f for t, h, f in arcs)
         == sum(b * p for b, p in zip(supplies, pi))
     )
 
@@ -507,14 +513,14 @@ def criterion_14_engine_oracles() -> CriterionResult:
     for t in range(50):
         n = rng.randint(1, 7)
         supplies = [rng.randint(-8, 8) for _ in range(n)]
-        arcs = [(rng.randrange(n), rng.randrange(n), rng.randint(0, 12))
-                for _ in range(rng.randint(0, 3 * n))]
+        edges = [(rng.randrange(n), rng.randrange(n), rng.randint(0, 12))
+                 for _ in range(rng.randint(0, 3 * n))]
         hub_cost = rng.randint(0, 12)
-        tails, heads, costs = zip(*arcs) if arcs else ((), (), ())
-        sol = hub_transshipment(supplies, tails, heads, costs, hub_cost)
-        oracle = _transshipment_oracle(supplies, arcs, hub_cost)
+        ends_a, ends_b, costs = zip(*edges) if edges else ((), (), ())
+        sol = hub_transshipment(supplies, ends_a, ends_b, costs, hub_cost)
+        oracle = _transshipment_oracle(supplies, edges, hub_cost)
         if abs(sol.cost - oracle) > 1e-8 or not _transshipment_is_optimal(
-            supplies, arcs, hub_cost, sol
+            supplies, edges, hub_cost, sol
         ):
             bad.append((t, "transshipment", sol.cost, oracle))
     # exact bilinear max vs Python-int enumeration over both sign vectors; entries

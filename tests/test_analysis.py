@@ -87,6 +87,12 @@ def test_sweep_spec_validation():
         SweepSpec("markov_shift", (1, 2, 3, 4), ("no_such_metric",))
 
 
+def test_sweep_spec_refuses_a_repeated_metric_before_any_cell_runs():
+    # the spec itself refuses it, so sweep never computes a cell twice
+    with pytest.raises(InputError, match=r"more than once: \['bl'\]"):
+        SweepSpec("bernoulli_perturbation", (2, 3, 4, 5), ("bl", "alpha", "bl"))
+
+
 def test_build_family_rejects_unknown_name():
     with pytest.raises(InputError):
         build_family("mystery", 3)

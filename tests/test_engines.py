@@ -19,7 +19,6 @@ from asymdep import (
     FlowNetwork,
     HubFlow,
     InputError,
-    SolverError,
     hub_transshipment,
     hypercube_bilinear_max,
     max_flow,
@@ -191,26 +190,48 @@ def test_max_flow_matches_the_recursive_dinic_oracle(network):
 # Hub transshipment (network simplex)
 # ---------------------------------------------------------------------------
 
-def optimality_failures(supplies, tails, heads, costs, hub_cost, sol):
-    """The conditions of an exact optimality check that sol breaks, in ints:
-    nonnegative flows that conserve the supplies, every reduced cost >= 0,
-    and sum cost * flow == sum supply * potential == sol.cost."""
+def optimality_failures(supplies, ends_a, ends_b, costs, hub_cost, sol):
+    """The conditions of an exact check of sol's certificate that it breaks,
+    in ints. The tree joins each node i to a parent by an arc tails[i] ->
+    heads[i] along a given edge or the hub edge, and following parents from
+    any node reaches the hub. Its flows are nonnegative and conserve the
+    supplies, and every zero flow points away from the hub (the tree is
+    strongly feasible). The potentials have |pi(a) - pi(b)| <= c on every
+    edge and |pi(i)| <= hub_cost, and reduced cost 0 on every tree arc.
+    The cost sum c * flow over the tree, each arc at its cheapest edge,
+    equals sum supply * potential and sol.cost."""
     n = len(supplies)
-    arcs = [*zip(tails, heads, costs), *((i, n, hub_cost) for i in range(n)),
-            *((n, i, hub_cost) for i in range(n))]
-    flows = (*sol.flows, *sol.to_hub, *sol.from_hub)
+    edges = [*zip(ends_a, ends_b, costs), *((i, n, hub_cost) for i in range(n))]
+    cheapest = {}  # the cheapest edge joining each pair, both ways
+    for a, b, c in edges:
+        cheapest[a, b] = cheapest[b, a] = min(c, cheapest.get((a, b), c))
     pi = (*sol.potentials, 0)
+    tails, heads, flows = sol.tree
+    parent = [h if t == i else t for i, (t, h) in enumerate(zip(tails, heads))]
+    arcs = list(zip(tails, heads, flows))
+
+    def reaches_hub(i):
+        for _ in range(n + 1):
+            if i == n:
+                return True
+            i = parent[i]
+        return False
+
     out = [0] * (n + 1)
-    for (t, h, _), f in zip(arcs, flows):
+    for t, h, f in arcs:
         out[t] += f
         out[h] -= f
-    primal = sum(c * f for (_, _, c), f in zip(arcs, flows))
+    primal = sum(cheapest.get((t, h), 0) * f for t, h, f in arcs)
     dual = sum(b * p for b, p in zip(supplies, pi))
     checks = {
-        "lengths": (len(flows), len(pi)) == (len(arcs), n + 1),
+        "lengths": (len(tails), len(heads), len(flows), len(pi)) == (n, n, n, n + 1),
+        "spanning tree": all(i in (t, h) and (t, h) in cheapest and reaches_hub(i)
+                             for i, (t, h, _) in enumerate(arcs)),
         "nonnegative": min(flows, default=0) >= 0,
         "conservation": out[:n] == list(supplies),
-        "reduced costs": all(c - pi[t] + pi[h] >= 0 for t, h, c in arcs),
+        "strongly feasible": all(f or h == i for i, (t, h, f) in enumerate(arcs)),
+        "dual feasible": all(abs(pi[a] - pi[b]) <= c for a, b, c in edges),
+        "tree reduced costs": all(cheapest.get((t, h)) == pi[t] - pi[h] for t, h, _ in arcs),
         "primal = dual": primal == dual == sol.cost,
     }
     return [name for name, ok in checks.items() if not ok]
@@ -218,16 +239,18 @@ def optimality_failures(supplies, tails, heads, costs, hub_cost, sol):
 
 @st.composite
 def transshipments(draw):
-    """Supplies, arcs (zero costs, parallel arcs and loops included) and a hub cost."""
+    """Supplies (zero ones included), edges (zero costs, parallel edges and
+    loops included) and a hub cost."""
     n = draw(st.integers(1, 7))
-    supplies = draw(st.lists(st.integers(-20, 20), min_size=n, max_size=n))
+    supply = st.one_of(st.just(0), st.integers(-20, 20))
+    supplies = draw(st.lists(supply, min_size=n, max_size=n))
     if draw(st.booleans()):  # balanced: the hub carries no net flow
         supplies[-1] -= sum(supplies)
     node = st.integers(0, n - 1)
     cost = st.one_of(st.integers(0, 3), st.integers(0, 2 ** 70))
-    arcs = draw(st.lists(st.tuples(node, node, cost), max_size=25))
-    tails, heads, costs = (list(x) for x in zip(*arcs)) if arcs else ([], [], [])
-    return supplies, tails, heads, costs, draw(st.integers(0, 2 ** 70))
+    edges = draw(st.lists(st.tuples(node, node, cost), max_size=25))
+    ends_a, ends_b, costs = (list(x) for x in zip(*edges)) if edges else ([], [], [])
+    return supplies, ends_a, ends_b, costs, draw(st.integers(0, 2 ** 70))
 
 
 @settings(max_examples=400, deadline=None)
@@ -246,9 +269,16 @@ def test_transshipment_passes_the_exact_optimality_check(instance):
         ([7], [], [], [], 2),  # one node: its supply goes to the hub
         ([7], [0], [0], [0], 2),  # one node with a zero-cost loop
         ([], [], [], [], 1),  # no node
+        # 0 - 1 enters with both star arcs blocking at flow 1: the first one
+        # leaves; the last would leave 0 -> hub at zero flow, pointing up
+        ([1, -1], [0], [1], [0], 1),
+        # 29 zero-cost loops fill the first pricing block, so 0 - 1 enters
+        # before 1 - 3; node 0 reaches potential 2 > hub_cost, and only its
+        # hub edge, entering again, brings it back
+        ([0, 0, -1, 1, 1], [0] * 29 + [0, 1, 1, 0], [0] * 29 + [4, 2, 3, 1], [0] * 32 + [1], 1),
     ],
     ids=["zero-supplies", "equal-costs", "zero-cost-cycle", "one-node", "one-node-loop",
-         "empty"],
+         "empty", "tied-blocking-arcs", "hub-edge-enters-again"],
 )
 def test_transshipment_corner_cases(instance):
     sol = hub_transshipment(*instance)
@@ -257,15 +287,16 @@ def test_transshipment_corner_cases(instance):
 
 def test_transshipment_one_node_sends_its_supply_to_the_hub():
     sol = hub_transshipment([7], [], [], [], 2)
-    assert sol == HubFlow(14, (), (7,), (0,), (2,))
+    assert sol == HubFlow(14, (2,), ((0,), (1,), (7,)))
 
 
 def test_transshipment_routes_through_the_hub_only_when_cheaper():
-    # 0 -> 1 costs 5, through the hub 2 + 2: the flow goes through the hub
+    # 0 - 1 costs 5, through the hub 2 + 2: the flow goes through the hub
     sol = hub_transshipment([1, -1], [0], [1], [5], 2)
-    assert (sol.cost, sol.flows, sol.to_hub, sol.from_hub) == (4, (0,), (1, 0), (0, 1))
+    assert (sol.cost, sol.tree) == (4, ((0, 2), (2, 1), (1, 1)))
+    # at cost 3 it goes 0 -> 1, and 1's zero-flow arc points away from the hub
     sol = hub_transshipment([1, -1], [0], [1], [3], 2)
-    assert (sol.cost, sol.flows, sol.to_hub, sol.from_hub) == (3, (1,), (0, 0), (0, 0))
+    assert (sol.cost, sol.tree) == (3, ((0, 2), (1, 1), (1, 0)))
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -273,55 +304,47 @@ def test_moving_one_potential_or_one_flow_fails_the_optimality_check(seed):
     rng = random.Random(seed)
     n = 6
     supplies = [rng.randint(-9, 9) for _ in range(n)]
-    supplies[0] = 0  # a zero supply: only one of its two moves can fail
-    pairs = [(a, b) for a in range(n) for b in range(n) if a != b and rng.random() < 0.5]
-    tails, heads = [a for a, _ in pairs], [b for _, b in pairs]
+    supplies[0] = 0  # a zero supply: its tree arc still pins its potential
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < 0.5]
     costs = [rng.randint(0, 9) for _ in pairs]
-    instance = (supplies, tails, heads, costs, 5)
+    instance = (supplies, [a for a, _ in pairs], [b for _, b in pairs], costs, 5)
     sol = hub_transshipment(*instance)
     assert optimality_failures(*instance, sol) == []
+    tails, heads, flows = sol.tree
     for i in range(n):
-        moved = [sol._replace(potentials=tuple(p + s * (j == i) for j, p in enumerate(
-            sol.potentials))) for s in (1, -1)]
-        fails = [bool(optimality_failures(*instance, m)) for m in moved]
-        # a potential on a tree arc cannot move both ways; a supply prices it
-        assert all(fails) if supplies[i] else any(fails)
-    for field in ("flows", "to_hub", "from_hub"):
-        for e in range(len(getattr(sol, field))):
-            for s in (1, -1):
-                values = list(getattr(sol, field))
-                values[e] += s
-                assert optimality_failures(*instance, sol._replace(**{field: tuple(values)}))
+        for s in (1, -1):
+            moved = tuple(p + s * (j == i) for j, p in enumerate(sol.potentials))
+            assert optimality_failures(*instance, sol._replace(potentials=moved))
+            moved = tuple(f + s * (j == i) for j, f in enumerate(flows))
+            assert optimality_failures(*instance, sol._replace(tree=(tails, heads, moved)))
 
 
 @pytest.mark.parametrize(
     "instance",
     [
-        ([1, -1], [0, 1], [1, 0], [-1, 0], 5),  # a two-arc cycle of cost -1
+        ([1, -1], [0], [1], [-1], 5),  # an edge of cost -1
         ([0], [0], [0], [-1], 5),  # a loop of cost -1
-        ([1, -1], [], [], [], -1),  # i -> hub -> i costs -2
+        ([1, -1], [], [], [], -1),  # the hub edges cost -1
     ],
-    ids=["two-arc-cycle", "loop", "hub-cycle"],
+    ids=["edge", "loop", "hub"],
 )
-def test_a_negative_cycle_is_a_solver_error(instance):
-    with pytest.raises(SolverError, match="unbounded"):
+def test_a_negative_cost_is_an_input_error(instance):
+    with pytest.raises(InputError, match="nonnegative"):
         hub_transshipment(*instance)
 
 
 @pytest.mark.parametrize("seed", range(25))
 def test_two_sided_rows_match_vertex_enumeration(seed):
     # the dual of the transshipment is an LP in the potentials with one
-    # two-sided row -d <= h(a) - h(b) <= d per pair given both ways and the
-    # box |h| <= hub cost; the oracle enumerates that polytope's vertices
+    # two-sided row -d <= h(a) - h(b) <= d per edge and the box
+    # |h| <= hub cost; the oracle enumerates that polytope's vertices
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 5))
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < 0.7]
     d = rng.integers(1, 9, len(pairs)).tolist()
     supplies = rng.integers(-9, 10, n).tolist()
     hub_cost = int(rng.integers(1, 9))
-    tails = [a for a, _ in pairs] + [b for _, b in pairs]
-    heads = [b for _, b in pairs] + [a for a, _ in pairs]
-    sol = hub_transshipment(supplies, tails, heads, d + d, hub_cost)
+    sol = hub_transshipment(supplies, [a for a, _ in pairs], [b for _, b in pairs], d, hub_cost)
     rows, upper = [], []
     for (a, b), dab in zip(pairs, d):
         row = np.zeros(n)
@@ -336,8 +359,8 @@ def test_two_sided_rows_match_vertex_enumeration(seed):
 
 @pytest.mark.parametrize("col", [2, -1, 1.0])
 def test_constraint_column_outside_range_raises(col):
-    # each arc is one column of the node-arc incidence matrix, with +1 at
-    # its tail and -1 at its head: an endpoint outside the nodes has no row
+    # an edge joins two of the nodes: an end outside them has no row in the
+    # node-edge incidence matrix
     with pytest.raises(InputError, match="integers|range"):
         hub_transshipment([1, -1], [0], [col], [1], 1)
 

@@ -608,23 +608,22 @@ def positive_pair(seed, space):
 
 def bl_with_pairs(monkeypatch, m1, m2):
     """bl_distance and the essential pairs (a, b, cost) it handed to
-    hub_transshipment, each pair given both ways at one cost. The arcs come
-    as iterables that the kernel reads once, with one int object per node."""
+    hub_transshipment, each pair once. The edges come as iterables that the
+    kernel reads once, with one int object per node."""
     seen = []
     solve = metrics.hub_transshipment
 
-    def spy(supplies, tails, heads, costs, hub_cost):
-        tails, heads, costs = list(tails), list(heads), list(costs)
-        assert len({id(x) for x in tails + heads}) == len(set(tails + heads))
-        seen.append((tails, heads, costs, hub_cost))
-        return solve(supplies, tails, heads, costs, hub_cost)
+    def spy(supplies, ends_a, ends_b, costs, hub_cost):
+        ends_a, ends_b, costs = list(ends_a), list(ends_b), list(costs)
+        assert len({id(x) for x in ends_a + ends_b}) == len(set(ends_a + ends_b))
+        seen.append((ends_a, ends_b, costs, hub_cost))
+        return solve(supplies, ends_a, ends_b, costs, hub_cost)
 
     monkeypatch.setattr(metrics, "hub_transshipment", spy)
     mv = bl_distance(m1, m2)
-    ((tails, heads, costs, hub_cost),) = seen
-    half = len(costs) // 2
-    assert (tails[half:], heads[half:], costs[half:]) == (heads[:half], tails[:half], costs[:half])
-    pairs = [(a, b, Fraction(c, hub_cost)) for a, b, c in zip(tails[:half], heads[:half], costs)]
+    ((ends_a, ends_b, costs, hub_cost),) = seen
+    assert len({frozenset(pair) for pair in zip(ends_a, ends_b)}) == len(costs)
+    pairs = [(a, b, Fraction(c, hub_cost)) for a, b, c in zip(ends_a, ends_b, costs)]
     return mv, pairs
 
 
