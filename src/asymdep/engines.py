@@ -9,11 +9,14 @@ undirected edges of nonnegative cost and a hub joined to every node; it
 returns the optimal potentials and its final tree with its flows, so the
 optimum is exact and certified by both sides. No kernel loads scipy.
 The hypercube kernel enumerates sign vectors exactly for integer matrices of
-any size: a float64 screen with a proven rounding bound keeps every sign
-vector that may be optimal, and the survivors are re-ranked in Python ints.
+any size, over the sign classes of rows and columns equal up to sign: a
+float64 screen with a proven rounding bound, summed from two half tables in
+blocks, keeps every sign vector that may be optimal, and the survivors are
+re-ranked in Python ints.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from collections import deque
@@ -24,8 +27,15 @@ import numpy as np
 
 from .errors import CapabilityError, InputError
 
-# largest smaller side that exact enumeration accepts (alpha and cov_sup too)
+# most sign classes of rows on the smaller side that exact enumeration
+# accepts (alpha and cov_sup too). At the cutoff one call in a fresh process
+# (Python 3.11, 2 vCPUs) takes 0.08-0.11 s and 36 MB peak RSS on a random
+# 22 x 22 integer matrix; binary_coding n = 12 (24 x 4096, 12 row classes,
+# 2048 column classes) takes 0.04-0.05 s. The cost is 2^(classes - 1) float
+# additions per merged column: a random 22 x 256 matrix takes 0.8 s.
 BILINEAR_EXACT_CUTOFF = 22
+# most floats in one block of the hypercube screen's scores, and in a half table
+SCREEN_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -292,7 +302,8 @@ class BilinearInstance:
 
     Takes any integer dtype, or Python ints of any size in an object array,
     and keeps the entries exactly, as Python ints in an object array. Any
-    other dtype (float, bool, complex) is an InputError.
+    other dtype (float, bool, complex), and a bool in an object array, is an
+    InputError.
     """
 
     matrix: np.ndarray
@@ -302,7 +313,9 @@ class BilinearInstance:
         if m.ndim != 2:
             raise InputError("bilinear instance needs a 2-D matrix")
         held = m.astype(object)
-        if m.dtype.kind not in "iuO" or not all(isinstance(x, int) for x in held.flat):
+        if m.dtype.kind not in "iuO" or not all(
+            isinstance(x, int) and not isinstance(x, bool) for x in held.flat
+        ):
             raise InputError(f"bilinear instance needs an integer matrix, got dtype {m.dtype}")
         held.setflags(write=False)
         object.__setattr__(self, "matrix", held)
@@ -313,127 +326,257 @@ def hypercube_bilinear_max(inst: BilinearInstance) -> tuple[int, np.ndarray, np.
 
     The maximum of the convex function |a^T M b| over the cube is attained at
     sign vectors; for fixed a the optimal b is sign(a^T M), and a and -a give
-    the same value, so the kernel enumerates the smaller side with its last
-    sign fixed (sign vector a of mask t has a_i = +1 where bit i of t is set)
-    and returns the lowest mask of largest value.
+    the same value, so the kernel ranges over the smaller side's sign vectors
+    with the last sign fixed (sign vector a of mask t has a_i = +1 where bit
+    i of t is set) and returns the lowest mask of largest value
+    v(a) = ||a^T M||_1. The value is exact, a Python int re-derived from the
+    sign vectors, and a and b are float arrays.
 
-    The value is exact, a Python int re-derived from the sign vectors, and
-    a and b are float arrays. The kernel screens every sign vector in
-    float64 and re-ranks the survivors in Python ints. With
-    S = sum |M| and s = max(0, bitlength(S) - 1000), the screen scores
-    v^(a) = sum_j |fl(a^T F)_j| for F = fl(M / 2^s) (Python's int / int
+    Reduction. Zero columns drop, and the columns equal up to sign merge into
+    one column (its first nonzero entry positive) times their count, which
+    leaves v(a) unchanged for every a. On the enumerated side the rows equal
+    up to sign form a sign class c (zero rows form none); s_i is the sign of
+    row i's first nonzero entry. Class c's row is its top (highest-index)
+    member's row times the class size p_c, and the classes are ordered by
+    their top rows. One enumeration over the classes' signs tau, the last
+    class fixed at -1, finds the lowest mask tau* of largest value V. Its lift
+    a_i = s_i s_top tau_c (zero rows -1) has v(a) = V. The highest row at
+    which two lifts differ is the top of the highest class at which their
+    taus differ, and takes tau's sign there, so lifts are ordered as their
+    taus: the lift a* of tau* is the lowest-mask maximiser among the lifts.
+    BILINEAR_EXACT_CUTOFF bounds the number of classes.
+
+    Lift. For any a, a^T M = sum_c y_c p_c M_top(c) with y in the box
+    [-1, 1]^classes, so v(a) = f(y) for a convex f whose maximum over the box
+    is V. Let a maximiser a have a lower mask than a*: going down from the
+    highest row, it first differs from a* at a row r with a_r = -1 < a*_r.
+    A zero row lifts to -1, so r is none. Nor is r the top of a class c:
+    y(a) lies in the relative interior of a face of the box, on which f,
+    convex, is constant at its maximum V, and that face has a vertex with
+    tau_c = -1 that agrees with tau* on the classes above c (where a and a*
+    agree on the top rows); that vertex's mask is lower than tau*'s. So r is
+    a non-top member of a merged class. That face has two vertices that are
+    not each other's sign flip (with one class, f = |y_c| p_c ||M_top||_1 is
+    constant on no edge), so when one mask alone attains V in the
+    enumeration, a* is the answer. Otherwise the kernel tries those rows r where
+    a*_r = +1 from the highest down, re-solving with the rows above r fixed as
+    in a* and a_r = -1. The first re-solve that reaches V gives the answer's
+    rows from r up, and its own lift is refined below r the same way, on its
+    own classes of the rows below r. A re-solve is the same enumeration over
+    the classes of the free rows, with the fixed rows' sum as a last row of
+    fixed sign, and all of the free classes' signs ranging.
+
+    Screen. An enumeration scores every mask in float64 and re-ranks the
+    survivors in Python ints. With S = sum |Q| for its integer matrix Q
+    (C class rows by G merged columns; the reduction keeps the input's S, and
+    a re-solve's is no larger) and s = max(0, bitlength(S) - 1000), the screen scores
+    v^(tau) = sum_j |fl(tau^T F)_j| for F = fl(Q / 2^s) (Python's int / int
     division rounds correctly), and every score satisfies
 
-        |v^(a) - v(a) / 2^s| <= E = (m + k + 4) 2^-52 S' + m k 2^-1074,
+        |v^(tau) - v(tau) / 2^s| <= E = (C + G + 4) 2^-52 S' + C G 2^-1074,
 
-    v(a) = ||a^T M||_1 and S' = fl(S / 2^s). Proof, with u = 2^-53,
-    T = S / 2^s and gamma_n = n u / (1 - n u):
-    (1) fl(M_ij / 2^s) = (M_ij / 2^s)(1 + d) + e with |d| <= u and
-        |e| <= 2^-1075, so sum |F| <= (1 + u) T + m k 2^-1075.
-    (2) The products a_i F_ij are exact. Each addition rounds once with
-        relative error <= u: a sum in the subnormal range is exact, and an
-        FMA a_i F_ij + t is one rounded sum. No partial sum overflows, as
-        all stay below 2 T < 2^1001. In any summation order (Higham,
-        Accuracy and Stability of Numerical Algorithms, ch. 4) the computed
-        entries c^_j of a^T F are within gamma_{m-1} sum_i |F_ij| of the
-        exact ones, and v^ is within gamma_{k-1} sum_j |c^_j| of their sum.
-    (3) Adding (1) and (2), for (m + k) u <= 2^-10 (k < 2^40 columns),
-        |v^(a) - v(a) / 2^s| <= E0 = (1 + 2^-9)(m + k) u T + m k 2^-1074.
+    v(tau) = ||tau^T Q||_1 and S' = fl(S / 2^s). A score is the sum of a row
+    of a low half table (the signed sums of the low classes' rows of F) and
+    a row of a high half table (the other classes'). Each table is built by
+    doubling, each entry one float addition of +-F_c to an entry of the
+    table before. The halves are added in blocks of at most SCREEN_BLOCK
+    floats (one row if G is larger), each block one high row plus the whole
+    low table, and the high table is built per chunk of at most SCREEN_BLOCK
+    floats from that chunk's base, so the screen's working set is a few
+    blocks whatever C.
+    Proof, with u = 2^-53, T = S / 2^s and gamma_n = n u / (1 - n u):
+    (1) fl(Q_ij / 2^s) = (Q_ij / 2^s)(1 + d) + e with |d| <= u and
+        |e| <= 2^-1075, so sum |F| <= (1 + u) T + C G 2^-1075.
+    (2) The products tau_i F_ij are exact, and each computed entry of
+        tau^T F sums them in some order: either table adds its terms one at
+        a time, and a score adds the two partial sums. Each addition rounds
+        once with relative error <= u: a sum in the subnormal range is
+        exact. No partial sum overflows, as all stay below 2 T < 2^1001. In
+        any summation order (Higham, Accuracy and Stability of Numerical
+        Algorithms, ch. 4) the computed entries c^_j of tau^T F are within
+        gamma_{C-1} sum_i |F_ij| of the exact ones, and v^ is within
+        gamma_{G-1} sum_j |c^_j| of their sum.
+    (3) Adding (1) and (2), for (C + G) u <= 2^-10 (G < 2^40 columns),
+        |v^(tau) - v(tau) / 2^s| <= E0 = (1 + 2^-9)(C + G) u T + C G 2^-1074.
     The computed E is at least 1.99 E0 (twice E0's first term, up to three
     roundings; the second term is negligible, as T >= 2^53), so the spare
     2 (E - E0) >= 2^-52 T covers the rounding of fl(max v^ - 2 E), at most
-    u max v^ <= 1.01 u T. Every maximiser a* then survives the screen
-    v^(a) >= max v^ - 2 E: v^(a*) >= v(a*) / 2^s - E0 >= v(a^) / 2^s - E0
-    >= v^(a^) - 2 E0 for the float argmax a^. The survivors, in mask order,
-    are re-scored in Python ints, so the lowest-mask maximiser is found
-    exactly. When S < 2^53, s = 0 and every partial sum is an exactly
+    u max v^ <= 1.01 u T. Every maximiser tau* then survives the screen
+    v^(tau) >= max v^ - 2 E: v^(tau*) >= v(tau*) / 2^s - E0 >= v(tau^) / 2^s
+    - E0 >= v^(tau^) - 2 E0 for the float argmax tau^. The survivors, in mask
+    order, are re-scored in Python ints, so the lowest-mask maximiser is
+    found exactly. When S < 2^53, s = 0 and every partial sum is an exactly
     represented integer, so E = 0, v^ = v and the screen alone decides.
     """
     M = inst.matrix
-    m, k = M.shape
-    transposed = k < m
+    transposed = M.shape[1] < M.shape[0]
     if transposed:
         M = M.T
-        m, k = k, m
-    if m > BILINEAR_EXACT_CUTOFF:
+    m = M.shape[0]
+    rows = _merged_rows(M)
+    keys, signs = zip(*map(_sign_class, rows)) if rows else ((), ())
+    ids: dict[tuple[int, ...], int] = {}
+    labels = [None if key is None else ids.setdefault(key, len(ids)) for key in keys]
+    if len(ids) > BILINEAR_EXACT_CUTOFF:
         raise CapabilityError(
-            f"exact hypercube enumeration needs the smaller side "
-            f"<= {BILINEAR_EXACT_CUTOFF}, got {m}"
+            f"exact hypercube enumeration needs at most {BILINEAR_EXACT_CUTOFF} "
+            f"sign classes of rows on the smaller side, got {len(ids)}"
         )
-    fm, err = _float_screen(M)
-    masks = _screen(fm, err)
-    if err:
-        masks = _exact_best(M, masks)
-    a = _sign_vectors(masks, m)[0]
-    row = a.astype(int).astype(object) @ M
+    value, a, tries = _lowest_lift(rows, labels, signs, m, None)
+    # above sums a_i rows_i over the rows done..m-1
+    above, done = ([0] * len(rows[0]) if rows else []), m
+    while tries:
+        r = tries.pop()
+        for i in range(done - 1, r, -1):
+            above = [s + a[i] * x for s, x in zip(above, rows[i])]
+        fixed, done = [s - x for s, x in zip(above, rows[r])], r + 1
+        w, head, sub_tries = _lowest_lift(rows, labels, signs, r, fixed)
+        if w == value:
+            a[: r + 1] = head + [-1]
+            above, done, tries = fixed, r, sub_tries
+    row = np.array(a, dtype=object) @ M
     b = np.array([1.0 if x >= 0 else -1.0 for x in row])
     value = sum(map(abs, row))
+    a = np.array(a, dtype=float)
     if transposed:
         a, b = b, a
     return value, a, b
 
 
-def _float_screen(M: np.ndarray) -> tuple[np.ndarray, float]:
-    """F = fl(M / 2^s) of an integer matrix and the screen's error bound E.
+def _merged_rows(M: np.ndarray) -> list[tuple[int, ...]]:
+    """The rows of M over its nonzero columns merged by sign class.
 
-    See hypercube_bilinear_max for s, E and the proof; E = 0 when
-    sum |M| < 2^53, where F = M exactly and the float scores are exact.
+    Each class of columns equal up to sign becomes one column, its first
+    nonzero entry made positive, times the class size.
     """
-    m, k = M.shape
-    total = sum(abs(x) for x in M.flat)
+    sizes: dict[tuple[int, ...], int] = {}
+    for col in zip(*M.tolist()):
+        key = _sign_class(col)[0]
+        if key is not None:
+            sizes[key] = sizes.get(key, 0) + 1
+    cols = [[size * x for x in key] for key, size in sizes.items()]
+    return list(zip(*cols)) if cols else [()] * M.shape[0]
+
+
+def _sign_class(vec) -> tuple[tuple[int, ...] | None, int]:
+    """vec times the sign of its first nonzero entry, and that sign; (None, 0) if vec is 0."""
+    for x in vec:
+        if x:
+            return (tuple(vec), 1) if x > 0 else (tuple(map(operator.neg, vec)), -1)
+    return None, 0
+
+
+def _lowest_lift(rows, labels, signs, r: int, fixed: list[int] | None):
+    """The lowest-mask maximiser among the lifts, over the sign classes of rows[:r].
+
+    labels names each row's class (None for a zero row). fixed is the sum of
+    the fixed rows times their signs, or None for the whole problem, where
+    the last class is fixed at -1 instead. Returns the value, a[:r] as a
+    list, and the rows, ascending, at which a maximiser of lower mask may
+    first differ from a: the non-top members of merged classes where a is
+    +1, and none if one mask alone attains the value.
+    """
+    members: dict[int, list[int]] = {}
+    for i in range(r):
+        if labels[i] is not None:
+            members.setdefault(labels[i], []).append(i)
+    classes = sorted(members.values(), key=operator.itemgetter(-1))
+    q = [[len(c) * x for x in rows[c[-1]]] for c in classes]
+    if fixed is not None:
+        q.append([-x for x in fixed])
+    value, masks = _best_masks(q) if q else (0, [0])
+    a = [-1] * r
+    for bit, c in enumerate(classes):
+        tau = signs[c[-1]] * (1 if masks[0] >> bit & 1 else -1)
+        for i in c:
+            a[i] = signs[i] * tau
+    tries = sorted(i for c in classes for i in c[:-1] if a[i] > 0) if len(masks) > 1 else []
+    return value, a, tries
+
+
+def _best_masks(q: list[list[int]]) -> tuple[int, list[int]]:
+    """The largest ||tau^T Q||_1 over tau in {-1,1}^C with tau_{C-1} = -1, and its two lowest masks.
+
+    Q has the rows q. One mask is returned if only one attains the largest
+    value. See hypercube_bilinear_max for the screen, s and E.
+    """
+    c, g = len(q), len(q[0])
+    total = sum(map(abs, itertools.chain.from_iterable(q)))
+    if total < 2 ** 53:  # F = Q and the float scores are exact integers
+        best, masks = _screen(np.array(q, dtype=float), 0.0)
+        return int(best), masks
+    Q = np.array(q, dtype=object)
     scale = 1 << max(0, total.bit_length() - 1000)
-    fm = (M / scale).astype(float)
-    if total < 2 ** 53:
-        return fm, 0.0
-    return fm, (m + k + 4) * 2.0 ** -52 * (total / scale) + m * k * 2.0 ** -1074
+    err = (c + g + 4) * 2.0 ** -52 * (total / scale) + c * g * 2.0 ** -1074
+    _, masks = _screen((Q / scale).astype(float), err)
+    return _exact_best(Q, masks)
 
 
-def _chunk_rows(k: int) -> int:
-    """Sign vectors per chunk: at most 2^14, and at most 2^20 floats (8 MB) of a^T M."""
-    return min(1 << 14, max(1, (1 << 20) // max(k, 1)))
+def _signed_sums(f: np.ndarray, base: np.ndarray) -> np.ndarray:
+    """Rows base + sum_c tau_c f_c, with tau_c = +1 where bit c of the row index is set.
 
-
-def _sign_vectors(masks: np.ndarray, m: int) -> np.ndarray:
-    """Rows a with a_i = +1 where bit i of the mask is set, -1 elsewhere."""
-    return (2 * ((masks[:, None] >> np.arange(m)) & 1) - 1).astype(float)
-
-
-def _screen(fm: np.ndarray, err: float) -> np.ndarray:
-    """Masks, ascending, whose float score is within 2 err of the largest.
-
-    With err = 0 (exact integer scores) only the lowest mask of largest
-    score is returned.
+    Built in place by doubling: each entry is one addition of +-f_c to an
+    entry of the table over the rows before f_c.
     """
-    m, k = fm.shape
-    total = 1 << max(m - 1, 0)
-    rows = _chunk_rows(k)
-    best, first, kept = -1.0, None, []
-    for start in range(0, total, rows):
-        masks = np.arange(start, min(start + rows, total), dtype=np.int64)
-        prod = _sign_vectors(masks, m) @ fm
-        vals = np.abs(prod, out=prod).sum(axis=1)
-        i = int(np.argmax(vals))
-        if vals[i] > best:
-            best, first = vals[i], masks[i : i + 1]
-        if err:
-            near = vals >= best - 2 * err
-            kept.append((masks[near], vals[near]))
+    table = np.empty((1 << len(f), len(base)))
+    table[0] = base
+    for c, row in enumerate(f):
+        half = table[: 1 << c]
+        np.add(half, row, out=table[1 << c : 2 << c])
+        half -= row
+    return table
+
+
+def _screen(fm: np.ndarray, err: float):
+    """The largest float score, and the masks, ascending, within 2 err of it.
+
+    With err = 0 (exact integer scores) only the two lowest masks of the
+    largest score are returned, as a list of ints.
+    """
+    c, g = fm.shape
+    free = c - 1  # the last class's sign is fixed at -1
+    fit = max(0, (SCREEN_BLOCK // max(g, 1)).bit_length() - 1)  # 2^fit rows fill a block
+    low = min(free, fit)
+    high = min(free - low, fit)
+    lo = _signed_sums(fm[:low], np.zeros(g))
+    buf = np.empty_like(lo)
+    best, lowest, kept = -1.0, [], []
+    for chunk in range(1 << (free - low - high)):
+        # the chunk's base carries its signs on the classes above both tables
+        base = -fm[free]
+        for i in range(low + high, free):
+            base = base + fm[i] if chunk >> (i - low - high) & 1 else base - fm[i]
+        for j, row in enumerate(_signed_sums(fm[low : low + high], base)):
+            # einsum sums each row in one pass, where sum(axis=1) is slow on short rows
+            vals = np.einsum("ij->i", np.abs(np.add(lo, row, out=buf), out=buf))
+            start = (chunk << high | j) << low
+            i = int(vals.argmax())
+            if vals[i] >= best:
+                hits = [start + int(t) for t in np.flatnonzero(vals == vals[i])[:2]]
+                lowest = hits if vals[i] > best else (lowest + hits)[:2]
+                best = vals[i]
+            if err:
+                near = np.flatnonzero(vals >= best - 2 * err)
+                kept.append((near + start, vals[near]))
     if not err:
-        return first
+        return best, lowest
     masks = np.concatenate([t for t, _ in kept])
     vals = np.concatenate([v for _, v in kept])
-    return masks[vals >= best - 2 * err]
+    return best, masks[vals >= best - 2 * err]
 
 
-def _exact_best(M: np.ndarray, masks: np.ndarray) -> np.ndarray:
-    """The lowest of the ascending masks whose Python-int ||a^T M||_1 is largest."""
-    m, k = M.shape
-    rows = _chunk_rows(k)
-    best, winner = -1, None
+def _exact_best(Q: np.ndarray, masks: np.ndarray) -> tuple[int, list[int]]:
+    """The largest Python-int ||tau^T Q||_1 over the ascending masks, and its two lowest masks."""
+    c, g = Q.shape
+    rows = max(1, SCREEN_BLOCK // max(g, 1))
+    best, winners = -1, []
     for start in range(0, len(masks), rows):
         chunk = masks[start : start + rows]
-        vals = np.abs(_sign_vectors(chunk, m).astype(int).astype(object) @ M).sum(axis=1)
-        i = int(np.argmax(vals))
-        if vals[i] > best:
-            best, winner = vals[i], chunk[i : i + 1]
-    return winner
+        signs = (2 * ((chunk[:, None] >> np.arange(c)) & 1) - 1).astype(object)
+        vals = np.abs(signs @ Q).sum(axis=1)
+        top = max(vals)
+        if top >= best:
+            hits = [int(t) for t, v in zip(chunk, vals) if v == top][:2]
+            winners = hits if top > best else (winners + hits)[:2]
+            best = top
+    return best, winners

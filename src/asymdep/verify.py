@@ -5,12 +5,14 @@ value, tolerance, and status; run_all() executes the whole battery. Exact
 criteria compare rationals for equality (tolerance 0); geometric criteria
 carry their stated float tolerances. Oracles used here (brute-force LP for
 flows and transshipments, full sign enumeration for the bilinear
-engine, row-subset enumeration for alpha and cov_sup, partition enumeration
-for beta) are independent of the code paths they check.
+engine, row-subset enumeration and a closed form for alpha and cov_sup,
+partition enumeration for beta) are independent of the code paths they
+check.
 """
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -545,6 +547,27 @@ def criterion_14_engine_oracles() -> CriterionResult:
     )
 
 
+def criterion_15_alpha_closed_form() -> CriterionResult:
+    # alpha(n) = C(2h, h) / 2^(2h+2) with h = floor(n/2) is E|S_2h| / (8h) for a
+    # sum S_2h of 2h Rademacher signs (1/4 at h = 0): a closed form, not the kernel
+    bad = []
+    for n in range(1, 13):
+        h = n // 2
+        want = F(math.comb(2 * h, h), 2 ** (2 * h + 2))
+        j = binary_coding_family(n).joint
+        alpha, cov = alpha_coefficient(j).value, cov_sup_pm1(j).value
+        if alpha != want or cov != 4 * want:
+            bad.append((n, str(alpha), str(cov)))
+    return _result(
+        "15 AI-3 closed form on binary_coding: alpha = C(2h, h)/2^(2h+2) with h = floor(n/2), "
+        "and cov_sup = 4 alpha (n=1..12)",
+        "all hold for all n",
+        "all hold for all n" if not bad else f"failures: {bad}",
+        "exact",
+        not bad,
+    )
+
+
 ALL_CRITERIA = (
     criterion_01_matrix_reproduction,
     criterion_02_marginals,
@@ -560,6 +583,7 @@ ALL_CRITERIA = (
     criterion_12_coupling_bound,
     criterion_13_pushforward_stability,
     criterion_14_engine_oracles,
+    criterion_15_alpha_closed_form,
 )
 
 

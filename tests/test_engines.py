@@ -5,8 +5,10 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 import asymdep
 from asymdep import (
     BilinearInstance,
+    CapabilityError,
     FlowNetwork,
     HubFlow,
     InputError,
@@ -478,6 +481,7 @@ def test_exact_bilinear_matches_full_enumeration(seed):
         np.ones((2, 2), dtype=bool),
         np.ones((2, 2), dtype=complex),
         np.array([[1, 2.0]], dtype=object),
+        np.array([[True, False], [False, True]], dtype=object),
     ],
 )
 def test_bilinear_instance_refuses_non_integer_matrices(mat):
@@ -578,3 +582,67 @@ def test_planted_tie_moves_the_exact_winner_past_the_float_argmax():
     assert a[0] == -1 and want[1][0] == 1
     assert kernel_result(N) == want
 
+
+@st.composite
+def planted_matrices(draw):
+    """Up to 10 x 10, each row and column a signed copy of a small base's, or zero."""
+    m, k = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    entry = st.one_of(st.integers(-3, 3), st.integers(-(2 ** 70), 2 ** 70))
+    base = draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=m, max_size=m))
+    # sign 0 plants a zero row or column
+    rows = draw(st.lists(st.tuples(st.integers(0, m - 1), st.sampled_from((1, -1, 0))),
+                         min_size=1, max_size=10))
+    cols = draw(st.lists(st.tuples(st.integers(0, k - 1), st.sampled_from((1, -1, 0))),
+                         min_size=1, max_size=10))
+    return [[r * c * base[i][j] for j, c in cols] for i, r in rows]
+
+
+@settings(max_examples=300, deadline=None)
+@given(planted_matrices(), st.sampled_from((1, 2, 16, 256, asymdep.engines.SCREEN_BLOCK)))
+def test_sign_classes_and_blocked_screen_keep_the_lowest_mask_maximiser(rows, block):
+    # duplicate, negated and zero rows and columns make the reduction merge
+    # and drop; a small SCREEN_BLOCK splits the half tables and the blocks
+    with mock.patch.object(asymdep.engines, "SCREEN_BLOCK", block):
+        assert kernel_result(rows) == lowest_mask_maximiser(rows)
+
+
+@pytest.mark.parametrize("block", [8, 32, 128])
+@pytest.mark.parametrize("seed", range(4))
+def test_the_half_tables_split_anywhere_keep_the_lowest_mask_maximiser(seed, block):
+    # over 8 columns, SCREEN_BLOCK = 8, 32 and 128 floats put 0, 2 and 4 of the
+    # 6 free signs in the low half table, and the rest in the high one
+    rows = np.random.default_rng(seed).integers(-50, 50, size=(7, 8)).tolist()
+    with mock.patch.object(asymdep.engines, "SCREEN_BLOCK", block):
+        assert kernel_result(rows) == lowest_mask_maximiser(rows)
+
+
+def test_lowest_mask_maximiser_can_mix_signs_inside_a_sign_class():
+    # rows 0 and 2 form one sign class (row 2 = -row 0 is its top), whose lift
+    # a_0 = -a_2 = +1 attains the maximum 4; a_0 = a_2 = -1 cancels the class
+    # and attains 4 too, at a lower mask
+    rows = [[-1, 0, 1], [-2, 0, -2], [1, 0, -1]]
+    assert kernel_result(rows) == lowest_mask_maximiser(rows) == (4, (-1, -1, -1), (1, 1, 1))
+
+
+def test_the_cutoff_counts_sign_classes():
+    # 24 rows in one sign class enumerate as one; the maximiser aligns them all
+    signs = [1 if (i * 7) % 5 < 2 else -1 for i in range(24)]
+    x = [3, -1, 4, 1, -5, 9, 2, -6, 5, 3, -5, 8, 9, -7, 9, 3, 2, -3, 8, 4, -6, 2, 6, 4]
+    mat = np.array([[s * v for v in x] for s in signs])
+    value, a, _ = hypercube_bilinear_max(BilinearInstance(mat))
+    assert value == 24 * sum(map(abs, x))
+    assert a.tolist() == [-signs[-1] * s for s in signs]
+    with pytest.raises(CapabilityError, match="sign classes of rows on the smaller side, got 23"):
+        hypercube_bilinear_max(BilinearInstance(np.eye(23, dtype=int)))
+
+
+@pytest.mark.parametrize("shape", [(16, 128), (20, 64)])
+def test_one_kernel_call_works_in_a_bounded_working_set(shape):
+    inst = BilinearInstance(np.random.default_rng(0).integers(-1000, 1000, size=shape))
+    tracemalloc.start()
+    try:
+        hypercube_bilinear_max(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
