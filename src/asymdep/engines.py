@@ -1,7 +1,7 @@
 """Reusable optimization kernels: max-flow, hub transshipment, hypercube bilinear max.
 
 The max-flow solver is a Dinic-style layered augmenting-path implementation
-that works over any exact numeric type (Fraction capacities stay exact).
+over integer capacities, in Python ints, so the flow is exact.
 Its DFS keeps the path on an explicit stack, so the depth of the level
 graph is not bounded by Python's recursion limit.
 The transshipment kernel is a primal network simplex in Python ints over
@@ -27,32 +27,47 @@ import numpy as np
 
 from .errors import CapabilityError, InputError
 
-# most sign classes of rows on the smaller side that exact enumeration
-# accepts (alpha and cov_sup too). At the cutoff one call in a fresh process
-# (Python 3.11, 2 vCPUs) takes 0.08-0.11 s and 36 MB peak RSS on a random
-# 22 x 22 integer matrix; binary_coding n = 12 (24 x 4096, 12 row classes,
-# 2048 column classes) takes 0.04-0.05 s. The cost is 2^(classes - 1) float
-# additions per merged column: a random 22 x 256 matrix takes 0.8 s.
-BILINEAR_EXACT_CUTOFF = 22
+# most float additions, 2^(C - 1) x G, that exact enumeration accepts (alpha
+# and cov_sup too): C sign classes of rows on the smaller side, G merged
+# columns. One call in a fresh process (Python 3.11, 2 vCPUs) at the budget
+# on random integer matrices: 22 x 256 takes 0.55-0.83 s and 37 MB peak RSS
+# (44 MB with entries near 2^80), 20 x 1024 0.73 s, 18 x 4096 0.84 s, and the
+# widest rows measured cost most, 15 x 32768 taking 2.1-2.5 s and 103 MB (one
+# score per block, each also paying for its block's base, fewer than two
+# more additions on average). Below it, a random 22 x 22 takes 0.07 s and
+# binary_coding n = 12 (12 classes, 2048 merged columns, 2^22 additions)
+# 0.02 s.
+BILINEAR_EXACT_BUDGET = 1 << 29
 # most floats in one block of the hypercube screen's scores, and in a half table
 SCREEN_BLOCK = 1 << 15
+
+
+def _ints(name: str, values) -> list[int]:
+    try:
+        return list(map(operator.index, values))
+    except TypeError:
+        raise InputError(f"{name} must be integers") from None
 
 
 @dataclass(frozen=True)
 class FlowNetwork:
     node_count: int
-    edges: tuple[tuple[int, int, object], ...]  # (from, to, capacity)
+    edges: tuple[tuple[int, int, int], ...]  # (from, to, capacity)
     source: int
     sink: int
 
     def __post_init__(self) -> None:
-        """Check the edges column by column; endpoints become Python ints."""
+        """Check the edges column by column; endpoints and capacities become Python ints.
+
+        A capacity that is not an integer (a float or a Fraction) is an InputError.
+        """
         if self.source == self.sink:
             raise InputError("source and sink must differ")
         edges = tuple(self.edges)
         tails, heads, caps = tuple(zip(*edges)) or ((), (), ())
-        if set(map(type, tails + heads)) - {int}:
+        if set(map(type, tails + heads + caps)) - {int}:
             tails, heads = tuple(map(int, tails)), tuple(map(int, heads))
+            caps = tuple(_ints("capacities", caps))
             edges = tuple(zip(tails, heads, caps))
         object.__setattr__(self, "edges", edges)
         if any(map(operator.eq, tails, heads)):
@@ -63,11 +78,10 @@ class FlowNetwork:
             raise InputError("capacities must be nonnegative")
 
 
-def max_flow(net: FlowNetwork) -> tuple[object, list[object]]:
+def max_flow(net: FlowNetwork) -> tuple[int, list[int]]:
     """Maximum flow value and per-edge flows (same order as net.edges).
 
-    Dinic's algorithm: BFS level graph + DFS blocking flows. Arithmetic is
-    whatever the capacities use; with Fraction capacities the result is exact.
+    Dinic's algorithm: BFS level graph + DFS blocking flows, in Python ints.
 
     The DFS keeps its path from the source on an explicit stack, so a level
     graph of any depth needs no recursion. At node u it scans the arcs from
@@ -83,7 +97,7 @@ def max_flow(net: FlowNetwork) -> tuple[object, list[object]]:
     source, sink = net.source, net.sink
     # adjacency of edge ids; residual graph stores forward and backward arcs
     head: list[int] = []
-    cap: list = []
+    cap: list[int] = []
     adj: list[list[int]] = [[] for _ in range(n)]
     for a, b, c in net.edges:
         adj[a].append(len(head))
@@ -91,7 +105,7 @@ def max_flow(net: FlowNetwork) -> tuple[object, list[object]]:
         cap.append(c)
         adj[b].append(len(head))
         head.append(a)
-        cap.append(c * 0)  # zero of the same numeric type
+        cap.append(0)
 
     def bfs() -> list[int] | None:
         level = [-1] * n
@@ -108,7 +122,7 @@ def max_flow(net: FlowNetwork) -> tuple[object, list[object]]:
 
     # sentinel "infinite" capacity: total source capacity + 1
     inf = sum(c for a, _, c in net.edges if a == source) + 1
-    total = None
+    total = 0
     while True:
         level = bfs()
         if level is None:
@@ -129,7 +143,7 @@ def max_flow(net: FlowNetwork) -> tuple[object, list[object]]:
                     cap[eid ^ 1] += pushed
                     if cut < 0 and not cap[eid] > 0:
                         cut = k
-                total = pushed if total is None else total + pushed
+                total += pushed
                 del path[cut:]
                 u = head[path[-1]] if path else source
                 continue
@@ -149,8 +163,6 @@ def max_flow(net: FlowNetwork) -> tuple[object, list[object]]:
                 it[u] += 1
             else:  # the source is exhausted: the blocking flow is complete
                 break
-    if total is None:
-        total = net.edges[0][2] * 0 if net.edges else 0
     flows = [net.edges[i][2] - cap[2 * i] for i in range(len(net.edges))]
     return total, flows
 
@@ -166,13 +178,6 @@ class HubFlow(NamedTuple):
     potentials: tuple[int, ...]  # pi(i); pi(hub) = 0
     # the final basis: node i's tree arc tails[i] -> heads[i] with flows[i]
     tree: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
-
-
-def _ints(name: str, values) -> list[int]:
-    try:
-        return list(map(operator.index, values))
-    except TypeError:
-        raise InputError(f"{name} must be integers") from None
 
 
 def hub_transshipment(supplies, ends_a, ends_b, costs, hub_cost) -> HubFlow:
@@ -327,10 +332,10 @@ def hypercube_bilinear_max(inst: BilinearInstance) -> tuple[int, np.ndarray, np.
     The maximum of the convex function |a^T M b| over the cube is attained at
     sign vectors; for fixed a the optimal b is sign(a^T M), and a and -a give
     the same value, so the kernel ranges over the smaller side's sign vectors
-    with the last sign fixed (sign vector a of mask t has a_i = +1 where bit
-    i of t is set) and returns the lowest mask of largest value
-    v(a) = ||a^T M||_1. The value is exact, a Python int re-derived from the
-    sign vectors, and a and b are float arrays.
+    a, of value v(a) = ||a^T M||_1. It returns the lift a* (below) of the
+    lowest-mask maximiser over the sign classes, and b = sign(a*^T M), +1 at
+    0. The value is exact, a Python int re-derived from the sign vectors, and
+    a and b are float arrays. One enumeration is the whole call.
 
     Reduction. Zero columns drop, and the columns equal up to sign merge into
     one column (its first nonzero entry positive) times their count, which
@@ -339,37 +344,27 @@ def hypercube_bilinear_max(inst: BilinearInstance) -> tuple[int, np.ndarray, np.
     row i's first nonzero entry. Class c's row is its top (highest-index)
     member's row times the class size p_c, and the classes are ordered by
     their top rows. One enumeration over the classes' signs tau, the last
-    class fixed at -1, finds the lowest mask tau* of largest value V. Its lift
-    a_i = s_i s_top tau_c (zero rows -1) has v(a) = V. The highest row at
-    which two lifts differ is the top of the highest class at which their
+    class fixed at -1 (tau_c = +1 where bit c of the mask is set), finds the
+    lowest mask tau* of largest value V. Its lift a* has a*_i = s_i s_top
+    tau*_c (zero rows -1). For any a, a^T M = sum_c y_c p_c M_top(c) with y
+    in the box [-1, 1]^classes, so v(a) = f(y) for a convex f whose maximum
+    over the box, attained at a vertex, is V: V is the largest v(a), and
+    v(a*) = V. With a_i = +1 where bit i of a's mask is set, the highest row
+    at which two lifts differ is the top of the highest class at which their
     taus differ, and takes tau's sign there, so lifts are ordered as their
-    taus: the lift a* of tau* is the lowest-mask maximiser among the lifts.
-    BILINEAR_EXACT_CUTOFF bounds the number of classes.
+    taus: a* is the lowest-mask maximiser among the lifts. Where V is tied, a
+    sign vector of lower mask that mixes signs inside a merged class may
+    attain V too; the kernel does not search for it.
 
-    Lift. For any a, a^T M = sum_c y_c p_c M_top(c) with y in the box
-    [-1, 1]^classes, so v(a) = f(y) for a convex f whose maximum over the box
-    is V. Let a maximiser a have a lower mask than a*: going down from the
-    highest row, it first differs from a* at a row r with a_r = -1 < a*_r.
-    A zero row lifts to -1, so r is none. Nor is r the top of a class c:
-    y(a) lies in the relative interior of a face of the box, on which f,
-    convex, is constant at its maximum V, and that face has a vertex with
-    tau_c = -1 that agrees with tau* on the classes above c (where a and a*
-    agree on the top rows); that vertex's mask is lower than tau*'s. So r is
-    a non-top member of a merged class. That face has two vertices that are
-    not each other's sign flip (with one class, f = |y_c| p_c ||M_top||_1 is
-    constant on no edge), so when one mask alone attains V in the
-    enumeration, a* is the answer. Otherwise the kernel tries those rows r where
-    a*_r = +1 from the highest down, re-solving with the rows above r fixed as
-    in a* and a_r = -1. The first re-solve that reaches V gives the answer's
-    rows from r up, and its own lift is refined below r the same way, on its
-    own classes of the rows below r. A re-solve is the same enumeration over
-    the classes of the free rows, with the fixed rows' sum as a last row of
-    fixed sign, and all of the free classes' signs ranging.
+    Budget. The screen below costs 2^(C - 1) G float additions for C classes
+    and G merged columns, plus fewer than two per chunk's base. A call whose
+    2^(C - 1) G exceeds BILINEAR_EXACT_BUDGET raises CapabilityError before
+    the screen starts.
 
     Screen. An enumeration scores every mask in float64 and re-ranks the
     survivors in Python ints. With S = sum |Q| for its integer matrix Q
-    (C class rows by G merged columns; the reduction keeps the input's S, and
-    a re-solve's is no larger) and s = max(0, bitlength(S) - 1000), the screen scores
+    (C class rows by G merged columns; the reduction keeps the input's S) and
+    s = max(0, bitlength(S) - 1000), the screen scores
     v^(tau) = sum_j |fl(tau^T F)_j| for F = fl(Q / 2^s) (Python's int / int
     division rounds correctly), and every score satisfies
 
@@ -382,8 +377,10 @@ def hypercube_bilinear_max(inst: BilinearInstance) -> tuple[int, np.ndarray, np.
     table before. The halves are added in blocks of at most SCREEN_BLOCK
     floats (one row if G is larger), each block one high row plus the whole
     low table, and the high table is built per chunk of at most SCREEN_BLOCK
-    floats from that chunk's base, so the screen's working set is a few
-    blocks whatever C.
+    floats from that chunk's base, the signed sum of the rows of the classes
+    above both tables, added from the highest down; consecutive chunks share
+    the partial sums over their common high bits. The screen's working set is a few blocks
+    and at most C rows of G floats, whatever C.
     Proof, with u = 2^-53, T = S / 2^s and gamma_n = n u / (1 - n u):
     (1) fl(Q_ij / 2^s) = (Q_ij / 2^s)(1 + d) + e with |d| <= u and
         |e| <= 2^-1075, so sum |F| <= (1 + u) T + C G 2^-1075.
@@ -404,36 +401,26 @@ def hypercube_bilinear_max(inst: BilinearInstance) -> tuple[int, np.ndarray, np.
     u max v^ <= 1.01 u T. Every maximiser tau* then survives the screen
     v^(tau) >= max v^ - 2 E: v^(tau*) >= v(tau*) / 2^s - E0 >= v(tau^) / 2^s
     - E0 >= v^(tau^) - 2 E0 for the float argmax tau^. The survivors, in mask
-    order, are re-scored in Python ints, so the lowest-mask maximiser is
-    found exactly. When S < 2^53, s = 0 and every partial sum is an exactly
+    order, are re-scored in Python ints, so the lowest maximising mask tau*
+    is found exactly. When S < 2^53, s = 0 and every partial sum is an exactly
     represented integer, so E = 0, v^ = v and the screen alone decides.
     """
     M = inst.matrix
     transposed = M.shape[1] < M.shape[0]
     if transposed:
         M = M.T
-    m = M.shape[0]
     rows = _merged_rows(M)
     keys, signs = zip(*map(_sign_class, rows)) if rows else ((), ())
     ids: dict[tuple[int, ...], int] = {}
     labels = [None if key is None else ids.setdefault(key, len(ids)) for key in keys]
-    if len(ids) > BILINEAR_EXACT_CUTOFF:
+    free, columns = len(ids) - 1, len(rows[0]) if rows else 0
+    if ids and columns << free > BILINEAR_EXACT_BUDGET:
         raise CapabilityError(
-            f"exact hypercube enumeration needs at most {BILINEAR_EXACT_CUTOFF} "
-            f"sign classes of rows on the smaller side, got {len(ids)}"
+            f"exact hypercube enumeration needs at most {BILINEAR_EXACT_BUDGET} float "
+            f"additions (2^(sign classes of rows on the smaller side - 1) x merged "
+            f"columns), got 2^{free} x {columns}"
         )
-    value, a, tries = _lowest_lift(rows, labels, signs, m, None)
-    # above sums a_i rows_i over the rows done..m-1
-    above, done = ([0] * len(rows[0]) if rows else []), m
-    while tries:
-        r = tries.pop()
-        for i in range(done - 1, r, -1):
-            above = [s + a[i] * x for s, x in zip(above, rows[i])]
-        fixed, done = [s - x for s, x in zip(above, rows[r])], r + 1
-        w, head, sub_tries = _lowest_lift(rows, labels, signs, r, fixed)
-        if w == value:
-            a[: r + 1] = head + [-1]
-            above, done, tries = fixed, r, sub_tries
+    a = _lowest_lift(rows, labels, signs)
     row = np.array(a, dtype=object) @ M
     b = np.array([1.0 if x >= 0 else -1.0 for x in row])
     value = sum(map(abs, row))
@@ -466,50 +453,40 @@ def _sign_class(vec) -> tuple[tuple[int, ...] | None, int]:
     return None, 0
 
 
-def _lowest_lift(rows, labels, signs, r: int, fixed: list[int] | None):
-    """The lowest-mask maximiser among the lifts, over the sign classes of rows[:r].
+def _lowest_lift(rows, labels, signs) -> list[int]:
+    """The lift of the lowest class mask of largest value, over the sign classes of rows.
 
-    labels names each row's class (None for a zero row). fixed is the sum of
-    the fixed rows times their signs, or None for the whole problem, where
-    the last class is fixed at -1 instead. Returns the value, a[:r] as a
-    list, and the rows, ascending, at which a maximiser of lower mask may
-    first differ from a: the non-top members of merged classes where a is
-    +1, and none if one mask alone attains the value.
+    labels names each row's class (None for a zero row) and signs its sign
+    s_i; the last class is fixed at -1.
     """
     members: dict[int, list[int]] = {}
-    for i in range(r):
-        if labels[i] is not None:
-            members.setdefault(labels[i], []).append(i)
+    for i, label in enumerate(labels):
+        if label is not None:
+            members.setdefault(label, []).append(i)
     classes = sorted(members.values(), key=operator.itemgetter(-1))
-    q = [[len(c) * x for x in rows[c[-1]]] for c in classes]
-    if fixed is not None:
-        q.append([-x for x in fixed])
-    value, masks = _best_masks(q) if q else (0, [0])
-    a = [-1] * r
-    for bit, c in enumerate(classes):
-        tau = signs[c[-1]] * (1 if masks[0] >> bit & 1 else -1)
-        for i in c:
-            a[i] = signs[i] * tau
-    tries = sorted(i for c in classes for i in c[:-1] if a[i] > 0) if len(masks) > 1 else []
-    return value, a, tries
+    a = [-1] * len(rows)
+    if classes:
+        mask = _best_mask([[len(c) * x for x in rows[c[-1]]] for c in classes])
+        for bit, c in enumerate(classes):
+            tau = signs[c[-1]] * (1 if mask >> bit & 1 else -1)
+            for i in c:
+                a[i] = signs[i] * tau
+    return a
 
 
-def _best_masks(q: list[list[int]]) -> tuple[int, list[int]]:
-    """The largest ||tau^T Q||_1 over tau in {-1,1}^C with tau_{C-1} = -1, and its two lowest masks.
+def _best_mask(q: list[list[int]]) -> int:
+    """The lowest mask of largest ||tau^T Q||_1 over tau in {-1,1}^C with tau_{C-1} = -1.
 
-    Q has the rows q. One mask is returned if only one attains the largest
-    value. See hypercube_bilinear_max for the screen, s and E.
+    Q has the rows q. See hypercube_bilinear_max for the screen, s and E.
     """
     c, g = len(q), len(q[0])
     total = sum(map(abs, itertools.chain.from_iterable(q)))
     if total < 2 ** 53:  # F = Q and the float scores are exact integers
-        best, masks = _screen(np.array(q, dtype=float), 0.0)
-        return int(best), masks
+        return _screen(np.array(q, dtype=float), 0.0)
     Q = np.array(q, dtype=object)
     scale = 1 << max(0, total.bit_length() - 1000)
     err = (c + g + 4) * 2.0 ** -52 * (total / scale) + c * g * 2.0 ** -1074
-    _, masks = _screen((Q / scale).astype(float), err)
-    return _exact_best(Q, masks)
+    return _exact_best(Q, _screen((Q / scale).astype(float), err))
 
 
 def _signed_sums(f: np.ndarray, base: np.ndarray) -> np.ndarray:
@@ -528,10 +505,10 @@ def _signed_sums(f: np.ndarray, base: np.ndarray) -> np.ndarray:
 
 
 def _screen(fm: np.ndarray, err: float):
-    """The largest float score, and the masks, ascending, within 2 err of it.
+    """The masks, ascending, whose float scores are within 2 err of the largest.
 
-    With err = 0 (exact integer scores) only the two lowest masks of the
-    largest score are returned, as a list of ints.
+    With err = 0 (exact integer scores) only the lowest mask of the largest
+    score is returned, as an int.
     """
     c, g = fm.shape
     free = c - 1  # the last class's sign is fixed at -1
@@ -540,43 +517,45 @@ def _screen(fm: np.ndarray, err: float):
     high = min(free - low, fit)
     lo = _signed_sums(fm[:low], np.zeros(g))
     buf = np.empty_like(lo)
-    best, lowest, kept = -1.0, [], []
-    for chunk in range(1 << (free - low - high)):
-        # the chunk's base carries its signs on the classes above both tables
-        base = -fm[free]
-        for i in range(low + high, free):
-            base = base + fm[i] if chunk >> (i - low - high) & 1 else base - fm[i]
-        for j, row in enumerate(_signed_sums(fm[low : low + high], base)):
+    best, lowest, kept = -1.0, 0, []
+    top = free - low - high
+    # the chunk's base carries its signs on the classes above both tables;
+    # bases[d] adds the top d of them to -fm[free], from the highest class down,
+    # and a chunk keeps the sums over the bits above its lowest set bit, which
+    # it shares with the chunk before
+    bases = [-fm[free]]
+    for chunk in range(1 << top):
+        del bases[top + 1 - (chunk & -chunk).bit_length() :]
+        for i in range(free - len(bases), low + high - 1, -1):
+            bases.append(bases[-1] + fm[i] if chunk >> (i - low - high) & 1 else bases[-1] - fm[i])
+        for j, row in enumerate(_signed_sums(fm[low : low + high], bases[-1])):
             # einsum sums each row in one pass, where sum(axis=1) is slow on short rows
             vals = np.einsum("ij->i", np.abs(np.add(lo, row, out=buf), out=buf))
             start = (chunk << high | j) << low
+            # the blocks come in mask order and argmax takes a block's first
             i = int(vals.argmax())
-            if vals[i] >= best:
-                hits = [start + int(t) for t in np.flatnonzero(vals == vals[i])[:2]]
-                lowest = hits if vals[i] > best else (lowest + hits)[:2]
-                best = vals[i]
+            if vals[i] > best:
+                best, lowest = vals[i], start + i
             if err:
                 near = np.flatnonzero(vals >= best - 2 * err)
                 kept.append((near + start, vals[near]))
     if not err:
-        return best, lowest
+        return lowest
     masks = np.concatenate([t for t, _ in kept])
     vals = np.concatenate([v for _, v in kept])
-    return best, masks[vals >= best - 2 * err]
+    return masks[vals >= best - 2 * err]
 
 
-def _exact_best(Q: np.ndarray, masks: np.ndarray) -> tuple[int, list[int]]:
-    """The largest Python-int ||tau^T Q||_1 over the ascending masks, and its two lowest masks."""
+def _exact_best(Q: np.ndarray, masks: np.ndarray) -> int:
+    """The lowest of the ascending masks of largest Python-int ||tau^T Q||_1."""
     c, g = Q.shape
     rows = max(1, SCREEN_BLOCK // max(g, 1))
-    best, winners = -1, []
+    best, winner = -1, 0
     for start in range(0, len(masks), rows):
         chunk = masks[start : start + rows]
         signs = (2 * ((chunk[:, None] >> np.arange(c)) & 1) - 1).astype(object)
-        vals = np.abs(signs @ Q).sum(axis=1)
+        vals = np.abs(signs @ Q).sum(axis=1).tolist()
         top = max(vals)
-        if top >= best:
-            hits = [int(t) for t, v in zip(chunk, vals) if v == top][:2]
-            winners = hits if top > best else (winners + hits)[:2]
-            best = top
-    return best, winners
+        if top > best:
+            best, winner = top, int(chunk[vals.index(top)])
+    return winner

@@ -272,12 +272,9 @@ def _overlap_flow(a, b, cap1, cap2, scale: int):
     carries flows[k] / scale.
 
     The capacities are the weights scaled to ints by `scale` (cap1 on the
-    positions of s1, cap2 on those of s2) and `scale` on every pair edge.
-    Dinic's min, add, subtract and compare steps commute with that scaling
-    (its unscaled start bound, total source capacity + 1, exceeds every
-    source edge either way), so the flows divided by `scale` are the ones
-    Fraction capacities give, bit for bit. Pairs that form a matching take
-    the flows Dinic finds in closed form (see _matching_flow).
+    positions of s1, cap2 on those of s2) and `scale` on every pair edge, so
+    Dinic runs in Python ints and the flows are exact. Pairs that form a
+    matching take the flows Dinic finds in closed form (see _matching_flow).
     """
     # a is nondecreasing (row-major pairs), so it repeats iff two neighbours do;
     # b goes through a set, as np.unique loads numpy.ma (~1 MB) on first use

@@ -148,6 +148,18 @@ def test_alpha_of_binary_coding_decays_like_inverse_sqrt(n):
     assert mv.value ** 2 <= F(1, n)  # alpha <= 1/sqrt(n), squared to stay rational
 
 
+@pytest.mark.parametrize("n", range(1, 13))
+def test_alpha_certificate_on_binary_coding_takes_every_digit_row(n):
+    # rows 0..n-1 of binary_coding read "digit i is 1" and rows n..2n-1 "digit
+    # i is 0": the kernel's lift puts every "1" row in A, and the rectangle
+    # re-evaluates to the closed form C(2h, h)/2^(2h+2), h = floor(n/2)
+    j = binary_coding_family(n).joint
+    mv = alpha_coefficient(j)
+    h = n // 2
+    assert mv.certificate["A"] == tuple(range(n))
+    assert evaluate_certificate(mv, dep=dependence_matrix(j)) == F(math.comb(2 * h, h), 2 ** (2 * h + 2))
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_beta_is_half_variation(seed):
     j = random_joint(seed, 4, 3)
