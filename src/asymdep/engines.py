@@ -1,9 +1,11 @@
 """Reusable optimization kernels: max-flow, hub transshipment, hypercube bilinear max.
 
-The max-flow solver is a Dinic-style layered augmenting-path implementation
-over integer capacities, in Python ints, so the flow is exact.
-Its DFS keeps the path on an explicit stack, so the depth of the level
-graph is not bounded by Python's recursion limit.
+The max-flow solver is one Dinic loop over a residual graph held in flat
+int lists, in Python ints, so the flow is exact. It starts from any feasible
+flow: max_flow runs it from zero on a checked FlowNetwork, and the Prokhorov
+scan from the closed-form first phase of its coupling networks. Its DFS
+keeps the path on an explicit stack, so the depth of the level graph is not
+bounded by Python's recursion limit.
 The transshipment kernel is a primal network simplex in Python ints over
 undirected edges of nonnegative cost and a hub joined to every node; it
 returns the optimal potentials and its final tree with its flows, so the
@@ -19,7 +21,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -30,13 +31,13 @@ from .errors import CapabilityError, InputError
 # most float additions, 2^(C - 1) x G, that exact enumeration accepts (alpha
 # and cov_sup too): C sign classes of rows on the smaller side, G merged
 # columns. One call in a fresh process (Python 3.11, 2 vCPUs) at the budget
-# on random integer matrices: 22 x 256 takes 0.55-0.83 s and 37 MB peak RSS
-# (44 MB with entries near 2^80), 20 x 1024 0.73 s, 18 x 4096 0.84 s, and the
-# widest rows measured cost most, 15 x 32768 taking 2.1-2.5 s and 103 MB (one
-# score per block, each also paying for its block's base, fewer than two
-# more additions on average). Below it, a random 22 x 22 takes 0.07 s and
-# binary_coding n = 12 (12 classes, 2048 merged columns, 2^22 additions)
-# 0.02 s.
+# on random integer matrices: 22 x 256 takes 0.76-0.88 s and 37 MB peak RSS
+# (43 MB with entries near 2^80), 20 x 1024 0.56-0.74 s, 18 x 4096 0.8-1.3 s,
+# and the widest rows measured cost most, 15 x 32768 taking 1.8-2.0 s and
+# 105 MB (one score per block, the chunk's base scored as it is, each base
+# costing fewer than two more additions on average). Below it, a random
+# 22 x 22 takes 0.07-0.11 s and binary_coding n = 12 (12 classes, 2048
+# merged columns, 2^22 additions) 0.02-0.03 s.
 BILINEAR_EXACT_BUDGET = 1 << 29
 # most floats in one block of the hypercube screen's scores, and in a half table
 SCREEN_BLOCK = 1 << 15
@@ -81,76 +82,83 @@ class FlowNetwork:
 def max_flow(net: FlowNetwork) -> tuple[int, list[int]]:
     """Maximum flow value and per-edge flows (same order as net.edges).
 
-    Dinic's algorithm: BFS level graph + DFS blocking flows, in Python ints.
+    Dinic's algorithm from the zero flow: augment_flow on the checked
+    network. The flows are those of the recursive search in
+    tests/flow_oracle.py, bit for bit.
+
+    On a coupling network (source -> x for each row x, then the pairs
+    x -> y in row-major order, then y -> sink for each column y, every pair's
+    capacity at least each row's and column's) the first phase has a closed
+    form. At zero flow the level graph holds every forward arc, and the DFS
+    takes the rows in order and each row's pairs in order, pushing along
+    pair (x, y) the least of what is left of x's and y's capacities: the
+    pair's own capacity never binds. The push saturates x's arc (the DFS
+    returns to the source and goes on to x + 1) or y's (y dead-ends from
+    then on), so no pair is pushed twice, and the phase is the greedy
+    that fills the pairs in row-major order. The Prokhorov scan writes it
+    down and hands only the later phases to augment_flow.
+    """
+    tails, heads, caps = (list(col) for col in zip(*net.edges)) if net.edges else ([], [], [])
+    return augment_flow(net.node_count, tails, heads, caps, [0] * len(caps), net.source, net.sink)
+
+
+def augment_flow(node_count, tails, heads, caps, flows, source, sink) -> tuple[int, list[int]]:
+    """Dinic's algorithm from a feasible flow: the value it adds and the final per-edge flows.
+
+    Edge i runs tails[i] -> heads[i] with capacity caps[i] and starts with
+    flows[i], all Python ints; the flows must be feasible (within the
+    capacities, conserved at every node but the source and sink). Nothing
+    is checked here: max_flow checks a FlowNetwork, and the Prokhorov scan
+    builds its coupling networks itself. From the zero flow the result is
+    max_flow's; from the flow that Dinic's first phases leave, it is the
+    rest of that run.
+
+    The residual graph is flat int lists: arc 2i is edge i forward, of
+    residual capacity caps[i] - flows[i], and arc 2i + 1 backward, of
+    flows[i]; out[first[u]:first[u + 1]] are u's arcs in edge order. Each
+    phase labels the nodes by BFS from the source and stops once it labels
+    the sink: a node labelled later has at least the sink's level, so no
+    path of increasing levels leads from it to the sink, and the DFS would
+    only dead-end there.
 
     The DFS keeps its path from the source on an explicit stack, so a level
     graph of any depth needs no recursion. At node u it scans the arcs from
     the pointer it[u] on and takes the first with residual capacity into the
     next level. A dead end pops back to the arc's tail and moves that
     pointer past it; a path to the sink is augmented by the least residual
-    capacity along it (min taken from the source down, starting at the
-    sentinel bound) and then cut back to the tail of its first saturated
+    capacity along it and then cut back to the tail of its first saturated
     arc, where a search restarted from the source would arrive again, as
     the pointers above that arc still name the path's own arcs.
     """
-    n = net.node_count
-    source, sink = net.source, net.sink
-    # adjacency of edge ids; residual graph stores forward and backward arcs
-    head: list[int] = []
-    cap: list[int] = []
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for a, b, c in net.edges:
-        adj[a].append(len(head))
-        head.append(b)
-        cap.append(c)
-        adj[b].append(len(head))
-        head.append(a)
-        cap.append(0)
-
-    def bfs() -> list[int] | None:
-        level = [-1] * n
-        level[source] = 0
-        q = deque([source])
-        while q:
-            u = q.popleft()
-            for eid in adj[u]:
-                v = head[eid]
-                if level[v] < 0 and cap[eid] > 0:
-                    level[v] = level[u] + 1
-                    q.append(v)
-        return level if level[sink] >= 0 else None
-
-    # sentinel "infinite" capacity: total source capacity + 1
-    inf = sum(c for a, _, c in net.edges if a == source) + 1
+    arcs = 2 * len(caps)
+    head, cap = [0] * arcs, [0] * arcs
+    head[0::2], head[1::2] = heads, tails
+    cap[0::2], cap[1::2] = map(operator.sub, caps, flows), flows
+    tail = np.array([tails, heads], dtype=np.intp).T.ravel()  # tail[e] = head[e ^ 1]
+    # the arcs grouped by tail, each group in arc order
+    out = np.argsort(tail, kind="stable").tolist()
+    first = [0] + np.cumsum(np.bincount(tail, minlength=node_count)).tolist()
     total = 0
-    while True:
-        level = bfs()
-        if level is None:
-            break
-        it = [0] * n
+    while (level := _levels(out, first, head, cap, source, sink)) is not None:
+        it = first[:-1]  # u's next arc to try is out[it[u]]
         path: list[int] = []  # arc ids from the source to u
         u = source
         while True:
             if u == sink:
-                # the least residual capacity, as min(pushed, cap) from the source down
-                pushed = inf
-                for eid in path:
-                    if cap[eid] < pushed:
-                        pushed = cap[eid]
+                pushed = min(map(cap.__getitem__, path))
                 cut = -1
                 for k, eid in enumerate(path):
                     cap[eid] -= pushed
                     cap[eid ^ 1] += pushed
-                    if cut < 0 and not cap[eid] > 0:
+                    if cut < 0 and not cap[eid]:
                         cut = k
                 total += pushed
                 del path[cut:]
                 u = head[path[-1]] if path else source
                 continue
-            arcs = adj[u]
-            i, end, nxt = it[u], len(arcs), level[u] + 1
+            i, end, nxt = it[u], first[u + 1], level[u] + 1
             while i < end:
-                eid = arcs[i]
+                eid = out[i]
                 if cap[eid] > 0 and level[head[eid]] == nxt:
                     break
                 i += 1
@@ -163,8 +171,25 @@ def max_flow(net: FlowNetwork) -> tuple[int, list[int]]:
                 it[u] += 1
             else:  # the source is exhausted: the blocking flow is complete
                 break
-    flows = [net.edges[i][2] - cap[2 * i] for i in range(len(net.edges))]
-    return total, flows
+    return total, cap[1::2]
+
+
+def _levels(out, first, head, cap, source, sink) -> list[int] | None:
+    """BFS levels over the arcs of positive residual capacity, up to the
+    sink's; None if the sink is unreachable."""
+    level = [-1] * (len(first) - 1)
+    level[source] = 0
+    queue = [source]
+    for u in queue:  # the list grows while it is read: a FIFO queue
+        nxt = level[u] + 1
+        for eid in out[first[u] : first[u + 1]]:
+            v = head[eid]
+            if level[v] < 0 and cap[eid] > 0:
+                level[v] = nxt
+                if v == sink:
+                    return level
+                queue.append(v)
+    return None
 
 
 # smallest block of edges that the network simplex prices at a time
@@ -528,9 +553,13 @@ def _screen(fm: np.ndarray, err: float):
         del bases[top + 1 - (chunk & -chunk).bit_length() :]
         for i in range(free - len(bases), low + high - 1, -1):
             bases.append(bases[-1] + fm[i] if chunk >> (i - low - high) & 1 else bases[-1] - fm[i])
-        for j, row in enumerate(_signed_sums(fm[low : low + high], bases[-1])):
+        # with no high table the base is the one row, and with no low table
+        # (one row fills a block) that row is the score's whole sum
+        table = _signed_sums(fm[low : low + high], bases[-1]) if high else bases[-1][None]
+        for j, row in enumerate(table):
             # einsum sums each row in one pass, where sum(axis=1) is slow on short rows
-            vals = np.einsum("ij->i", np.abs(np.add(lo, row, out=buf), out=buf))
+            summed = np.add(lo, row, out=buf) if low else row[None]
+            vals = np.einsum("ij->i", np.abs(summed, out=buf))
             start = (chunk << high | j) << low
             # the blocks come in mask order and argmax takes a block's first
             i = int(vals.argmax())

@@ -33,10 +33,9 @@ import numpy as np
 
 from .engines import (
     BilinearInstance,
-    FlowNetwork,
+    augment_flow,
     hub_transshipment,
     hypercube_bilinear_max,
-    max_flow,
 )
 from .errors import CapabilityError, InputError
 from .measures import (
@@ -59,11 +58,13 @@ from .spaces import ProductMetricKind
 # the space); the rest is mostly the kernel's edge lists, which grow with the
 # pairs.
 BL_SUPPORT_CUTOFF = 600
-# one prokhorov_to_product_upper at 4096 product points, Python 3.11, 2 vCPUs:
-# binary_coding n=8 stops at eps = 0 by the separation (~0.01 s, 32 MB peak
-# RSS, no product matrix). A scan that must read distances binds: on a 64 x 64
-# grid joint on [0, 1)^2 ~1.0 s and ~170 MB peak RSS, the product matrix
-# 134 MB of it (~690 MB at 9216 points)
+# one prokhorov_to_product_upper at 4096 product points in a fresh process,
+# Python 3.11, 2 vCPUs: binary_coding n=8 stops at eps = 0 by the separation
+# (~0.01 s, 32 MB peak RSS, no product matrix). A scan that must read
+# distances binds: on random 64 x 64 grid joints on [0, 1)^2 (two seeds),
+# 0.5-0.7 s under MAX and 0.9-1.5 s under SUM, 171-174 MB peak RSS, the
+# product matrix 134 MB of it (~690 MB at 9216 points); most of the time is
+# one breakpoint's later Dinic phases
 PROKHOROV_SUPPORT_CUTOFF = 4096
 # rows of dist[np.ix_(s1, s2)] per block of Prokhorov's pair scan
 SUPPORT_BLOCK_ROWS = 64
@@ -271,36 +272,40 @@ def _overlap_flow(a, b, cap1, cap2, scale: int):
     Returns the mass and the pair flows, both scaled by `scale`: the pair k
     carries flows[k] / scale.
 
-    The capacities are the weights scaled to ints by `scale` (cap1 on the
-    positions of s1, cap2 on those of s2) and `scale` on every pair edge, so
-    Dinic runs in Python ints and the flows are exact. Pairs that form a
-    matching take the flows Dinic finds in closed form (see _matching_flow).
+    The network has the edges source -> x at cap1[x] for the positions x of
+    s1, then x -> y at `scale` for each pair, then y -> sink at cap2[y] for
+    the positions y of s2: the weights scaled to ints by `scale`, so the
+    flows are exact. They are the flows max_flow finds on it, bit for bit.
+
+    Dinic's first phase is written down in closed form, as the row-major
+    greedy below: along each pair it pushes the least of what is left of its
+    two ends' capacities (see max_flow for the argument; the pair capacity
+    `scale` is at least every cap1[x] and cap2[y], as the weights are at
+    most 1). When the pairs form a matching, every path source -> x -> y ->
+    sink is then saturated, and when the greedy empties either side no
+    residual arc leaves the source or enters the sink: either way the greedy
+    is the max flow, and no network is built. Otherwise augment_flow runs
+    Dinic's later phases from it, on the network above.
     """
+    left, right = list(cap1), list(cap2)
+    flows, cols = [], b.tolist()
+    for x, y in zip(a.tolist(), cols):
+        f = left[x] if left[x] < right[y] else right[y]  # min(), without its call
+        left[x] -= f
+        right[y] -= f
+        flows.append(f)
     # a is nondecreasing (row-major pairs), so it repeats iff two neighbours do;
     # b goes through a set, as np.unique loads numpy.ma (~1 MB) on first use
-    if np.all(a[1:] != a[:-1]) and len(set(b.tolist())) == len(b):
-        return _matching_flow(a, b, cap1, cap2)
-    n1, n2 = len(cap1), len(cap2)
-    source, sink = 0, 1 + n1 + n2
-    edges = [(source, 1 + x, c) for x, c in enumerate(cap1)]
-    edges += zip((1 + a).tolist(), (1 + n1 + b).tolist(), itertools.repeat(scale))
-    edges += [(1 + n1 + y, sink, c) for y, c in enumerate(cap2)]
-    value, flows = max_flow(FlowNetwork(2 + n1 + n2, tuple(edges), source, sink))
-    return value, flows[n1 : n1 + len(a)]
-
-
-def _matching_flow(a, b, cap1, cap2):
-    """The max flow and pair flows of _overlap_flow when no position repeats
-    in a or in b, without a flow solve.
-
-    The network is then disjoint paths source -> a[k] -> b[k] -> sink plus
-    dead ends. Dinic's first blocking flow pushes the least capacity on
-    each path, min(cap1[a[k]], cap2[b[k]]), as the pair capacity `scale`
-    is at least every weight times `scale`; that saturates each path, no
-    augmenting path is left, and its flows are these ints.
-    """
-    flows = [min(cap1[x], cap2[y]) for x, y in zip(a.tolist(), b.tolist())]
-    return sum(flows), flows
+    matching = np.all(a[1:] != a[:-1]) and len(set(cols)) == len(cols)
+    if matching or not (any(left) and any(right)):
+        return sum(flows), flows
+    n1, n2, m = len(cap1), len(cap2), len(a)
+    sink = 1 + n1 + n2
+    tails = [0] * n1 + (1 + a).tolist() + list(range(1 + n1, sink))
+    heads = list(range(1, 1 + n1)) + (1 + n1 + b).tolist() + [sink] * n2
+    start = [c - r for c, r in zip(cap1, left)] + flows + [c - r for c, r in zip(cap2, right)]
+    added, end = augment_flow(sink + 1, tails, heads, cap1 + [scale] * m + cap2, start, 0, sink)
+    return sum(flows) + added, end[n1 : n1 + m]
 
 
 class Coupling(NamedTuple):
@@ -324,6 +329,13 @@ def prokhorov_distance(m1: DiscreteMeasure, m2: DiscreteMeasure) -> MetricValue:
     run on integer capacities: the weights times the lcm of their
     denominators. A union support above PROKHOROV_SUPPORT_CUTOFF is refused
     before any flow is solved.
+
+    Each breakpoint's flow starts with Dinic's first phase in closed form:
+    at zero flow Dinic fills the pairs in row-major order, each with the
+    least of what is left of its two ends' capacities, as the pair capacity
+    never binds (see max_flow). A matching, or a greedy that empties either
+    side, is then a max flow; otherwise Dinic's later phases run from the
+    greedy's flow (_overlap_flow).
 
     When the space's separation is positive, the eps = 0 step reads no
     distance: its pairs are the points of both supports, a matching whose

@@ -681,6 +681,20 @@ def test_the_exact_re_rank_keeps_the_lowest_of_tied_masks(block):
         assert kernel_result(rows) == lowest_mask_maximiser(rows)
 
 
+@pytest.mark.parametrize("scale", [1, 2 ** 70], ids=["exact", "rounded"])
+def test_the_screen_over_rows_wider_than_half_a_block_keeps_the_exact_best_mask(scale):
+    # one row of SCREEN_BLOCK / 2 + 1 columns fills a block: no half table is
+    # built, and each chunk's base is scored as it is, in exact floats at
+    # scale 1 and through the rounding bound and the int re-rank at 2^70
+    engines = asymdep.engines
+    g = engines.SCREEN_BLOCK // 2 + 1
+    rows = np.random.default_rng(0).integers(-1000, 1000, size=(5, g)).astype(object) * scale
+    want = engines._exact_best(rows, np.arange(2 ** 4))
+    with mock.patch.object(engines, "_signed_sums", wraps=engines._signed_sums) as sums:
+        assert engines._best_mask(rows.tolist()) == want
+    assert sums.call_count == 1  # the empty low table, built once
+
+
 @pytest.mark.parametrize("n", range(1, 13))
 def test_one_kernel_call_runs_one_enumeration(n):
     # every class mask ties on binary_coding's dependence matrix
