@@ -423,7 +423,7 @@ def _essential_pairs(d: np.ndarray):
     and d(a, b) in np.triu_indices order.
 
     One pass over blocks of rows a. In each block a screen first tries as
-    witnesses only the ESSENTIAL_NEAREST points nearest to a (see
+    witnesses only the ESSENTIAL_NEAREST other points nearest to a (see
     _nearest_witness), and only the pairs a < b it leaves open take the full
     test against every c, a chunk of pairs at a time. Each step works on
     about ESSENTIAL_CHUNK elements of d, so apart from the kept pairs the
@@ -464,14 +464,19 @@ def _essential_pairs(d: np.ndarray):
 
 def _nearest_witness(d: np.ndarray, s: int, e: int) -> np.ndarray:
     """found[a - s, b] for the rows s <= a < e of d: one of the
-    ESSENTIAL_NEAREST points c nearest to a (by an argsort of row a, a itself
-    among them) is a witness for the pair (a, b).
+    ESSENTIAL_NEAREST points c nearest to a, other than a itself, is a
+    witness for the pair (a, b).
 
-    The test is the full scan's, in the same float operations, with d(c, b)
-    read from row b of d, so every witness found here is one the full scan
-    finds.
+    a never witnesses its own pair in a metric (its leg d(a, b) is not
+    strictly shorter than d(a, b)), so its own entry is set to +inf before
+    the argsort of row a: by index, not by dropping the first position, which
+    may hold another point at distance 0 in a validate=False space. The test
+    is the full scan's, in the same float operations, with d(c, b) read from
+    row b of d, so every witness found here is one the full scan finds.
     """
-    nearest = np.argsort(d[s:e], axis=1)[:, :ESSENTIAL_NEAREST]
+    masked = d[s:e].copy()
+    masked[np.arange(e - s), np.arange(s, e)] = np.inf
+    nearest = np.argsort(masked, axis=1)[:, :ESSENTIAL_NEAREST]
     ac = np.take_along_axis(d[s:e], nearest, axis=1)[:, :, None]
     cb = d.T[nearest]  # cb[a, j, b] = d(b, c_j), gathered from the columns c_j
     dab = d[s:e, None, :]
@@ -544,7 +549,7 @@ def bl_distance(m1: DiscreteMeasure, m2: DiscreteMeasure) -> MetricValue:
     _require_same_space(m1, m2)
     support = sorted(set(m1.support()) | set(m2.support()))
     n = len(support)
-    _require_support(n, BL_SUPPORT_CUTOFF, "bl_distance LP")
+    _require_support(n, BL_SUPPORT_CUTOFF, "bl_distance transshipment")
     scale, supply = _mass_gaps(m1, m2, support)
     dist = m1.space.dist
     ends_a, ends_b, costs, two_k = _essential_arcs(
@@ -581,9 +586,10 @@ def bl_to_product(
     """Bounded-Lipschitz distance between the joint law and its product of marginals.
 
     The union support of the two is supp(row marginal) x supp(column
-    marginal), so the LP cutoff is checked before the product space is built.
+    marginal), so the transshipment cutoff is checked before the product
+    space is built.
     """
-    _require_support(_product_support(j), BL_SUPPORT_CUTOFF, "bl_distance LP")
+    _require_support(_product_support(j), BL_SUPPORT_CUTOFF, "bl_distance transshipment")
     mu, nu = joint_and_product_on_product(j, kind)
     return bl_distance(mu, nu)
 

@@ -3,11 +3,12 @@
 Each criterion returns a CriterionResult with the expected value, computed
 value, tolerance, and status; run_all() executes the whole battery. Exact
 criteria compare rationals for equality (tolerance 0); geometric criteria
-carry their stated float tolerances. Oracles used here (brute-force LP for
-flows and transshipments, full sign enumeration for the bilinear
-engine, row-subset enumeration and a closed form for alpha and cov_sup,
-partition enumeration for beta) are independent of the code paths they
-check.
+carry their stated float tolerances. Oracles used here (the minimum cut
+over every node set for max-flow, successive shortest paths for the
+transshipment, full sign enumeration for the bilinear engine, row-subset
+enumeration and a closed form for alpha and cov_sup, partition enumeration
+for beta) are exact in Python ints or Fractions and independent of the
+code paths they check.
 """
 from __future__ import annotations
 
@@ -275,13 +276,14 @@ def criterion_08_bl_witness() -> CriterionResult:
     for n in range(1, 5):
         val = bl_to_product(binary_coding_family(n).joint, ProductMetricKind.SUM).as_float()
         if val < 1 / 16 - 1e-9:
-            bad.append((n, "lp", val))
+            bad.append((n, "transshipment", val))
     for n in range(1, 11):
         gap = integral_gap(binary_coding_family(n).joint, binary_coding_h_matrix(n))
         if gap / 4 != F(1, 16):  # h/4 lies in BL_1 under the SUM metric
             bad.append((n, "witness"))
     return _result(
-        "8 AI-1 failure: bl >= 1/16 via LP (n=1..4) and via exact witness (n=1..10)",
+        "8 AI-1 failure: bl >= 1/16 via the transshipment (n=1..4) and via exact witness "
+        "(n=1..10)",
         "bl >= 1/16 everywhere",
         "holds" if not bad else f"failures: {bad}",
         "1e-9 / exact",
@@ -424,45 +426,44 @@ def criterion_13_pushforward_stability() -> CriterionResult:
     )
 
 
-def _bipartite_flow_oracle(supplies, demands, edges, caps) -> float:
-    """Brute-force LP value of the bipartite max-flow instance."""
-    from scipy.optimize import linprog
-
-    # one row per supply node and per demand node, over the edges at it
-    ends = np.array(edges, dtype=int).reshape(-1, 2)
-    rows = [ends[:, 0] == i for i in range(len(supplies))]
-    rows += [ends[:, 1] == k for k in range(len(demands))]
-    res = linprog(
-        -np.ones(len(edges)),
-        A_ub=np.array(rows, dtype=float),
-        b_ub=np.array([float(x) for x in (*supplies, *demands)]),
-        bounds=[(0.0, float(cap)) for cap in caps],
-        method="highs",
-    )
-    return float(-res.fun)
+def _min_cut_oracle(net: FlowNetwork) -> int:
+    """The least capacity of a source-sink cut (max-flow min-cut), over every
+    set of the other nodes on the source side."""
+    others = [v for v in range(net.node_count) if v not in (net.source, net.sink)]
+    cuts = []
+    for mask in range(2 ** len(others)):
+        side = {net.source, *(v for i, v in enumerate(others) if mask >> i & 1)}
+        cuts.append(sum(c for t, h, c in net.edges if t in side and h not in side))
+    return min(cuts)
 
 
-def _transshipment_oracle(supplies, edges, hub_cost) -> float:
-    """Brute-force LP value of the hub transshipment: min cost . x over x >= 0
-    with node-arc incidence x = supplies, every edge and hub edge written
-    out both ways."""
-    from scipy.optimize import linprog
-
+def _transshipment_oracle(supplies, edges, hub_cost) -> int:
+    """The least cost of the hub transshipment by successive shortest paths in
+    ints: Bellman-Ford from the nodes with excess, over every edge and hub
+    edge both ways and the reverse of each arc that carries flow, then a push
+    along one path to the nearest node with a deficit."""
     n = len(supplies)
     arcs = [*edges, *((i, n, hub_cost) for i in range(n))]
     arcs += [(h, t, c) for t, h, c in arcs]
-    incidence = np.zeros((n + 1, len(arcs)))
-    for e, (t, h, _) in enumerate(arcs):
-        incidence[t, e] += 1.0
-        incidence[h, e] -= 1.0
-    res = linprog(
-        [float(c) for _, _, c in arcs],
-        A_eq=incidence,
-        b_eq=[*map(float, supplies), -float(sum(supplies))],
-        bounds=(0.0, None),
-        method="highs",
-    )
-    return float(res.fun)
+    flow, excess = [0] * len(arcs), [*supplies, -sum(supplies)]
+    while any(x > 0 for x in excess):
+        residual = [(t, h, c, e, 1) for e, (t, h, c) in enumerate(arcs)]
+        residual += [(h, t, -c, e, -1) for e, (t, h, c) in enumerate(arcs) if flow[e]]
+        dist, pred = [0 if x > 0 else math.inf for x in excess], [None] * (n + 1)
+        for _ in range(n + 1):
+            for t, h, c, e, sign in residual:
+                if dist[t] + c < dist[h]:
+                    dist[h], pred[h] = dist[t] + c, (t, e, sign)
+        end = min((v for v in range(n + 1) if excess[v] < 0), key=dist.__getitem__)
+        path, v = [], end
+        while pred[v] is not None:
+            path.append(pred[v])
+            v = pred[v][0]
+        push = min([excess[v], -excess[end], *(flow[e] for _, e, sign in path if sign < 0)])
+        for _, e, sign in path:
+            flow[e] += sign * push
+        excess[v], excess[end] = excess[v] - push, excess[end] + push
+    return sum(f * c for f, (_, _, c) in zip(flow, arcs))
 
 
 def _transshipment_is_optimal(supplies, edges, hub_cost, sol) -> bool:
@@ -489,42 +490,47 @@ def _transshipment_is_optimal(supplies, edges, hub_cost, sol) -> bool:
     )
 
 
-def criterion_14_engine_oracles() -> CriterionResult:
-    bad = []
-    rng = random.Random(14)
-    # max-flow vs LP on random bipartite instances, capacities in sixteenths
-    # scaled to ints
-    for t in range(20):
+def _flow_instances(rng: random.Random):
+    """Criterion 14's 20 random bipartite max-flow networks: source -> supply
+    nodes -> demand nodes -> sink, capacities in sixteenths scaled to ints."""
+    for _ in range(20):
         n1, n2 = rng.randint(2, 4), rng.randint(2, 4)
         supplies = [rng.randint(1, 16) for _ in range(n1)]
         demands = [rng.randint(1, 16) for _ in range(n2)]
-        edges, caps = [], []
+        edges = [(0, 1 + i, s) for i, s in enumerate(supplies)]
         for i in range(n1):
             for k in range(n2):
                 if rng.random() < 0.7:
-                    edges.append((i, k))
-                    caps.append(rng.randint(1, 16))
-        net_edges = [(0, 1 + i, s) for i, s in enumerate(supplies)]
-        net_edges += [(1 + i, 1 + n1 + k, cap) for (i, k), cap in zip(edges, caps)]
-        net_edges += [(1 + n1 + k, 1 + n1 + n2, d) for k, d in enumerate(demands)]
-        net = FlowNetwork(2 + n1 + n2, tuple(net_edges), 0, 1 + n1 + n2)
-        value, _ = max_flow(net)
-        oracle = _bipartite_flow_oracle(supplies, demands, edges, caps)
-        if abs(value - oracle) > 1e-10:
-            bad.append((t, "flow", value, oracle))
-    # hub_transshipment vs LP on random transshipments, and exact primal = dual
-    for t in range(50):
+                    edges.append((1 + i, 1 + n1 + k, rng.randint(1, 16)))
+        edges += [(1 + n1 + k, 1 + n1 + n2, d) for k, d in enumerate(demands)]
+        yield FlowNetwork(2 + n1 + n2, tuple(edges), 0, 1 + n1 + n2)
+
+
+def _transshipment_instances(rng: random.Random):
+    """Criterion 14's 50 random hub transshipments (supplies, edges, hub_cost),
+    drawn from rng after the flow networks."""
+    for _ in range(50):
         n = rng.randint(1, 7)
         supplies = [rng.randint(-8, 8) for _ in range(n)]
         edges = [(rng.randrange(n), rng.randrange(n), rng.randint(0, 12))
                  for _ in range(rng.randint(0, 3 * n))]
-        hub_cost = rng.randint(0, 12)
+        yield supplies, edges, rng.randint(0, 12)
+
+
+def criterion_14_engine_oracles() -> CriterionResult:
+    bad = []
+    rng = random.Random(14)
+    # max-flow vs the minimum cut on random bipartite networks
+    for t, net in enumerate(_flow_instances(rng)):
+        value, oracle = max_flow(net)[0], _min_cut_oracle(net)
+        if value != oracle:
+            bad.append((t, "flow", value, oracle))
+    # hub_transshipment vs successive shortest paths, and exact primal = dual
+    for t, (supplies, edges, hub_cost) in enumerate(_transshipment_instances(rng)):
         ends_a, ends_b, costs = zip(*edges) if edges else ((), (), ())
         sol = hub_transshipment(supplies, ends_a, ends_b, costs, hub_cost)
         oracle = _transshipment_oracle(supplies, edges, hub_cost)
-        if abs(sol.cost - oracle) > 1e-8 or not _transshipment_is_optimal(
-            supplies, edges, hub_cost, sol
-        ):
+        if sol.cost != oracle or not _transshipment_is_optimal(supplies, edges, hub_cost, sol):
             bad.append((t, "transshipment", sol.cost, oracle))
     # exact bilinear max vs Python-int enumeration over both sign vectors; entries
     # up to 2^70 take the float screen that is not exact, and the int re-rank
@@ -539,11 +545,11 @@ def criterion_14_engine_oracles() -> CriterionResult:
         if not val == oracle == attained:
             bad.append((t, "bilinear", val, oracle))
     return _result(
-        "14 engine oracles: max-flow vs LP, transshipment vs LP and primal = dual, "
-        "bilinear vs enumeration",
+        "14 engine oracles: max-flow vs min cut, transshipment vs shortest paths "
+        "and primal = dual, bilinear vs enumeration",
         "all engines match their oracles",
         "all match" if not bad else f"failures: {bad}",
-        "1e-10 / 1e-8 and exact / exact",
+        "exact",
         not bad,
     )
 

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import asymdep
+from asymdep import verify
 from asymdep import (
     BilinearInstance,
     CapabilityError,
@@ -386,6 +387,77 @@ def test_transshipment_takes_numpy_integers():
     assert sol.cost == 6 and type(sol.cost) is int and type(sol.potentials[0]) is int
 
 
+# ---------------------------------------------------------------------------
+# The exact oracles of verify criterion 14, against scipy's LP
+# ---------------------------------------------------------------------------
+
+def _incidence(node_count, arcs):
+    """The node-arc incidence matrix: +1 at each arc's tail, -1 at its head."""
+    incidence = np.zeros((node_count, len(arcs)))
+    for e, (t, h, _) in enumerate(arcs):
+        incidence[t, e] += 1.0
+        incidence[h, e] -= 1.0
+    return incidence
+
+
+def linprog_max_flow(net):
+    """The source's largest net outflow, with 0 <= flow <= capacity on each
+    edge and conservation at every other node but the sink."""
+    from scipy.optimize import linprog
+
+    incidence = _incidence(net.node_count, net.edges)
+    inner = [v for v in range(net.node_count) if v not in (net.source, net.sink)]
+    res = linprog(
+        -incidence[net.source],
+        A_eq=incidence[inner],
+        b_eq=np.zeros(len(inner)),
+        bounds=[(0.0, float(c)) for *_, c in net.edges],
+        method="highs",
+    )
+    assert res.status == 0
+    return -res.fun
+
+
+def linprog_transshipment(supplies, edges, hub_cost):
+    """min cost . x over x >= 0 with node-arc incidence x = supplies (the hub
+    takes the balance), every edge and hub edge written out both ways."""
+    from scipy.optimize import linprog
+
+    n = len(supplies)
+    arcs = [*edges, *((i, n, hub_cost) for i in range(n))]
+    arcs += [(h, t, c) for t, h, c in arcs]
+    res = linprog(
+        [float(c) for *_, c in arcs],
+        A_eq=_incidence(n + 1, arcs),
+        b_eq=[*map(float, supplies), -float(sum(supplies))],
+        bounds=(0.0, None),
+        method="highs",
+    )
+    assert res.status == 0
+    return res.fun
+
+
+def test_criterion_14_oracles_equal_linprog_on_its_instances():
+    # the criterion's own draws, in its order: 20 networks, then 50 transshipments
+    rng = random.Random(14)
+    nets = list(verify._flow_instances(rng))
+    shipments = list(verify._transshipment_instances(rng))
+    assert (len(nets), len(shipments)) == (20, 50)
+    for net in nets:
+        assert abs(verify._min_cut_oracle(net) - linprog_max_flow(net)) <= 1e-10
+    for supplies, edges, hub_cost in shipments:
+        oracle = verify._transshipment_oracle(supplies, edges, hub_cost)
+        assert abs(oracle - linprog_transshipment(supplies, edges, hub_cost)) <= 1e-8
+
+
+@settings(max_examples=200, deadline=None)
+@given(transshipments())
+def test_the_shortest_path_oracle_equals_the_kernel(instance):
+    supplies, ends_a, ends_b, costs, hub_cost = instance
+    oracle = verify._transshipment_oracle(supplies, list(zip(ends_a, ends_b, costs)), hub_cost)
+    assert oracle == hub_transshipment(*instance).cost
+
+
 def _vertex_enumeration_oracle(objective, a: np.ndarray, b: np.ndarray) -> float:
     """Max objective . x over the vertices of the bounded polytope a x <= b."""
     combos = np.array(list(itertools.combinations(range(len(a)), len(objective))))
@@ -396,8 +468,8 @@ def _vertex_enumeration_oracle(objective, a: np.ndarray, b: np.ndarray) -> float
 
 
 def test_import_does_not_load_scipy_solvers():
-    # no runtime path loads scipy.optimize or scipy.sparse; only the
-    # verify oracles and the tests import them
+    # no runtime path loads scipy.optimize or scipy.sparse, asymdep verify
+    # included; only the tests import them
     src = str(Path(asymdep.__file__).resolve().parents[1])
     code = (
         "import sys, asymdep; "
@@ -432,10 +504,28 @@ assert main(["metrics", "--joint", path, "--select", "bl"]) == 0
 """
 
 
-@pytest.mark.parametrize("code", [BL_ON_A_GRID_JOINT, BL_THROUGH_THE_CLI], ids=["api", "cli"])
-def test_bl_leaves_scipy_unloaded(code):
+# scipy is blocked before asymdep is imported: any import of it would raise
+VERIFY_WITHOUT_SCIPY = """
+import contextlib, io, sys
+sys.modules["scipy"] = None
+from asymdep.cli import main
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    assert main(["verify"]) == 0
+assert out.getvalue().splitlines()[-1] == "15/15 criteria passed", out.getvalue()
+"""
+
+
+@pytest.mark.parametrize(
+    "code", [BL_ON_A_GRID_JOINT, BL_THROUGH_THE_CLI, VERIFY_WITHOUT_SCIPY],
+    ids=["api", "cli", "verify"],
+)
+def test_bl_and_verify_leave_scipy_unloaded(code):
     src = str(Path(asymdep.__file__).resolve().parents[1])
-    check = "\nimport sys\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    check = (
+        "\nimport sys\nprint(sorted(m for m, mod in sys.modules.items()"
+        " if mod is not None and m.split('.')[0] == 'scipy'))"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code + check],
         capture_output=True,

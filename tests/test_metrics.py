@@ -825,16 +825,16 @@ def essential_pairs_oracle(d):
     return [list(col) for col in zip(*kept)] if kept else [[], [], []]
 
 
-def screen_miss_space():
+def screen_miss_space(decoys=metrics.ESSENTIAL_NEAREST):
     """A metric whose only witness for the pair (0, 1) is not among the
-    ESSENTIAL_NEAREST points nearest to 0.
+    ESSENTIAL_NEAREST points nearest to 0 (other than 0 itself).
 
     d(0, 1) = 1 and point 2 sits halfway: d(0, 2) = d(2, 1) = 0.5. The
-    decoys, ESSENTIAL_NEAREST of them, sit at 0.1 from 0, 0.2 from each
-    other, 0.5 from 2 and 1 from 1, so their leg to 1 is as long as the pair.
+    decoys, ESSENTIAL_NEAREST of them by default, sit at 0.1 from 0, 0.2
+    from each other, 0.5 from 2 and 1 from 1, so their leg to 1 is as long
+    as the pair.
     """
-    k = metrics.ESSENTIAL_NEAREST
-    n = 3 + k
+    n = 3 + decoys
     d = np.full((n, n), 0.2)
     d[0, 1], d[0, 2], d[1, 2] = 1.0, 0.5, 0.5
     d[0, 3:], d[1, 3:], d[2, 3:] = 0.1, 1.0, 0.5
@@ -913,6 +913,13 @@ def test_the_screen_misses_a_far_witness_and_the_full_scan_finds_it():
     assert not metrics._nearest_witness(d, 0, 1)[0, 1]
     a, b, _ = metrics._essential_pairs(d)
     assert (0, 1) not in set(zip(a.tolist(), b.tolist()))
+
+
+def test_the_screen_tries_the_nearest_points_other_than_a():
+    # with one decoy fewer, the witness 2 is the last of the ESSENTIAL_NEAREST
+    # points nearest to 0 once 0 itself is left out
+    d = screen_miss_space(decoys=metrics.ESSENTIAL_NEAREST - 1).dist
+    assert metrics._nearest_witness(d, 0, 1)[0, 1]
 
 
 def test_bl_to_product_cutoff_fires_before_the_product_space_is_built(monkeypatch):
